@@ -89,8 +89,13 @@ def _parse_field(text):
 def _parse_type(text):
     pairs = []
     for chunk in text.split(";"):
-        e, f = chunk.split(",")
-        pairs.append((int(e), int(f)))
+        try:
+            e, f = (int(x) for x in chunk.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--type wants semicolon-separated e,f integer pairs, got {chunk!r}"
+            )
+        pairs.append((e, f))
     return pairs
 
 
@@ -116,6 +121,10 @@ def _frac_str(q):
 @click.group()
 def main():
     """Exact local factors of pro-isomorphic zeta functions under base extension."""
+    # exact coefficients can exceed the 4300-digit int-to-str limit that newer
+    # Pythons set by default; the output is decimal strings, so lift it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command("families")

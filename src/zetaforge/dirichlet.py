@@ -88,13 +88,25 @@ def local_factor(family, d, field, p, pairs=None):
     lattice base-extended along `field`, at the rational prime p.
 
     `pairs` overrides the computed decomposition type (for primes the index
-    test refuses)."""
+    test refuses): integers e, f >= 1 with sum of e*f equal to the degree."""
     if field.degree != d:
         raise DegreeMismatchError(
             f"field degree {field.degree} != extension parameter d={d}"
         )
     if pairs is None:
         pairs = decomposition_type(field, p)
+    else:
+        for pair in pairs:
+            if len(pair) != 2 or not all(isinstance(x, int) and x >= 1 for x in pair):
+                raise ValueError(
+                    f"decomposition type wants pairs of integers e, f >= 1, got {pair!r}"
+                )
+        total = sum(e * f for e, f in pairs)
+        if total != field.degree:
+            raise ValueError(
+                f"decomposition type has sum of e*f = {total}, "
+                f"but the field degree is {field.degree}"
+            )
     w = type_specialized_W(make_W(family, d), pairs)
     return LocalFactor.from_euler(w, p)
 

@@ -85,12 +85,6 @@ class LaurentPoly:
 
     # -- structural helpers ------------------------------------------
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
-    def constant_term(self):
-        return self.terms.get((0, 0), 0)
-
     def sorted_terms(self):
         """Terms as (coeff, xe, ye) sorted by (xe, ye)."""
         return [(self.terms[k], k[0], k[1]) for k in sorted(self.terms)]
@@ -273,13 +267,6 @@ class EulerForm:
             descent_data=data,
             formal=self.is_formal,
         )
-
-    def denominator_poly(self):
-        """The denominator expanded to a LaurentPoly."""
-        prod = LaurentPoly.one()
-        for a, b in self.denominator:
-            prod = prod * LaurentPoly({(0, 0): 1, (a, b): -1})
-        return prod
 
     def invert_variables(self):
         """Data expressing W(X^{-1}, Y^{-1}) in terms of W(X, Y).

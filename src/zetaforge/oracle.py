@@ -3,15 +3,20 @@
 Everything here is ground truth by enumeration: list the finite-index
 sublattices of Z^n in Hermite normal form, keep the ones closed under the
 bracket, and decide whether each is pro-isomorphic to the ambient lattice at
-p.  The decision is exact for abelian and Heisenberg-type lattices; for
-anything else (rank at most 4) a bracket-preserving basis map is searched
-modulo p^(k + c_safety), and that verdict is explicitly level-limited.
+p.  The decision is exact for abelian and Heisenberg-type lattices.  For
+anything else (rank at most 4) the verdict is level-limited: bracket-preserving
+basis maps mod p are searched depth first, and each is lifted towards level
+p^(k + c_safety) as soon as it is found.  True is returned as soon as one base
+map lifts that far; False only after the whole search has failed.  A search
+that exceeds NODE_BUDGET nodes is refused with ResourceGuardError, never
+truncated into a verdict.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 from .laurent import ResourceGuardError
@@ -221,29 +226,6 @@ def is_subring(lattice, basis):
     return True
 
 
-def _det(rows):
-    # fraction-free Gaussian elimination (Bareiss); exact over the integers
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            for r in range(col + 1, n):
-                if m[r][col]:
-                    m[col], m[r] = m[r], m[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
-
-
 def _vp(x, p):
     if x == 0:
         raise ValueError("infinite valuation")
@@ -273,7 +255,8 @@ def _heisenberg_verdict(lattice, basis, p, m):
     if _vp(g, p) != _vp(z_gen, p):
         return False
     reduced = [[entry // g for entry in row] for row in gram]
-    return _det(reduced) % p != 0
+    # the reduced Gram matrix is invertible mod p iff its kernel is zero
+    return not _solve_mod_p(reduced, [0] * (2 * m), p)[1]
 
 
 def _structure_constants(lattice, basis):
@@ -366,33 +349,15 @@ def _bracket_residual(cl, cm, t, i, j, modulus):
     return [x % modulus for x in out]
 
 
-def _rank_mod_p(columns, p):
-    if not columns:
-        return 0
-    n = len(columns[0])
-    m = [list(col) for col in columns]
-    rank = 0
-    for col in range(n):
-        sel = None
-        for r in range(rank, len(m)):
-            if m[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        inv = pow(m[rank][col] % p, -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] % p:
-                f = m[r][col] % p
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def _base_solutions(cl, cm, p, budget):
-    """All invertible bracket-preserving maps mod p, column by column."""
+    """Invertible bracket-preserving maps mod p, yielded column by column.
+
+    Lazy, so the caller lifts each map to level p^(k + c_safety) as soon as
+    it is found and stops at the first that lifts (True); False means every
+    map was yielded and failed to lift.  Each node spends one unit of
+    `budget`, which refuses a search past NODE_BUDGET, never truncates it.
+    A trial column is kept only outside the F_p-span of the columns before it.
+    """
     n = len(cl)
     needed = {}
     for i in range(n):
@@ -402,18 +367,21 @@ def _base_solutions(cl, cm, p, budget):
                 if cm[i][j][l]:
                     top = max(top, l)
             needed.setdefault(top, []).append((i, j))
-    vectors = [[(v // p**r) % p for r in range(n)] for v in range(p**n)]
-    solutions = []
+    vectors = [tuple((v // p**r) % p for r in range(n)) for v in range(p**n)]
 
     def place(col, cols):
         budget.spend()
         if col == n:
-            solutions.append([list(row) for row in zip(*cols)])
+            yield [list(row) for row in zip(*cols)]
             return
+        span = {
+            tuple(sum(c * v[r] for c, v in zip(coeffs, cols)) % p for r in range(n))
+            for coeffs in product(range(p), repeat=col)
+        }
         for vec in vectors:
-            trial = cols + [vec]
-            if _rank_mod_p(trial, p) != len(trial):
+            if vec in span:
                 continue
+            trial = cols + [vec]
             t = [list(row) for row in zip(*(trial + [[0] * n] * (n - col - 1)))]
             ok = True
             for i, j in needed.get(col, ()):
@@ -421,10 +389,9 @@ def _base_solutions(cl, cm, p, budget):
                     ok = False
                     break
             if ok:
-                place(col + 1, trial)
+                yield from place(col + 1, trial)
 
-    place(0, [])
-    return solutions
+    yield from place(0, [])
 
 
 def _lift(cl, cm, t, p, level, target, budget):
@@ -506,7 +473,10 @@ def is_proisomorphic(lattice, basis, p, c_safety=2):
 
     Exact for abelian and standard Heisenberg tensors.  Otherwise (rank <= 4)
     the verdict means "isomorphic at level p^(k + c_safety)" where p^k is the
-    index: a False is certain, a True is heuristic.
+    index: a False is certain, a True is heuristic.  True is returned as soon
+    as one base map mod p lifts to level p^(k + c_safety); False only after
+    the whole search.  A search that exceeds NODE_BUDGET nodes raises
+    ResourceGuardError: it is refused, never truncated.
     """
     if lattice.is_abelian():
         return True

@@ -61,10 +61,6 @@ class BStats:
     eps1: int
     sigma_c: int
 
-    @property
-    def des_set(self):
-        return frozenset(i for i in range(64) if self.des_mask >> i & 1)
-
 
 @dataclass(frozen=True)
 class AStats:
@@ -73,10 +69,6 @@ class AStats:
     des: int
     sigma_a: int
     rbin: int
-
-    @property
-    def des_set(self):
-        return frozenset(i for i in range(64) if self.des_mask >> i & 1)
 
 
 def stats(w):

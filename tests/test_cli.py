@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from zetaforge.cli import main
@@ -109,6 +110,31 @@ def test_euler_type_override_unblocks_refused_prime():
                  "--minpoly", "3,0,1", "--p", "2", "--type", "2,1")
     assert forced.exit_code == 0
     assert json.loads(forced.output)["denominator"] == [["16", 2], ["32", 2]]
+
+
+@pytest.mark.parametrize("override,message", [
+    ("1,5", "sum of e*f = 5, but the field degree is 2"),
+    ("0,2", "e, f >= 1, got (0, 2)"),
+    ("abc", "e,f integer pairs, got 'abc'"),
+    ("1,1;x", "e,f integer pairs, got 'x'"),
+    ("1,2,3", "e,f integer pairs, got '1,2,3'"),
+])
+def test_euler_refuses_bad_type_override(override, message):
+    result = run("euler", "--family", "heisenberg:1", "--d", "2",
+                 "--minpoly", "1,0,1", "--p", "5", "--type", override)
+    assert result.exit_code == 1
+    assert result.output.startswith("refused:")
+    assert message in result.output
+
+
+def test_euler_prints_coefficients_past_the_str_digit_limit():
+    # bk over Q(zeta_5) at p = 701 has denominator constants of over 4300 digits
+    result = run("euler", "--family", "bk", "--d", "4",
+                 "--minpoly", "1,1,1,1,1", "--p", "701")
+    assert result.exit_code == 0
+    denominator = json.loads(result.output)["denominator"]
+    assert all(c.isdigit() for c, _ in denominator)
+    assert max(len(c) for c, _ in denominator) > 4300
 
 
 def test_dirichlet_over_gauss_field():

@@ -76,6 +76,20 @@ def test_explicit_type_override():
     assert forced == local_factor(heisenberg(1), 2, GAUSS, 2)
 
 
+@pytest.mark.parametrize("pairs,message", [
+    ([(1, 5)], "sum of e.f = 5"),
+    ([(1, 1)], "sum of e.f = 1"),
+    ([(0, 2)], "e, f >= 1"),
+    ([(-1, -2)], "e, f >= 1"),
+    ([(2, 1.0)], "e, f >= 1"),
+    ([(1, 1, 1)], "e, f >= 1"),
+    ([], "sum of e.f = 0"),
+])
+def test_type_override_is_validated(pairs, message):
+    with pytest.raises(ValueError, match=message):
+        local_factor(heisenberg(1), 2, GAUSS, 5, pairs=pairs)
+
+
 def test_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
         local_factor(heisenberg(1), 1, GAUSS, 3)

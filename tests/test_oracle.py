@@ -16,6 +16,7 @@ from zetaforge import (
     maxclass,
 )
 from zetaforge.laurent import ResourceGuardError
+from zetaforge import oracle
 from zetaforge.oracle import lattice_from_dict
 
 H1 = heisenberg_lattice(1)
@@ -25,6 +26,22 @@ M3 = lattice_from_dict({
     "rank": 4,
     "brackets": [[1, 2, [0, 0, 1, 0]], [1, 3, [0, 0, 0, 1]]],
 })
+
+
+def _permuted(lat, perm):
+    """The same Lie ring in the reordered basis e'_a = e_perm[a]."""
+    n = lat.rank
+    t = lat.tensor
+    return LieLattice(n, tuple(
+        tuple(tuple(t[perm[a]][perm[b]][perm[c]] for c in range(n)) for b in range(n))
+        for a in range(n)
+    ))
+
+
+def _scaled(lat, s):
+    return LieLattice(lat.rank, tuple(
+        tuple(tuple(s * c for c in vec) for vec in row) for row in lat.tensor
+    ))
 
 
 def test_tensor_validation():
@@ -137,6 +154,33 @@ def test_generic_rank4_counts_match_series():
     counts = [count_proisomorphic(M3, 2, k) for k in range(4)]
     assert counts == [series[k] for k in range(4)]
     assert counts == [1, 0, 0, 32]
+
+
+# Presentations of H1 over Z_p that are not the standard tensor, so their
+# verdicts take the level-limited search: the four basis orders that move z,
+# and (at p = 2, where 3 is a unit) the bracket scaled by 3.
+H1_PRESENTATIONS = [
+    pytest.param(_permuted(H1, q), p, kmax, id=f"perm{''.join(map(str, q))}-p{p}")
+    for q in ((0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    for p, kmax in ((2, 3), (3, 1))
+] + [pytest.param(_scaled(H1, 3), 2, 3, id="scale3-p2")]
+
+
+@pytest.mark.parametrize("lat,p,kmax", H1_PRESENTATIONS)
+def test_generic_search_matches_heisenberg_series(lat, p, kmax):
+    assert lat.heisenberg_m() is None
+    series = make_W(heisenberg(1), 1).expand_series(p, kmax)
+    counts = [count_proisomorphic(lat, p, k) for k in range(kmax + 1)]
+    assert counts == [series[k] for k in range(kmax + 1)]
+
+
+def test_generic_search_refuses_over_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 100)
+    # a False verdict needs the whole search, which exceeds the budget
+    with pytest.raises(ResourceGuardError, match="100 nodes"):
+        is_proisomorphic(M3, ((8, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 2)
+    # a True verdict stops at the first base map that lifts
+    assert is_proisomorphic(M3, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 2)
 
 
 def test_generic_rank_guard():
