@@ -1,179 +1,50 @@
-"""The ten acceptance criteria, one test each, asserted exactly.
+"""The ten acceptance criteria, one test each.
 
-Each test states its criterion in full; the conftest hook prints a one-line
-PASS/FAIL verdict per criterion at the end of the run.
+Each test runs one `zetaforge verify` suite, so this file and
+`zetaforge verify --suite all` check the same cases over the same ranges.
+A suite prints a `MISMATCH ...` line naming the failing case before it
+returns False.  The conftest hook prints a one-line PASS/FAIL verdict per
+criterion at the end of the run.
 """
 
-from fractions import Fraction
-from math import gcd
-
-from zetaforge import (
-    NumberField,
-    abscissa,
-    abscissa_from_shape,
-    bk,
-    check_weight_conjecture,
-    count_proisomorphic,
-    decomposition_type,
-    extract_functional_equation,
-    f4,
-    free,
-    global_coefficients,
-    heisenberg,
-    heisenberg_from_bruhat,
-    lmn,
-    local_factor,
-    make_W,
-    maxclass,
-    predicted_symmetry,
-    q5,
-    reduced_leading_ratio,
-    verify_bm_identity,
-    verify_functional_equation,
-    verify_sublemma,
-)
-from zetaforge.oracle import abelian_lattice, heisenberg_lattice
-from zetaforge import abelian
-
-GAUSS = NumberField((1, 0, 1))
-
-
-def fe_table():
-    """Every family the printed functional-equation table covers."""
-    fams = []
-    for c in range(2, 5):
-        for g in range(1, 5):
-            fams.append(free(c, g))
-    fams += [heisenberg(m) for m in range(1, 7)]
-    for m in range(1, 7):
-        for n in range(2, 8):
-            if m + n <= 8:
-                fams.append(lmn(m, n))
-    fams += [maxclass(c) for c in range(2, 6)]
-    fams += [f4(), q5()]
-    return fams
-
-
-def series_coefficient(family, p, k):
-    c = make_W(family, 1).expand_series(p, k)[k]
-    assert c.denominator == 1
-    return int(c)
+from zetaforge.cli import SUITES
 
 
 def test_criterion_01_signed_permutation_identity():
-    # exhaustive over B_m, m = 1..6 (46080 elements at m = 6), exact equality
-    for m in range(1, 7):
-        assert verify_bm_identity(m), f"identity fails at m={m}"
+    assert SUITES["bm-identity"]()
 
 
 def test_criterion_02_sublemma():
-    # one-of-two property and the monomial shift, all w in B_m, j in [1..m]
-    for m in range(1, 6):
-        assert verify_sublemma(m), f"sublemma fails at m={m}"
+    assert SUITES["sublemma"]()
 
 
 def test_criterion_03_bruhat_collapse():
-    # the B_m sum, after the T-substitution, equals the S-form W as a
-    # rational function
-    for m in range(1, 5):
-        for d in range(1, 4):
-            assert heisenberg_from_bruhat(m, d).ratfunc_equal(
-                make_W(heisenberg(m), d)
-            ), f"collapse fails at m={m}, d={d}"
+    assert SUITES["bruhat"]()
 
 
 def test_criterion_04_functional_equation_table():
-    # extracted (sign, a, b) match the closed forms for the whole table
-    for family in fe_table():
-        for d in range(1, 5):
-            w = make_W(family, d)
-            got = extract_functional_equation(w)
-            want = predicted_symmetry(family, d)
-            assert got == want, f"{family} d={d}: {got} != {want}"
-            assert verify_functional_equation(w, got), f"{family} d={d}"
-    for d in range(1, 5):
-        assert extract_functional_equation(make_W(bk(), d)) is None
+    assert SUITES["funceq"]()
 
 
 def test_criterion_05_weight_conjecture():
-    for family in fe_table():
-        for d in range(1, 5):
-            assert check_weight_conjecture(family, d), f"{family} d={d}"
+    assert SUITES["weights"]()
 
 
 def test_criterion_06_bk_reduced_ratio():
-    for d in range(1, 5):
-        assert reduced_leading_ratio(make_W(bk(), d)) == (102, Fraction(1, 2))
+    assert SUITES["bk-ratio"]()
 
 
 def test_criterion_07_cross_family_identity():
-    for d in range(1, 5):
-        h = make_W(heisenberg(1), d)
-        assert make_W(free(2, 2), d).ratfunc_equal(h), f"free:2:2 d={d}"
-        assert make_W(maxclass(2), d).ratfunc_equal(h), f"maxclass:2 d={d}"
+    assert SUITES["cross-family"]()
 
 
 def test_criterion_08_oracle_agreement():
-    for n in (2, 3):
-        for p in (2, 3):
-            for k in range(4):
-                assert count_proisomorphic(abelian_lattice(n), p, k) == (
-                    series_coefficient(abelian(n), p, k)
-                ), f"Z^{n} p={p} k={k}"
-    for p in (2, 3):
-        for k in range(5):
-            assert count_proisomorphic(heisenberg_lattice(1), p, k) == (
-                series_coefficient(heisenberg(1), p, k)
-            ), f"H1 p={p} k={k}"
-    assert count_proisomorphic(heisenberg_lattice(1), 2, 2) == 12
-    got = count_proisomorphic(heisenberg_lattice(2), 2, 3)
-    assert got == series_coefficient(heisenberg(2), 2, 3) == 240
+    assert SUITES["oracle"]()
 
 
 def test_criterion_09_abscissa_agreement():
-    cases = []
-    for m in range(1, 7):
-        cases += [(heisenberg(m), d) for d in range(1, 5)]
-    for c in range(2, 6):
-        cases += [(maxclass(c), d) for d in range(1, 5)]
-    for c in range(2, 5):
-        for g in range(1, 5):
-            cases += [(free(c, g), d) for d in range(1, 5)]
-    cases += [(f4(), d) for d in range(1, 5)]
-    cases += [(q5(), d) for d in range(1, 5)]
-    for family, d in cases:
-        closed = abscissa(family, d)
-        assert closed == abscissa_from_shape(make_W(family, d)).value, (
-            f"{family} d={d}"
-        )
-        if family.kind == "maxclass" and d == 1:
-            assert closed == 2, f"{family} d=1"
+    assert SUITES["abscissa"]()
 
 
 def test_criterion_10_number_field_pipeline():
-    assert decomposition_type(GAUSS, 2) == [(2, 1)]
-    assert decomposition_type(GAUSS, 3) == [(1, 2)]
-    assert decomposition_type(GAUSS, 5) == [(1, 1), (1, 1)]
-
-    # local factors vs the independently assembled product of shifted
-    # Dedekind zeta factors: one (1 - p^{4f} t^{2f})(1 - p^{5f} t^{2f})
-    # block per prime above p
-    from sympy import primerange
-
-    for p in primerange(2, 51):
-        lf = local_factor(heisenberg(1), 2, GAUSS, p)
-        want = []
-        for _, f in decomposition_type(GAUSS, p):
-            want += [(p ** (4 * f), 2 * f), (p ** (5 * f), 2 * f)]
-        assert lf.numerator == ((0, 1),), f"p={p}"
-        assert sorted(lf.denominator) == sorted(want), f"p={p}"
-
-    coeffs = global_coefficients(heisenberg(1), 2, GAUSS, 200)
-    assert coeffs[0] == 1
-    assert all(isinstance(c, int) and c >= 0 for c in coeffs)
-    for a in range(1, 201):
-        for b in range(a, 201):
-            if a * b <= 200 and gcd(a, b) == 1:
-                assert coeffs[a * b - 1] == coeffs[a - 1] * coeffs[b - 1], (
-                    f"multiplicativity at {a}x{b}"
-                )
+    assert SUITES["numberfield"]()

@@ -1,11 +1,13 @@
 """End-to-end CLI checks: byte-deterministic JSON, refusals, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from zetaforge.cli import main
+from zetaforge import cli
+from zetaforge.cli import SUITES, main
 
 runner = CliRunner()
 
@@ -118,6 +120,7 @@ def test_euler_type_override_unblocks_refused_prime():
     ("abc", "e,f integer pairs, got 'abc'"),
     ("1,1;x", "e,f integer pairs, got 'x'"),
     ("1,2,3", "e,f integer pairs, got '1,2,3'"),
+    ("", "got ''"),
 ])
 def test_euler_refuses_bad_type_override(override, message):
     result = run("euler", "--family", "heisenberg:1", "--d", "2",
@@ -198,11 +201,30 @@ def test_oracle_guard_is_a_refusal():
 
 
 def test_verify_single_suite():
-    result = run("verify", "--suite", "bm-identity", "--max-m", "2")
+    result = run("verify", "--suite", "bm-identity")
     assert result.exit_code == 0
     assert "ok bm-identity m=1" in result.output
-    assert "ok bm-identity m=2" in result.output
+    assert "ok bm-identity m=6" in result.output
     assert result.output.rstrip().endswith("PASS bm-identity")
+
+
+def test_verify_reports_a_mismatch(monkeypatch, capsys):
+    predicted = cli.predicted_symmetry
+
+    def flipped(family, d):
+        factor = predicted(family, d)
+        return dataclasses.replace(factor, sign=-factor.sign)
+
+    monkeypatch.setattr(cli, "predicted_symmetry", flipped)
+    assert SUITES["funceq"]() is False
+    assert "MISMATCH funceq free:2:1 d=1" in capsys.readouterr().out
+
+    monkeypatch.setattr(cli, "verify_bm_identity", lambda m: m < 3)
+    result = run("verify", "--suite", "all")
+    assert result.exit_code == 1
+    assert "MISMATCH bm-identity m=3" in result.output
+    assert result.output.rstrip().endswith("FAIL bm-identity")
+    assert "PASS" not in result.output
 
 
 def test_verify_cross_family_suite():

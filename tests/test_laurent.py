@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaforge import EulerForm, LaurentPoly, TruncatedSeries
 
@@ -77,6 +79,47 @@ def test_substitute_powers_composes():
     for _ in range(50):
         p = random_poly(rng)
         assert p.substitute_powers(2, 3).substitute_powers(3, 1) == p.substitute_powers(6, 3)
+
+
+# -- ring laws, property-based --------------------------------------------
+
+# derandomized so every run draws the same examples
+ring_laws = settings(max_examples=60, deadline=None, derandomize=True)
+
+polys = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.integers(-9, 9),
+    max_size=5,
+).map(LaurentPoly)
+
+powers = st.integers(1, 4)
+
+
+@ring_laws
+@given(polys, polys, polys)
+def test_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == LaurentPoly.zero()
+    assert a * ONE == a
+
+
+@ring_laws
+@given(polys, polys)
+def test_invert_is_a_multiplicative_involution(a, b):
+    assert a.invert().invert() == a
+    assert (a * b).invert() == a.invert() * b.invert()
+
+
+@ring_laws
+@given(polys, polys, powers, powers)
+def test_substitute_powers_is_multiplicative(a, b, fx, fy):
+    assert (a * b).substitute_powers(fx, fy) == (
+        a.substitute_powers(fx, fy) * b.substitute_powers(fx, fy)
+    )
 
 
 def test_evaluate_x_collects_y_exponents():
