@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from sympy import primerange
 
-from .laurent import EulerForm, LaurentPoly
+from .laurent import EulerForm, LaurentPoly, _divide_geometric
 from .families import make_W
 from .numberfield import UnsupportedRamifiedPrimeError, decomposition_type
 
@@ -77,9 +77,7 @@ class LocalFactor:
                 raise ValueError("negative t-exponent in local numerator")
             if j <= order:
                 series[j] += c
-        for coef, b in self.denominator:
-            for e in range(b, order + 1):
-                series[e] += coef * series[e - b]
+        _divide_geometric(series, self.denominator)
         return series
 
 
@@ -114,8 +112,9 @@ def local_factor(family, d, field, p, pairs=None):
 def global_coefficients(family, d, field, limit):
     """Dirichlet coefficients b_1 .. b_limit, exact, by multiplicativity.
 
-    Every prime up to the limit must admit a decomposition type; a refused
-    ramified prime aborts the whole computation with a clear message.
+    W is built once and specialized at each prime.  Every prime up to the
+    limit must admit a decomposition type; a refused ramified prime aborts
+    the whole computation with a clear message.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -123,6 +122,7 @@ def global_coefficients(family, d, field, limit):
         raise DegreeMismatchError(
             f"field degree {field.degree} != extension parameter d={d}"
         )
+    w = make_W(family, d)
     coeffs = [1] * (limit + 1)  # index 0 unused
     for p in primerange(2, limit + 1):
         kmax = 0
@@ -131,11 +131,12 @@ def global_coefficients(family, d, field, limit):
             kmax += 1
             q *= p
         try:
-            series = local_factor(family, d, field, p).expand(kmax)
+            pairs = decomposition_type(field, p)
         except UnsupportedRamifiedPrimeError as exc:
             raise GlobalExpansionError(
                 f"cannot expand to {limit}: prime {p} refused ({exc})"
             ) from exc
+        series = LocalFactor.from_euler(type_specialized_W(w, pairs), p).expand(kmax)
         for n in range(p, limit + 1, p):
             v = 0
             m = n

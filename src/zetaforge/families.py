@@ -1,8 +1,10 @@
 """Closed-form local factors W(X, Y) for the supported lattice families.
 
 Each constructor returns the rational function exactly as displayed, with the
-denominator kept as a factor multiset and no simplification.  The bookkeeping
-variable of the pre-collapse hyperoctahedral sum is exposed separately via
+denominator kept as a factor multiset and no simplification.  The descent-sum
+numerators (heisenberg, lmn, and the pre-collapse hyperoctahedral sum) all come
+from signed_perms.descent_sum with a per-descent monomial table.  The
+bookkeeping variable of the hyperoctahedral sum is exposed separately via
 bruhat_gsp_sum, so the collapse can be confirmed against the symmetric-group
 form by cross-multiplication.
 
@@ -19,7 +21,7 @@ from sympy import divisors
 from sympy.functions.combinatorial.numbers import mobius
 
 from .laurent import EulerForm, LaurentPoly, ResourceGuardError
-from .signed_perms import enumerate_B, enumerate_S, perm_stats, stats
+from .signed_perms import b_monomials, descent_sum, enumerate_B, enumerate_S
 
 MAX_HEISENBERG_M = 8
 MAX_FREE_C = 6
@@ -143,18 +145,10 @@ def descent_form(monomials):
     and denominator prod_{i=0}^{n} (1 - M_i), for M_i = X^{a_i} Y^{b_i}.
 
     `monomials` is the ordered list (a_0, b_0), ..., (a_n, b_n); descents of
-    S_n only ever touch indices 1..n-1.
+    S_n only ever touch indices 1..n-1.  The numerator is
+    `signed_perms.descent_sum` over S_n with this table.
     """
-    n = len(monomials) - 1
-    num = LaurentPoly.zero()
-    for sigma in enumerate_S(n):
-        st = perm_stats(sigma)
-        xe, ye = -st.length, 0
-        for i in range(1, n):
-            if st.des_mask >> i & 1:
-                xe += monomials[i][0]
-                ye += monomials[i][1]
-        num = num + LaurentPoly.monomial(1, xe, ye)
+    num = descent_sum(enumerate_S(len(monomials) - 1), monomials)
     # formal=True: interior exponents of some large instances leave the
     # series-expandable cone (Y-exponent <= 0); the descent sum is still a
     # well-defined rational function and is stored verbatim.
@@ -241,25 +235,16 @@ def bruhat_gsp_sum(m):
         sum_{w in B_m} X^{-l(w)} prod_{i in Des(w)} Xt_i
         / prod_{i=0}^{m} (1 - Xt_i),
 
-    with Xt_0 = X^{C(m+1,2)} T and Xt_i = X^{2(C(m+1,2)-C(i+1,2))} T^2.
+    with Xt_0 = X^{C(m+1,2)} T and Xt_i = X^{2(C(m+1,2)-C(i+1,2))} T^2: the
+    `signed_perms.b_monomials` table, summed by `signed_perms.descent_sum`.
     Descents live in {0, ..., m-1}, so Xt_m appears only in the denominator.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > MAX_BRUHAT_M:
         raise ResourceGuardError(f"bruhat sum capped at m <= {MAX_BRUHAT_M}")
-    monos = [(comb(m + 1, 2), 1)]
-    monos += [(2 * (comb(m + 1, 2) - comb(i + 1, 2)), 2) for i in range(1, m + 1)]
-    num = LaurentPoly.zero()
-    for w in enumerate_B(m):
-        st = stats(w)
-        xe, te = -st.length, 0
-        for i in range(m):
-            if st.des_mask >> i & 1:
-                xe += monos[i][0]
-                te += monos[i][1]
-        num = num + LaurentPoly.monomial(1, xe, te)
-    return EulerForm(num, monos)
+    monos = b_monomials(m)
+    return EulerForm(descent_sum(enumerate_B(m), monos), monos)
 
 
 def heisenberg_from_bruhat(m, d):

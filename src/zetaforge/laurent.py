@@ -52,6 +52,15 @@ class LaurentPoly:
     def monomial(cls, coeff, xe=0, ye=0):
         return cls({(xe, ye): coeff})
 
+    @classmethod
+    def collect(cls, pairs):
+        """The sum of the terms ((xe, ye), coeff) in `pairs`; coefficients of
+        equal exponent pairs add up."""
+        terms = {}
+        for k, c in pairs:
+            terms[k] = terms.get(k, 0) + c
+        return cls(terms)
+
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other):
@@ -100,12 +109,14 @@ class LaurentPoly:
 
     def substitute_powers(self, fx, fy):
         """X -> X^fx, Y -> Y^fy."""
-        return LaurentPoly({(x * fx, y * fy): c for (x, y), c in self.terms.items()})
+        return LaurentPoly.collect(
+            ((x * fx, y * fy), c) for (x, y), c in self.terms.items()
+        )
 
     def substitute_y_monomial(self, xshift, ypow):
         """Y -> X^xshift * Y^ypow (used to push a bookkeeping variable into X,Y)."""
-        return LaurentPoly(
-            {(x + xshift * y, ypow * y): c for (x, y), c in self.terms.items()}
+        return LaurentPoly.collect(
+            ((x + xshift * y, ypow * y), c) for (x, y), c in self.terms.items()
         )
 
     def invert(self):
@@ -169,6 +180,14 @@ def render_poly(p, ascii_only=True):
     for sign, body in chunks[1:]:
         out += f" {sign} {body}"
     return out
+
+
+def _divide_geometric(series, factors):
+    """Divide a truncated power series, in place, by prod (1 - c t^b) over the
+    pairs (c, b) in `factors`, each b >= 1: the recurrence s[e] += c * s[e-b]."""
+    for c, b in factors:
+        for e in range(b, len(series)):
+            series[e] += c * series[e - b]
 
 
 @dataclass(frozen=True)
@@ -289,8 +308,8 @@ class EulerForm:
         """Coefficients of Y^0..Y^order of the power-series expansion at X=xval.
 
         The numerator is evaluated at X=xval first (so negative X-exponents
-        are harmless) and each denominator factor is expanded geometrically
-        via the recurrence s[e] += xval^a * s[e-b].
+        are harmless) and each denominator factor is divided out by
+        `_divide_geometric`.
         """
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -307,10 +326,7 @@ class EulerForm:
         if low < 0:
             raise ValueError("numerator has negative Y-exponents; series is not a power series")
         series = [coeffs.get(e, Fraction(0)) for e in range(order + 1)]
-        for a, b in self.denominator:
-            ratio = xval**a
-            for e in range(b, order + 1):
-                series[e] += ratio * series[e - b]
+        _divide_geometric(series, [(xval**a, b) for a, b in self.denominator])
         return TruncatedSeries("Y", series)
 
     def ratfunc_equal(self, other):

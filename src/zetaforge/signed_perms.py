@@ -1,12 +1,14 @@
-"""Signed permutations, their descent statistics, and exhaustive identity checks.
+"""Signed permutations, their descent statistics and descent sums, and
+exhaustive identity checks.
 
 Elements of the hyperoctahedral group B_m are handled in window notation as
 tuples of nonzero integers whose absolute values permute 1..m.  The symmetric
-group S_m sits inside B_m as the all-positive windows; its own statistics get
-a separate record.  The two exhaustive verifiers at the bottom confirm, by
-direct enumeration, the polynomial identity that collapses a B_m descent sum
-to an S_m descent sum times a product of binomial-exponent factors, and the
-involution bookkeeping it rests on.
+group S_m sits inside B_m as the all-positive windows and shares its
+statistics.  `descent_sum` is the one routine that turns group elements and a
+per-descent monomial table into a polynomial.  The two exhaustive verifiers at
+the bottom confirm, by direct enumeration, the polynomial identity that
+collapses a B_m descent sum to an S_m descent sum times a product of
+binomial-exponent factors, and the involution bookkeeping it rests on.
 """
 
 from __future__ import annotations
@@ -62,15 +64,6 @@ class BStats:
     sigma_c: int
 
 
-@dataclass(frozen=True)
-class AStats:
-    length: int
-    des_mask: int
-    des: int
-    sigma_a: int
-    rbin: int
-
-
 def stats(w):
     """Type-B statistics of a window: inv, npr, length, descents, eps1, sigma_C."""
     m = len(w)
@@ -95,29 +88,6 @@ def stats(w):
         des=bin(des_mask).count("1"),
         eps1=eps1,
         sigma_c=sigma_c,
-    )
-
-
-def perm_stats(sigma):
-    """Symmetric-group statistics: Coxeter length, descents, sigma_A, rbin."""
-    m = len(sigma)
-    if any(v < 0 for v in sigma):
-        raise ValueError("perm_stats expects an all-positive window")
-    length = sum(1 for i in range(m) for j in range(i + 1, m) if sigma[i] > sigma[j])
-    des_mask = 0
-    sigma_a = 0
-    rbin = 0
-    for i in range(1, m):
-        if sigma[i - 1] > sigma[i]:
-            des_mask |= 1 << i
-            sigma_a += i * (m - i)
-            rbin += comb(m - i + 1, 2)
-    return AStats(
-        length=length,
-        des_mask=des_mask,
-        des=bin(des_mask).count("1"),
-        sigma_a=sigma_a,
-        rbin=rbin,
     )
 
 
@@ -157,28 +127,45 @@ def satisfies_property_p(j, w):
     return (a < 0) == between
 
 
-def _b_monomial(w):
+def descent_sum(windows, monomials):
+    """Sum over the windows w of X^{-l(w)} prod_{i in Des(w)} M_i, where
+    M_i = X^{a_i} Y^{b_i} is entry i of `monomials` and Des(w) is the descent
+    set of `stats` (position 0 is a descent iff the first entry is negative)."""
+    return LaurentPoly.collect((_descent_monomial(w, monomials), 1) for w in windows)
+
+
+def _descent_monomial(w, monomials):
     st = stats(w)
-    return (st.sigma_c - st.length, 2 * st.des - st.eps1)
+    xe, ye = -st.length, 0
+    for i in range(len(w)):
+        if st.des_mask >> i & 1:
+            xe += monomials[i][0]
+            ye += monomials[i][1]
+    return xe, ye
+
+
+def b_monomials(m):
+    """The B_m table, (C(m+1,2), 1) at 0 and (2(C(m+1,2)-C(i+1,2)), 2) at i >= 1:
+    it gives w the monomial X^{(sigma_C - l)(w)} Y^{(2 des - eps1)(w)}.  Entry
+    m is never a descent; the Bruhat sum needs it for its denominator."""
+    top = comb(m + 1, 2)
+    return [(top, 1)] + [(2 * (top - comb(i + 1, 2)), 2) for i in range(1, m + 1)]
+
+
+def s_monomials(m):
+    """The S_m table, (i(m-i) + C(m-i+1,2), 1) at i: it gives sigma the
+    monomial X^{(sigma_A - l + rbin)(sigma)} Y^{des(sigma)}."""
+    return [(i * (m - i) + comb(m - i + 1, 2), 1) for i in range(m)]
 
 
 def b_descent_sum(m):
     """Sum over B_m of X^{(sigma_C - length)(w)} Y^{(2 des - eps1)(w)}."""
-    terms = {}
-    for w in enumerate_B(m):
-        k = _b_monomial(w)
-        terms[k] = terms.get(k, 0) + 1
-    return LaurentPoly(terms)
+    return descent_sum(enumerate_B(m), b_monomials(m))
 
 
 def s_descent_sum(m):
     """Sum over S_m of X^{(sigma_A - length + rbin)(sigma)} Y^{des(sigma)}."""
-    terms = {}
-    for sigma in enumerate_S(m):
-        st = perm_stats(sigma)
-        k = (st.sigma_a - st.length + st.rbin, st.des)
-        terms[k] = terms.get(k, 0) + 1
-    return LaurentPoly(terms)
+    return descent_sum(enumerate_S(m), s_monomials(m))
 
 
 def verify_bm_identity(m):
@@ -208,6 +195,7 @@ def verify_sublemma(m):
         raise ResourceGuardError(
             f"sublemma verification capped at m={MAX_SUBLEMMA_M}, got {m}"
         )
+    table = b_monomials(m)
     for w in enumerate_B(m):
         for j in range(1, m + 1):
             v = eta(j, w)
@@ -216,8 +204,8 @@ def verify_sublemma(m):
                 return False
             good = w if pw else v
             other = eta(j, good)
-            gx, gy = _b_monomial(good)
-            ox, oy = _b_monomial(other)
+            gx, gy = _descent_monomial(good, table)
+            ox, oy = _descent_monomial(other, table)
             if (ox - gx, oy - gy) != (comb(m + 1, 2) - comb(j + 1, 2), 1):
                 return False
     return True

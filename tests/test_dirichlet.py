@@ -116,6 +116,21 @@ def test_global_coefficients_are_multiplicative():
     assert coeffs[3] == LocalFactor.from_euler(make_W(heisenberg(1), 1), 2).expand(2)[2]
 
 
+def test_global_coefficients_build_W_once(monkeypatch):
+    from zetaforge import dirichlet
+
+    calls = []
+
+    def counting_make_W(family, d):
+        calls.append((family, d))
+        return make_W(family, d)
+
+    monkeypatch.setattr(dirichlet, "make_W", counting_make_W)
+    coeffs = global_coefficients(heisenberg(1), 2, GAUSS, 50)
+    assert calls == [(heisenberg(1), 2)]
+    assert coeffs[:20] == global_coefficients(heisenberg(1), 2, GAUSS, 20)
+
+
 def test_global_expansion_refuses_bad_prime_loudly():
     with pytest.raises(GlobalExpansionError, match="prime 2 refused"):
         global_coefficients(heisenberg(1), 2, EISEN, 10)

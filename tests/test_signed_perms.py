@@ -1,12 +1,13 @@
 """Hyperoctahedral statistics and the exhaustive descent-sum identities."""
 
+from math import comb
+
 import pytest
 
 from zetaforge import (
     enumerate_B,
     enumerate_S,
     eta,
-    perm_stats,
     satisfies_property_p,
     signed_permutation,
     stats,
@@ -14,7 +15,13 @@ from zetaforge import (
     verify_sublemma,
 )
 from zetaforge.laurent import LaurentPoly, ResourceGuardError
-from zetaforge.signed_perms import b_descent_sum
+from zetaforge.signed_perms import (
+    _descent_monomial,
+    b_descent_sum,
+    b_monomials,
+    descent_sum,
+    s_monomials,
+)
 
 
 def test_window_validation():
@@ -62,12 +69,11 @@ def test_stats_by_hand():
 
 
 def test_perm_stats_by_hand():
-    st = perm_stats((3, 1, 2))
+    # an all-positive window: type-A length and descents, no negative pairs
+    st = stats((3, 1, 2))
     assert st.length == 2
     assert st.des_mask == 0b010
-    assert st.sigma_a == 1 * (3 - 1)
-    with pytest.raises(ValueError):
-        perm_stats((2, -1))
+    assert st.npr == 0
 
 
 def test_length_decomposes():
@@ -117,6 +123,57 @@ def test_property_p_splits_eta_pairs():
     for w in enumerate_B(3):
         for j in (1, 2, 3):
             assert satisfies_property_p(j, w) != satisfies_property_p(j, eta(j, w))
+
+
+def test_s3_descent_sum_by_hand():
+    # M_1 = X^5 Y, M_2 = X^7 Y^2; M_0 is never a descent of S_3.
+    table = [(100, 100), (5, 1), (7, 2)]
+    expected = LaurentPoly(
+        {
+            (0, 0): 1,  # 123
+            (-1 + 7, 2): 1,  # 132: Des {2}
+            (-1 + 5, 1): 1,  # 213: Des {1}
+            (-2 + 7, 2): 1,  # 231: Des {2}
+            (-2 + 5, 1): 1,  # 312: Des {1}
+            (-3 + 5 + 7, 3): 1,  # 321: Des {1, 2}
+        }
+    )
+    assert descent_sum(enumerate_S(3), table) == expected
+
+
+def _q_int(k):
+    """[k]_q = 1 + q + ... + q^{k-1} with q = X^{-1}."""
+    return LaurentPoly({(-j, 0): 1 for j in range(k)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_descent_sum_with_trivial_monomials_is_the_poincare_polynomial(n):
+    s_side, b_side = LaurentPoly.one(), LaurentPoly.one()
+    for k in range(1, n + 1):
+        s_side = s_side * _q_int(k)
+        b_side = b_side * _q_int(2 * k)
+    zeros = [(0, 0)] * (n + 1)
+    assert descent_sum(enumerate_S(n), zeros) == s_side
+    assert descent_sum(enumerate_B(n), zeros) == b_side
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_monomial_tables_give_the_paper_statistics(m):
+    for w in enumerate_B(m):
+        st = stats(w)
+        assert _descent_monomial(w, b_monomials(m)) == (
+            st.sigma_c - st.length,
+            2 * st.des - st.eps1,
+        )
+    for sigma in enumerate_S(m):
+        des = [i for i in range(1, m) if sigma[i - 1] > sigma[i]]
+        sigma_a = sum(i * (m - i) for i in des)
+        rbin = sum(comb(m - i + 1, 2) for i in des)
+        length = stats(sigma).length
+        assert _descent_monomial(sigma, s_monomials(m)) == (
+            sigma_a - length + rbin,
+            len(des),
+        )
 
 
 def test_b1_descent_sum_by_hand():
