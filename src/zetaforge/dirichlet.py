@@ -1,10 +1,12 @@
 """Specializing Euler factors at primes and expanding Dirichlet series.
 
 A bivariate factor W(X, Y) becomes the local factor at a rational prime p of
-a base-extended zeta function by taking the product over primes above p of
-W(p^f, p^f t^f) with t = p^{-s}.  Multiplying local expansions out to the
-needed prime powers yields the global coefficients, which stay exact all the
-way (integers in every case we generate, enforced loudly).
+a base-extended zeta function by taking the product over the primes above p,
+one for each pair (e, f) of the decomposition type, of W(X^f, Y^f) at X = p
+and Y = t = p^{-s}.  Each factor is specialised on its own and the univariate
+results are multiplied.  Multiplying local expansions out to the needed prime
+powers yields the global coefficients, which stay exact all the way (integers
+in every case we generate, enforced loudly).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from sympy import primerange
 
-from .laurent import EulerForm, LaurentPoly, _divide_geometric
+from .laurent import LaurentPoly, _divide_geometric
 from .families import make_W
 from .numberfield import UnsupportedRamifiedPrimeError, decomposition_type
 
@@ -25,15 +27,6 @@ class DegreeMismatchError(ValueError):
 
 class GlobalExpansionError(ValueError):
     """A prime in range could not be handled; the whole expansion is refused."""
-
-
-def type_specialized_W(w, pairs):
-    """prod over (e, f) pairs of W(X^f, Y^f): the local factor shape for a
-    prime with the given decomposition type, still bivariate in (X, Y)."""
-    out = EulerForm(LaurentPoly.one(), ())
-    for _, f in pairs:
-        out = out * w.substitute_powers(f, f)
-    return out
 
 
 @dataclass(frozen=True)
@@ -49,25 +42,38 @@ class LocalFactor:
     denominator: tuple
 
     @classmethod
-    def from_euler(cls, w, p):
+    def from_euler(cls, w, p, pairs):
+        """The product over (e, f) in `pairs` of W(X^f, Y^f) at X = p, Y = t.
+
+        Each factor is W(q, t^f) with q = p^f: the term c X^i Y^j becomes
+        c q^i t^(f j), and (1 - X^a Y^b) becomes (1 - q^a t^(f b)).
+        """
         if w.is_formal:
             raise ValueError(
                 "local factor undefined: a denominator factor does not vanish "
                 "in positive Y-degree, so the form has no Dirichlet expansion"
             )
-        num = {}
-        for (i, j), c in w.numerator.terms.items():
-            if i < 0:
-                scaled = Fraction(c, p ** (-i))
-                if scaled.denominator != 1:
-                    raise ValueError("non-integral local numerator coefficient")
-                scaled = int(scaled)
-            else:
-                scaled = c * p**i
-            num[j] = num.get(j, 0) + scaled
-        numerator = tuple(sorted((j, c) for j, c in num.items() if c))
-        denominator = tuple(sorted((p**a, b) for a, b in w.denominator))
-        return cls(p, numerator, denominator)
+        numerator = {0: 1}
+        denominator = []
+        for _, f in pairs:
+            q = p**f
+            factor = {}
+            for (i, j), c in w.numerator.terms.items():
+                if i < 0:
+                    if c % q ** (-i):
+                        raise ValueError("non-integral local numerator coefficient")
+                    c //= q ** (-i)
+                else:
+                    c *= q**i
+                factor[f * j] = factor.get(f * j, 0) + c
+            product = {}
+            for j1, c1 in numerator.items():
+                for j2, c2 in factor.items():
+                    product[j1 + j2] = product.get(j1 + j2, 0) + c1 * c2
+            numerator = product
+            denominator += [(q**a, f * b) for a, b in w.denominator]
+        numerator = tuple(sorted((j, c) for j, c in numerator.items() if c))
+        return cls(p, numerator, tuple(sorted(denominator)))
 
     def expand(self, order):
         """Coefficients of t^0 .. t^order of the full rational function."""
@@ -105,8 +111,7 @@ def local_factor(family, d, field, p, pairs=None):
                 f"decomposition type has sum of e*f = {total}, "
                 f"but the field degree is {field.degree}"
             )
-    w = type_specialized_W(make_W(family, d), pairs)
-    return LocalFactor.from_euler(w, p)
+    return LocalFactor.from_euler(make_W(family, d), p, pairs)
 
 
 def global_coefficients(family, d, field, limit):
@@ -136,7 +141,7 @@ def global_coefficients(family, d, field, limit):
             raise GlobalExpansionError(
                 f"cannot expand to {limit}: prime {p} refused ({exc})"
             ) from exc
-        series = LocalFactor.from_euler(type_specialized_W(w, pairs), p).expand(kmax)
+        series = LocalFactor.from_euler(w, p, pairs).expand(kmax)
         for n in range(p, limit + 1, p):
             v = 0
             m = n
@@ -151,9 +156,11 @@ def global_coefficients(family, d, field, limit):
 class ShapeAbscissa:
     """Abscissa read off the denominator shape: max (a+1)/b over its factors.
 
-    shape_verified records whether the numerator was independently confirmed
-    not to move the rightmost pole (trivially, or by rebuilding the stored
-    descent-sum presentation); when False the value is advisory only.
+    shape_verified is True when the numerator is 1, or when the form is a
+    stored descent sum (built by `families.descent_form`, which keeps its
+    monomial table in `descent_data`).  It records where the form came from:
+    the descent sum is not rebuilt, since rebuilding it with the same routine
+    could only agree with itself.  When False the value is advisory only.
     """
 
     value: Fraction
@@ -169,14 +176,5 @@ def abscissa_from_shape(w):
             "positive Y-degree, so the series does not converge anywhere"
         )
     value = max(Fraction(a + 1, b) for a, b in w.denominator)
-    verified = False
-    if w.numerator == LaurentPoly.one():
-        verified = True
-    elif w.descent_data is not None:
-        from .families import descent_form
-
-        rebuilt = descent_form(list(w.descent_data))
-        verified = rebuilt.numerator == w.numerator and sorted(
-            w.descent_data
-        ) == sorted(w.denominator)
+    verified = w.numerator == LaurentPoly.one() or w.descent_data is not None
     return ShapeAbscissa(value, verified)

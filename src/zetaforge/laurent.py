@@ -107,12 +107,6 @@ class LaurentPoly:
 
     # -- substitutions ------------------------------------------------
 
-    def substitute_powers(self, fx, fy):
-        """X -> X^fx, Y -> Y^fy."""
-        return LaurentPoly.collect(
-            ((x * fx, y * fy), c) for (x, y), c in self.terms.items()
-        )
-
     def substitute_y_monomial(self, xshift, ypow):
         """Y -> X^xshift * Y^ypow (used to push a bookkeeping variable into X,Y)."""
         return LaurentPoly.collect(
@@ -247,22 +241,15 @@ class EulerForm:
         return any(b < 1 for _, b in self.denominator)
 
     @classmethod
-    def from_denominator(cls, pairs, descent_data=None):
+    def from_denominator(cls, pairs):
         """1 / prod (1 - X^a Y^b)."""
-        return cls(LaurentPoly.one(), pairs, descent_data=descent_data)
+        return cls(LaurentPoly.one(), pairs)
 
     def __eq__(self, other):
         return (
             isinstance(other, EulerForm)
             and self.numerator == other.numerator
             and self.denominator == other.denominator
-        )
-
-    def __mul__(self, other):
-        return EulerForm(
-            self.numerator * other.numerator,
-            self.denominator + other.denominator,
-            formal=self.is_formal or other.is_formal,
         )
 
     def __repr__(self):
@@ -273,19 +260,6 @@ class EulerForm:
         return f"({self.numerator}) / {den or '1'}"
 
     # -- operations from the contract ----------------------------------
-
-    def substitute_powers(self, fx, fy):
-        if fx < 1 or fy < 1:
-            raise ValueError("substitution powers must be >= 1")
-        data = None
-        if self.descent_data is not None:
-            data = tuple((a * fx, b * fy) for a, b in self.descent_data)
-        return EulerForm(
-            self.numerator.substitute_powers(fx, fy),
-            [(a * fx, b * fy) for a, b in self.denominator],
-            descent_data=data,
-            formal=self.is_formal,
-        )
 
     def invert_variables(self):
         """Data expressing W(X^{-1}, Y^{-1}) in terms of W(X, Y).

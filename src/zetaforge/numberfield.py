@@ -1,20 +1,30 @@
 """Decomposition of rational primes in monogenic number fields.
 
-The field is presented by a monic integer polynomial.  Factoring it modulo p
-gives the ramification/inertia pairs (e_i, f_i) whenever p does not divide
-the index of the equation order; away from the discriminant that is free, and
-on it the classical index-divisibility test decides.  Primes where the test
-fails are refused — callers may override with an explicit decomposition type.
+The field is presented by a monic integer polynomial f.  Squarefree and
+distinct-degree factorization of f modulo p give the ramification/inertia
+pairs (e_i, f_i) whenever p does not divide the index of the equation order;
+that holds whenever every e_i is 1, and otherwise Dedekind's index test
+decides.  Primes where the test fails are refused — callers may override
+with an explicit decomposition type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy import Poly, isprime
+from sympy import Poly, divisors, isprime
 from sympy import symbols as _symbols
+from sympy.polys.densearith import dup_mul, dup_sub
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_degree, gf_factor, gf_gcd
+from sympy.polys.galoistools import (
+    gf_ddf_zassenhaus,
+    gf_degree,
+    gf_from_int_poly,
+    gf_gcd,
+    gf_mul,
+    gf_pow,
+    gf_sqf_list,
+)
 
 from .laurent import EulerForm, ResourceGuardError
 
@@ -59,9 +69,10 @@ class NumberField:
             c0 = coeffs[0]
             if c0 == 0:
                 raise ValueError("reducible: x divides the polynomial")
-            for r in _integer_root_candidates(c0):
-                if _eval_int_poly(coeffs, r) == 0:
-                    raise ValueError(f"reducible: integer root {r}")
+            for d in divisors(abs(c0)):
+                for r in (d, -d):
+                    if _eval_int_poly(coeffs, r) == 0:
+                        raise ValueError(f"reducible: integer root {r}")
             poly = _ascending_to_poly(coeffs)
             if poly.gcd(poly.diff(_x)).degree() > 0:
                 raise ValueError("not squarefree")
@@ -74,14 +85,6 @@ class NumberField:
 def rationals():
     """Q presented by the polynomial x."""
     return NumberField((0, 1))
-
-
-def _integer_root_candidates(c0):
-    n = abs(c0)
-    for r in range(1, n + 1):
-        if n % r == 0:
-            yield r
-            yield -r
 
 
 def _eval_int_poly(coeffs, v):
@@ -99,84 +102,49 @@ def discriminant(coeffs):
     return int(_ascending_to_poly(coeffs).discriminant())
 
 
-def factor_mod_p(coeffs, p):
-    """Monic irreducible factors of the polynomial over F_p, with multiplicity.
+def _index_coprime(f, p, parts):
+    """True iff p does not divide [O_K : Z[x]/(f)], by Dedekind's index test.
 
-    Returns [(factor, multiplicity), ...] with each factor an ascending tuple
-    of coefficients normalized to 0..p-1, sorted by degree then coefficients.
-    For monic input the product of the factors reproduces f mod p; a non-monic
-    leading unit is discarded.
+    `f` is the polynomial over Z, leading coefficient first, and `parts` its
+    squarefree decomposition mod p, [(g_k, k), ...].  The radical of f mod p
+    is g = prod g_k and its cofactor is h = prod g_k^(k-1); with both lifted
+    to Z[x] and F = (g*h - f)/p, the test asks gcd(Fbar, g, h) = 1.  The
+    answer does not depend on the lifts.
     """
-    _check_prime(p)
-    desc = [c % p for c in reversed([int(c) for c in coeffs])]
-    while desc and desc[0] == 0:
-        desc.pop(0)
-    if not desc:
-        raise ValueError("polynomial vanishes identically mod p")
-    _, raw = gf_factor(ZZ.map(desc), p, ZZ)
-    out = []
-    for fac, mult in raw:
-        asc = tuple(int(c) % p for c in reversed(fac))
-        out.append((asc, int(mult)))
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return out
-
-
-def _dedekind_index_coprime(coeffs, p, factors):
-    """True iff p does not divide [O_K : Z[x]/(f)], by the index test:
-    with fbar = prod gbar_i^{e_i}, g = prod g_i, h = prod g_i^{e_i - 1}
-    (monic lifts), and F = (g*h - f)/p, the test asks gcd(Fbar, gbar, hbar) = 1."""
-    g_lift = [1]
-    h_lift = [1]
-    for fac, e in factors:
-        g_lift = _zmul(g_lift, list(fac))
-        for _ in range(e - 1):
-            h_lift = _zmul(h_lift, list(fac))
-    f = [int(c) for c in coeffs]
-    prod = _zmul(g_lift, h_lift)
-    diff = _zsub(prod, f)
+    g, h = [1], [1]
+    for part, k in parts:
+        g = gf_mul(g, part, p, ZZ)
+        h = gf_mul(h, gf_pow(part, k - 1, p, ZZ), p, ZZ)
+    diff = dup_sub(dup_mul(g, h, ZZ), f, ZZ)
     if any(c % p for c in diff):
         raise AssertionError("g*h - f should vanish mod p by construction")
-    big_f = [c // p for c in diff]
-
-    def to_gf(asc):
-        desc = [c % p for c in reversed(asc)]
-        while desc and desc[0] == 0:
-            desc.pop(0)
-        return ZZ.map(desc)
-
-    gcd = gf_gcd(gf_gcd(to_gf(big_f), to_gf(g_lift), p, ZZ), to_gf(h_lift), p, ZZ)
-    return gf_degree(gcd) <= 0
-
-
-def _zmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _zsub(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+    big_f = gf_from_int_poly([c // p for c in diff], p)
+    return gf_degree(gf_gcd(gf_gcd(big_f, g, p, ZZ), h, p, ZZ)) <= 0
 
 
 def decomposition_type(field, p):
     """The sorted (e_i, f_i) pairs of the primes above p.
 
-    Valid whenever p does not divide the index of the equation order: either
-    p is coprime to the discriminant, or the index test certifies it.  Other
-    primes raise UnsupportedRamifiedPrimeError ("unsupported ramified prime").
+    A squarefree part of multiplicity e whose distinct-degree part of degree
+    f has n*f roots contributes n pairs (e, f).  Valid whenever p does not
+    divide the index of the equation order: either every e is 1 (for monic f
+    that is exactly p not dividing the discriminant), or the index test
+    certifies it.  Other primes raise UnsupportedRamifiedPrimeError
+    ("unsupported ramified prime").
     """
     _check_prime(p)
-    factors = factor_mod_p(field.minpoly, p)
-    if discriminant(field.minpoly) % p == 0:
-        if not _dedekind_index_coprime(field.minpoly, p, factors):
-            raise UnsupportedRamifiedPrimeError(
-                f"unsupported ramified prime {p}: it divides the index of the equation order"
-            )
-    pairs = sorted((mult, len(fac) - 1) for fac, mult in factors)
+    poly = ZZ.map(list(reversed(field.minpoly)))
+    _, parts = gf_sqf_list(gf_from_int_poly(poly, p), p, ZZ)
+    pairs = sorted(
+        (int(e), int(deg))
+        for part, e in parts
+        for block, deg in gf_ddf_zassenhaus(part, p, ZZ)
+        for _ in range(gf_degree(block) // deg)
+    )
+    if pairs[-1][0] > 1 and not _index_coprime(poly, p, parts):
+        raise UnsupportedRamifiedPrimeError(
+            f"unsupported ramified prime {p}: it divides the index of the equation order"
+        )
     assert sum(e * f for e, f in pairs) == field.degree
     return pairs
 

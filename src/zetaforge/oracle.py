@@ -170,31 +170,21 @@ def enumerate_sublattices(n, p, k):
     """All row-HNF bases of sublattices of Z^n of index p^k, each once.
 
     Diagonals run through the exponent compositions of k in colexicographic
-    order; for each diagonal the above-pivot entries cycle odometer-style
-    (last position fastest), every entry reduced modulo the pivot below it.
+    order; for each diagonal the above-pivot entries run through
+    `itertools.product` (last position fastest), every entry reduced modulo
+    the pivot below it.
     """
     _check_enum_guards(n, p, k)
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for comp in _compositions_colex(k, n):
         diag = [p**e for e in comp]
-        positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        moduli = [diag[j] for _, j in positions]
-        counters = [0] * len(positions)
-        while True:
+        for entries in product(*(range(diag[j]) for _, j in positions)):
             m = [[0] * n for _ in range(n)]
             for i in range(n):
                 m[i][i] = diag[i]
-            for (i, j), v in zip(positions, counters):
+            for (i, j), v in zip(positions, entries):
                 m[i][j] = v
             yield tuple(tuple(row) for row in m)
-            pos = len(positions) - 1
-            while pos >= 0:
-                counters[pos] += 1
-                if counters[pos] < moduli[pos]:
-                    break
-                counters[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
 
 
 def _span_coefficients(basis, vec):
@@ -427,9 +417,8 @@ def _lift(cl, cm, t, p, level, target, budget):
     if solved is None:
         return False
     particular, kernel = solved
-    # walk the affine solution space in odometer order, budget permitting
-    counters = [0] * len(kernel)
-    while True:
+    # walk the affine solution space, last kernel vector fastest, budget permitting
+    for counters in product(range(p), repeat=len(kernel)):
         s = list(particular)
         for vec, c in zip(kernel, counters):
             if c:
@@ -440,15 +429,7 @@ def _lift(cl, cm, t, p, level, target, budget):
         ]
         if _lift(cl, cm, lifted, p, level + 1, target, budget):
             return True
-        pos = len(counters) - 1
-        while pos >= 0:
-            counters[pos] += 1
-            if counters[pos] < p:
-                break
-            counters[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return False
+    return False
 
 
 def _generic_verdict(lattice, basis, p, k, c_safety):

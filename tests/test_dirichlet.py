@@ -4,6 +4,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaforge import (
     DegreeMismatchError,
@@ -20,43 +23,102 @@ from zetaforge import (
     local_factor,
     make_W,
     rationals,
-    type_specialized_W,
 )
+from zetaforge import families
+from zetaforge.cli import main
 from zetaforge.laurent import EulerForm, LaurentPoly
 
 GAUSS = NumberField((1, 0, 1))
 EISEN = NumberField((3, 0, 1))
 
 
-def test_type_specialization_shapes():
-    w = EulerForm.from_denominator([(1, 1)])
-    inert = type_specialized_W(w, [(1, 2)])
-    assert inert.denominator == ((2, 2),)
-    split = type_specialized_W(w, [(1, 1), (1, 1)])
-    assert split.denominator == ((1, 1), (1, 1))
-    ramified = type_specialized_W(w, [(2, 1)])
-    assert ramified.denominator == ((1, 1),)
+def test_local_factor_override_shapes():
+    # abelian(2) has W = 1/((1 - Y)(1 - X Y)); each prime above p = 3 gives
+    # (1 - t^f)(1 - 3^f t^f), whatever type Q(i) itself has at 3
+    inert = local_factor(abelian(2), 2, GAUSS, 3, pairs=[(1, 2)])
+    assert inert.denominator == ((1, 2), (9, 2))
+    split = local_factor(abelian(2), 2, GAUSS, 3, pairs=[(1, 1), (1, 1)])
+    assert split.denominator == ((1, 1), (1, 1), (3, 1), (3, 1))
+    ramified = local_factor(abelian(2), 2, GAUSS, 3, pairs=[(2, 1)])
+    assert ramified.denominator == ((1, 1), (3, 1))
+    assert inert.numerator == split.numerator == ramified.numerator == ((0, 1),)
 
 
 def test_local_factor_from_euler():
-    lf = LocalFactor.from_euler(make_W(heisenberg(1), 1), 2)
+    lf = LocalFactor.from_euler(make_W(heisenberg(1), 1), 2, [(1, 1)])
     assert lf.denominator == ((4, 2), (8, 2))
     assert lf.numerator == ((0, 1),)
     assert lf.expand(4) == [1, 0, 12, 0, 112]
 
-    lf3 = LocalFactor.from_euler(make_W(heisenberg(1), 1), 3)
+    lf3 = LocalFactor.from_euler(make_W(heisenberg(1), 1), 3, [(1, 1)])
     assert lf3.expand(4) == [1, 0, 36, 0, 1053]
+
+
+def test_local_factor_numerator_by_hand():
+    # W = (1 + X^5 Y^3) / ... (heisenberg(2)); two primes of degree 1 above
+    # p = 2 give (1 + 32 t^3)^2 = 1 + 64 t^3 + 1024 t^6
+    lf = LocalFactor.from_euler(make_W(heisenberg(2), 1), 2, [(1, 1), (1, 1)])
+    assert lf.numerator == ((0, 1), (3, 64), (6, 1024))
+    # one prime of degree 2: 1 + (2^2)^5 t^6
+    lf = LocalFactor.from_euler(make_W(heisenberg(2), 1), 2, [(1, 2)])
+    assert lf.numerator == ((0, 1), (6, 1024))
+
+
+def test_local_factor_negative_x_exponents():
+    # 1 + 2 X^-1 Y at q = 2 is 1 + t; at q = 4 the coefficient 2/4 is refused
+    w = EulerForm(LaurentPoly({(0, 0): 1, (-1, 1): 2}), [(0, 1)])
+    assert LocalFactor.from_euler(w, 2, [(1, 1)]).numerator == ((0, 1), (1, 1))
+    with pytest.raises(ValueError, match="non-integral"):
+        LocalFactor.from_euler(w, 2, [(1, 2)])
 
 
 def test_local_factor_refuses_formal_forms():
     with pytest.raises(ValueError, match="no Dirichlet expansion"):
-        LocalFactor.from_euler(make_W(lmn(4, 2), 1), 2)
+        LocalFactor.from_euler(make_W(lmn(4, 2), 1), 2, [(1, 1)])
 
 
 def test_local_expand_matches_bivariate_series():
     w = make_W(abelian(3), 1)
     series = w.expand_series(2, 5)
-    assert LocalFactor.from_euler(w, 2).expand(5) == [series[k] for k in range(6)]
+    assert LocalFactor.from_euler(w, 2, [(1, 1)]).expand(5) == [series[k] for k in range(6)]
+
+
+# -- from_euler against a bivariate product, property-based ---------------
+
+forms = st.builds(
+    EulerForm,
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-9, 9), max_size=4
+    ).map(LaurentPoly),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=3),
+)
+types = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3)
+
+
+def specialise_product(w, p, pairs):
+    """Build prod over pairs of W(X^f, Y^f) as one bivariate numerator and
+    denominator, then set X = p, Y = t."""
+    numerator = LaurentPoly.one()
+    denominator = []
+    for _, f in pairs:
+        numerator = numerator * LaurentPoly(
+            {(f * i, f * j): c for (i, j), c in w.numerator.terms.items()}
+        )
+        denominator += [(f * a, f * b) for a, b in w.denominator]
+    coeffs = {}
+    for (i, j), c in numerator.terms.items():
+        coeffs[j] = coeffs.get(j, 0) + c * p**i
+    return (
+        tuple(sorted((j, c) for j, c in coeffs.items() if c)),
+        tuple(sorted((p**a, b) for a, b in denominator)),
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(forms, st.sampled_from([2, 3, 5, 7]), types)
+def test_from_euler_specialises_the_bivariate_product(w, p, pairs):
+    lf = LocalFactor.from_euler(w, p, pairs)
+    assert (lf.numerator, lf.denominator) == specialise_product(w, p, pairs)
 
 
 def test_inert_prime_local_factor():
@@ -113,7 +175,8 @@ def test_global_coefficients_are_multiplicative():
             if m * n <= 30 and gcd(m, n) == 1:
                 assert coeffs[m * n - 1] == coeffs[m - 1] * coeffs[n - 1]
     # prime-power columns agree with the local expansions
-    assert coeffs[3] == LocalFactor.from_euler(make_W(heisenberg(1), 1), 2).expand(2)[2]
+    lf = LocalFactor.from_euler(make_W(heisenberg(1), 1), 2, [(1, 1)])
+    assert coeffs[3] == lf.expand(2)[2]
 
 
 def test_global_coefficients_build_W_once(monkeypatch):
@@ -147,6 +210,21 @@ def test_abscissa_from_shape_verification_flags():
     opaque = abscissa_from_shape(make_W(bk(), 1))
     assert opaque.value == Fraction(287, 102)
     assert not opaque.shape_verified
+
+
+def test_abscissa_builds_the_descent_sum_once(monkeypatch):
+    calls = []
+    original = families.descent_form
+
+    def counting_descent_form(monomials):
+        calls.append(monomials)
+        return original(monomials)
+
+    monkeypatch.setattr(families, "descent_form", counting_descent_form)
+    result = CliRunner().invoke(main, ["abscissa", "--family", "heisenberg:3"])
+    assert result.exit_code == 0, result.output
+    assert '"shape_verified":true' in result.output
+    assert len(calls) == 1
 
 
 def test_abscissa_from_shape_refusals():

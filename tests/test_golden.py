@@ -1,9 +1,16 @@
-"""Byte-identity of the descent-sum families: sha256 of the `families` JSON.
+"""Byte-identity of CLI output: sha256 of the JSON (or refusal) it prints.
 
-The digests were recorded from the enumerating implementation, so any change
-to how the descent sums are built must reproduce every numerator term,
-coefficient and denominator factor exactly.  The lmn cases with large n
-include formal forms (a denominator factor with Y-exponent <= 0).
+`DIGESTS` pins the `families` JSON of the descent-sum families.  The digests
+were recorded from the enumerating implementation, so any change to how the
+descent sums are built must reproduce every numerator term, coefficient and
+denominator factor exactly.  The lmn cases with large n include formal forms
+(a denominator factor with Y-exponent <= 0).
+
+`COMMANDS` pins `decompose`, `euler`, `dirichlet` and `abscissa` output,
+recorded from the implementation that factored f mod p completely and
+specialised a bivariate product of W(X^f, Y^f).  The cases cover split,
+inert and ramified primes (e = 2, 3, 4 and e = f = 2), primes the index test
+refuses (with and without a `--type` override), a formal form, and `bk`.
 """
 
 import hashlib
@@ -72,6 +79,64 @@ DIGESTS = {
     ("lmn:1:7", 2): "0bbce2e553dfed7107c425ffacc331556d24d2693d6c32f6f4af95e7b721bbc8",
 }
 
+# (command line, exit code, sha256 of everything it prints)
+COMMANDS = [
+    ("decompose --minpoly 1,0,1 --p 2", 0, "0fc9e196b2485eccb66047e1f7aae4cbad6f6f5e10822742d5c7b6d7fcb0ead4"),
+    ("decompose --minpoly 1,0,1 --p 3", 0, "90f5663986feb248d960b305dd91fec695b41ca07e0874a49fd393575374bd31"),
+    ("decompose --minpoly 1,0,1 --p 5", 0, "19e93ae70caf45a7d7a5cb208fa51fbf9f7aae570be214f3096a98b07e169d40"),
+    ("decompose --minpoly -2,0,0,1 --p 3", 0, "37176c768f0433549b7f9fbc8f37a966e95cb6ff56979bba58fd26f7a5b89273"),
+    ("decompose --minpoly -2,0,0,1 --p 5", 0, "90a3c3d85eab16db42d0134df47256c1dac3f26eb80df8834bdd3d068a5dd4b0"),
+    ("decompose --minpoly -2,0,0,1 --p 31", 0, "7b1a6185f84470ecb00cb590ebfd38527599304c569222f7485cf71df70b5126"),
+    ("decompose --minpoly 1,1,0,1 --p 31", 0, "020b790122c1a394e919d23a6463c41a7e420b1e3d329d767d45f1a30ccbc789"),
+    ("decompose --minpoly 1,1,1,1,1 --p 2", 0, "d26aeb7dcc6f0cab0a15eba4aec83c8a53dfae353a78e9fd45c032ff5464a114"),
+    ("decompose --minpoly 1,1,1,1,1 --p 5", 0, "1403f35219911e001f54c8d67664a7cec273ec4d2c722d078bc5d08b638198bf"),
+    ("decompose --minpoly 1,1,1,1,1 --p 11", 0, "9f495d5eeb6e777fe4a6f574ce5d2634a4d0051af39fef441f514f670c9fdfbc"),
+    ("decompose --minpoly 1,1,1,1,1 --p 19", 0, "bbafdad9716d3ff9cd57338d3814306a1169575bed63f2df8257e34ed81eaaea"),
+    ("decompose --minpoly 3,0,1,0,1 --p 2", 0, "7e44ade6e22f151c84cf06c48705eec988cd5f1a088fa9d75449d2a7489be46f"),
+    ("decompose --minpoly 3,0,1 --p 2", 1, "dd9533bd050a6daff26f31290fe1f92aaffdbb09cdc13db11d2eaa1f266b5e3d"),
+    ("decompose --minpoly 5,0,1 --p 2", 0, "0fc9e196b2485eccb66047e1f7aae4cbad6f6f5e10822742d5c7b6d7fcb0ead4"),
+    ("decompose --minpoly -5,0,1 --p 2", 1, "dd9533bd050a6daff26f31290fe1f92aaffdbb09cdc13db11d2eaa1f266b5e3d"),
+    ("decompose --minpoly -5,0,1 --p 5", 0, "70d6aa6ffa6f0662eb2fc83f4882831b37a26de302e4e71bfab0bfdcc2ff47fe"),
+    ("decompose --minpoly 0,1 --p 997", 0, "396593fe6532d1e1e1aafae4b5fbac126f0f310b60503aebe05a58b18c4e0885"),
+    ("euler --family heisenberg:1 --d 2 --minpoly 1,0,1 --p 2", 0, "8c467109637e9f16f2617e53ce750bd7bf935c0c6ba3b97401fb4420ed4a7711"),
+    ("euler --family heisenberg:1 --d 2 --minpoly 1,0,1 --p 3", 0, "ace601fecdc1c13923905ea08e80d3cc1fd6c6f2c14e045764f3f1771610487b"),
+    ("euler --family heisenberg:2 --d 2 --minpoly 1,0,1 --p 5", 0, "1337e7d626e9cf29939154c72c4b868c2aedbf42417626b681564698391df4a6"),
+    ("euler --family heisenberg:3 --d 3 --minpoly -2,0,0,1 --p 5", 0, "c14bc52f4ab68a3dc9704dd4ffd1c045fb85e63218065cfa1aa75775a33036cf"),
+    ("euler --family lmn:2:3 --d 3 --minpoly 1,1,0,1 --p 31", 0, "82ab257c9621b690b1544cfb95bd4b6327207319247c453d65cc87aa80f1039a"),
+    ("euler --family lmn:1:2 --d 4 --minpoly 1,1,1,1,1 --p 19", 0, "fb672311a7b832bf836c1bf8c4121507cc14f14bba9ccc8a18ab62df80ee60c0"),
+    ("euler --family heisenberg:2 --d 4 --minpoly 3,0,1,0,1 --p 2", 0, "a6519cbf004ababf6461684becc2c1653cb6c693ed665f3f6f121f91c36cb38b"),
+    ("euler --family abelian:3 --d 4 --minpoly 1,1,1,1,1 --p 5", 0, "ade7dd86671f0614a3a0ce8088ca27f86e5edb22d3448496ac34228333b66f1b"),
+    ("euler --family free:2:3 --d 2 --minpoly 1,0,1 --p 7", 0, "0b9d8abce2c61c3586fe8470105c2ccd11ff8b7a529428bfabc58dbf68756bd4"),
+    ("euler --family maxclass:4 --d 3 --minpoly -2,0,0,1 --p 3", 0, "2a04ca074c6d2edcfe4689be6d670a0503355d4837bdf6ee3a67526936e3172f"),
+    ("euler --family f4 --d 2 --minpoly 1,0,1 --p 13", 0, "61e7e74e5dda89959005f7234405b2f5135cbcae3b7090b680bceb38183aa7c8"),
+    ("euler --family q5 --d 1 --minpoly 0,1 --p 7", 0, "e1e897b4fd4f6ebfd782ed5f17eb506dcad06a0919337ecd1841908333758f7a"),
+    ("euler --family bk --d 1 --minpoly 0,1 --p 2", 0, "c1d026bd6c3437cfee0be3cae4de8c91f6171f749c643ecd439f8bbe55323157"),
+    ("euler --family bk --d 2 --minpoly 1,0,1 --p 3", 0, "4087455ca2f49b336fff6e6a1bdfdd4cc8a69837a27dfd9593288fe1414aa1dd"),
+    ("euler --family bk --d 2 --minpoly 1,0,1 --p 5", 0, "a04b400e1f6381ea3151e006afb92ca0ef4860e88f6cab8f563336e2e259afcc"),
+    ("euler --family bk --d 2 --minpoly 1,0,1 --p 2", 0, "ab1ec4d28f37f0c829cd0ad8eb0a751c1a127e3b3796a17e60387eda7e756c11"),
+    ("euler --family heisenberg:1 --d 2 --minpoly 3,0,1 --p 2", 1, "dd9533bd050a6daff26f31290fe1f92aaffdbb09cdc13db11d2eaa1f266b5e3d"),
+    ("euler --family heisenberg:1 --d 2 --minpoly 3,0,1 --p 2 --type 2,1", 0, "8c467109637e9f16f2617e53ce750bd7bf935c0c6ba3b97401fb4420ed4a7711"),
+    ("euler --family heisenberg:2 --d 2 --minpoly 3,0,1 --p 2 --type 1,2", 0, "2abcaebe61ae2bd11a27608dcc250b9dc837fbc0e09b2f5073c33886d2896d23"),
+    ("euler --family bk --d 2 --minpoly 3,0,1 --p 2 --type 1,1;1,1", 0, "dfbc0529952e067cd0363cd5e5ef3d1448c4a6fef9919f90f0e6aa9a704271de"),
+    ("euler --family lmn:4:2 --d 1 --minpoly 0,1 --p 2", 1, "22246b182270ec263949ed8839c32ec1f69a478f0be6783fcfd966a09b5b0d79"),
+    ("dirichlet --family heisenberg:1 --d 2 --minpoly 1,0,1 --n 60", 0, "aa892209b15a0a2eedbb7f4d12770fcbfe8c79ffcd602d7e2154ec722d05c1c2"),
+    ("dirichlet --family heisenberg:2 --d 1 --minpoly 0,1 --n 40", 0, "83519f1ce31bc1f49bbb2268a2dfdbbfa9ca28309ae1b18a822b3e60379f757b"),
+    ("dirichlet --family heisenberg:2 --d 3 --minpoly -2,0,0,1 --n 40", 0, "5506239907bb4ca2c38b5667747b878c69acf1053056f6445133cbaabe353ff2"),
+    ("dirichlet --family lmn:1:2 --d 3 --minpoly 1,1,0,1 --n 40", 0, "20f31b6691fbdfd371e4bcedc2e72e554743c69dcd9fb075f5d7b653fdaf109d"),
+    ("dirichlet --family abelian:2 --d 4 --minpoly 1,1,1,1,1 --n 60", 0, "b59dd00028cac989db40a3ebec2000e5cbf382926324d86f4e2dfd96507c56a4"),
+    ("dirichlet --family free:2:2 --d 2 --minpoly 1,0,1 --n 60", 0, "aa892209b15a0a2eedbb7f4d12770fcbfe8c79ffcd602d7e2154ec722d05c1c2"),
+    ("dirichlet --family maxclass:3 --d 4 --minpoly 3,0,1,0,1 --n 40", 0, "7d7360f03731e758a2689d81eaecb80b5e883e9b22ef199e05f92ed965d0565a"),
+    ("dirichlet --family q5 --d 2 --minpoly 1,0,1 --n 40", 0, "a32a52c17daec8ef6a76a2563d381c8f5dbe56e0b3faf450f499944ba29a74da"),
+    ("dirichlet --family bk --d 2 --minpoly 1,0,1 --n 20", 0, "46bcc589e7cc8745c8bed54f4f0c244e02a2a1d0f6d9257ecb1cbe6d712249ea"),
+    ("dirichlet --family heisenberg:1 --d 2 --minpoly 3,0,1 --n 10", 1, "e409d699824eee056315fae5f21512a108fa1c233bb74204781b44c14d16335a"),
+    ("dirichlet --family lmn:4:2 --d 1 --minpoly 0,1 --n 10", 1, "22246b182270ec263949ed8839c32ec1f69a478f0be6783fcfd966a09b5b0d79"),
+    ("abscissa --family heisenberg:3 --d 2", 0, "9e51535e59acac4b63a68d78d45b35071fdd71850b322cb59a99ac917664db49"),
+    ("abscissa --family lmn:2:3 --d 2", 0, "d1cde62623d870f7396c1a3c44e4e09742f7b316122aad34fc3775f211411ed7"),
+    ("abscissa --family q5 --d 2", 0, "b3e84ebd0560aecd9d38386c36332fdbe681e24aef034442df9b8e302bfd198b"),
+    ("abscissa --family bk --d 1", 0, "061990ba659ce4997320850dc79398ba0f9cf03f9e679c5fd9d74e0cc51342e7"),
+    ("abscissa --family abelian:3", 0, "240f73c40ea331a5e66d3f4d717d41327ab322c110224613c60d0319a151c107"),
+]
+
 runner = CliRunner()
 
 
@@ -80,3 +145,10 @@ def test_families_json_digest(family_id, d):
     result = runner.invoke(main, ["families", "--family", family_id, "--d", str(d)])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == DIGESTS[family_id, d]
+
+
+@pytest.mark.parametrize("command, code, digest", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_command_output_digest(command, code, digest):
+    result = runner.invoke(main, command.split())
+    assert result.exit_code == code, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest

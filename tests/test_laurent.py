@@ -74,18 +74,10 @@ def test_invert_is_an_involution():
         assert p.invert().invert() == p
 
 
-def test_substitute_powers_composes():
-    rng = random.Random(99)
-    for _ in range(50):
-        p = random_poly(rng)
-        assert p.substitute_powers(2, 3).substitute_powers(3, 1) == p.substitute_powers(6, 3)
-
-
 def test_substitutions_add_colliding_terms():
-    # X -> 1 sends X + X^2 to 2; Y -> 1 sends 1 + Y to 2
-    assert P({(1, 0): 1, (2, 0): 1}).substitute_powers(0, 1) == P({(0, 0): 2})
+    # Y -> 1 sends 1 + Y to 2; Y -> X sends X - Y to 0
     assert P({(0, 0): 1, (0, 1): 1}).substitute_y_monomial(0, 0) == P({(0, 0): 2})
-    assert P({(1, 0): 1, (-1, 0): -1}).substitute_powers(0, 1) == LaurentPoly.zero()
+    assert P({(1, 0): 1, (0, 1): -1}).substitute_y_monomial(1, 0) == LaurentPoly.zero()
 
 
 # -- ring laws, property-based --------------------------------------------
@@ -99,7 +91,6 @@ polys = st.dictionaries(
     max_size=5,
 ).map(LaurentPoly)
 
-powers = st.integers(-4, 4)
 
 
 @ring_laws
@@ -119,14 +110,6 @@ def test_ring_laws(a, b, c):
 def test_invert_is_a_multiplicative_involution(a, b):
     assert a.invert().invert() == a
     assert (a * b).invert() == a.invert() * b.invert()
-
-
-@ring_laws
-@given(polys, polys, powers, powers)
-def test_substitute_powers_is_multiplicative(a, b, fx, fy):
-    assert (a * b).substitute_powers(fx, fy) == (
-        a.substitute_powers(fx, fy) * b.substitute_powers(fx, fy)
-    )
 
 
 def test_evaluate_x_collects_y_exponents():
@@ -174,8 +157,7 @@ def test_formal_forms_permit_nonpositive_y():
 
 def test_formal_flag_survives_algebra():
     w = EulerForm(ONE, [(5, -2)], formal=True)
-    assert (w * EulerForm.from_denominator([(0, 1)])).is_formal
-    assert w.substitute_powers(2, 3).is_formal
+    assert EulerForm.from_json_dict(w.to_json_dict(), formal=True).is_formal
     assert w.ratfunc_equal(w)
 
 
@@ -224,24 +206,11 @@ def test_ratfunc_equal_common_factor_extension():
     assert lhs.ratfunc_equal(rhs)
     assert rhs.ratfunc_equal(lhs)
     assert lhs.ratfunc_equal(lhs)
-    third = EulerForm(ONE, [(1, 1), (0, 2)]) * EulerForm(P({(0, 2): -1, (0, 0): 1}), ())
+    third = EulerForm(P({(0, 2): -1, (0, 0): 1}), [(1, 1), (0, 2)])
     assert lhs.ratfunc_equal(third)
     assert not lhs.ratfunc_equal(EulerForm.from_denominator([(1, 2)]))
 
 
-def test_multiplication_concatenates_denominators():
-    w = EulerForm.from_denominator([(1, 1)]) * EulerForm.from_denominator([(1, 1)])
-    assert w.denominator == ((1, 1), (1, 1))
-
-
-def test_substitute_powers_dilates_series():
-    w = EulerForm(ONE + P({(3, 1): 1}), [(0, 1), (2, 2)])
-    dilated = w.substitute_powers(1, 3)
-    base = w.expand_series(5, 4)
-    tall = dilated.expand_series(5, 12)
-    for k in range(13):
-        expected = base[k // 3] if k % 3 == 0 else 0
-        assert tall[k] == expected
 
 
 def test_json_round_trip():

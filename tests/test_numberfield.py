@@ -1,6 +1,13 @@
-"""Prime decomposition in monogenic fields, pinned on classical examples."""
+"""Prime decomposition in monogenic fields, pinned on classical examples and
+checked against sympy's complete factorization over F_p."""
+
+import random
 
 import pytest
+from sympy import primerange
+from sympy.polys.densearith import dup_mul, dup_pow, dup_sub
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_degree, gf_factor, gf_from_int_poly, gf_gcd
 
 from zetaforge import (
     NumberField,
@@ -8,9 +15,9 @@ from zetaforge import (
     decomposition_type,
     dedekind_zeta_local,
     discriminant,
-    factor_mod_p,
     rationals,
 )
+from zetaforge import numberfield
 from zetaforge.laurent import ResourceGuardError
 
 GAUSS = NumberField((1, 0, 1))        # x^2 + 1
@@ -42,14 +49,63 @@ def test_discriminants():
         discriminant((7,))
 
 
-def test_factor_mod_p():
-    assert factor_mod_p((1, 0, 1), 2) == [((1, 1), 2)]
-    assert factor_mod_p((1, 0, 1), 3) == [((1, 0, 1), 1)]
-    assert factor_mod_p((1, 0, 1), 5) == [((2, 1), 1), ((3, 1), 1)]
-    with pytest.raises(ValueError, match="not prime"):
-        factor_mod_p((1, 0, 1), 4)
-    with pytest.raises(ValueError, match="vanishes"):
-        factor_mod_p((6, 3), 3)
+def test_integer_roots_are_found_among_divisors(monkeypatch):
+    calls = []
+    original = numberfield._eval_int_poly
+
+    def counting_eval(coeffs, v):
+        calls.append(v)
+        return original(coeffs, v)
+
+    monkeypatch.setattr(numberfield, "_eval_int_poly", counting_eval)
+    # x^2 + 10^12: 10^12 has 169 divisors, each tried with both signs
+    assert NumberField((10**12, 0, 1)).degree == 2
+    assert len(calls) == 2 * 169
+    with pytest.raises(ValueError, match="integer root 1000000$"):
+        NumberField((-(10**12), 0, 1))
+
+
+def reference_type(coeffs, p):
+    """(type, index coprime to p) from sympy's complete factorization of f
+    mod p; the index test runs on the product over Z of the factors' lifts."""
+    f = ZZ.map(list(reversed(coeffs)))
+    _, factors = gf_factor(gf_from_int_poly(f, p), p, ZZ)
+    g, h = [ZZ(1)], [ZZ(1)]
+    for fac, k in factors:
+        g = dup_mul(g, fac, ZZ)
+        h = dup_mul(h, dup_pow(fac, k - 1, ZZ), ZZ)
+    big_f = [c // p for c in dup_sub(dup_mul(g, h, ZZ), f, ZZ)]
+    gcd = gf_gcd(gf_from_int_poly(big_f, p), gf_from_int_poly(g, p), p, ZZ)
+    gcd = gf_gcd(gcd, gf_from_int_poly(h, p), p, ZZ)
+    return sorted((k, len(fac) - 1) for fac, k in factors), gf_degree(gcd) <= 0
+
+
+def test_types_match_complete_factorization():
+    rng = random.Random(20)
+    fields = []
+    while len(fields) < 30:
+        degree = rng.randint(2, 6)
+        coeffs = tuple(rng.randint(-9, 9) for _ in range(degree)) + (1,)
+        try:
+            fields.append(NumberField(coeffs))
+        except ValueError:
+            continue
+    ramified = refused = 0
+    for field in fields:
+        disc = discriminant(field.minpoly)
+        for p in primerange(2, 200):
+            want, coprime = reference_type(field.minpoly, p)
+            ramified += disc % p == 0
+            if not coprime:
+                refused += 1
+                with pytest.raises(UnsupportedRamifiedPrimeError):
+                    decomposition_type(field, p)
+                continue
+            got = decomposition_type(field, p)
+            assert got == want, (field.minpoly, p)
+            assert any(e > 1 for e, _ in got) == (disc % p == 0), (field.minpoly, p)
+    # the sample reaches both branches of the index test
+    assert ramified > refused > 0
 
 
 def test_gaussian_field_types():
