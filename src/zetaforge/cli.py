@@ -41,6 +41,7 @@ from .oracle import (
     heisenberg_lattice,
     lattice_from_json,
 )
+from .primes import primes_upto
 from .signed_perms import verify_bm_identity, verify_sublemma
 from .symmetry import (
     check_weight_conjecture,
@@ -433,8 +434,6 @@ def _suite_abscissa():
 
 
 def _suite_numberfield():
-    from sympy import primerange
-
     gaussian = NumberField((1, 0, 1))
     expected = {2: [(2, 1)], 3: [(1, 2)], 5: [(1, 1), (1, 1)]}
     for p, want in expected.items():
@@ -444,7 +443,7 @@ def _suite_numberfield():
             return False
     click.echo("ok gaussian decomposition types p=2,3,5")
     family = fam.heisenberg(1)
-    for p in primerange(2, 51):
+    for p in primes_upto(50):
         lf = local_factor(family, 2, gaussian, p)
         want = []
         for _, f in decomposition_type(gaussian, p):

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import primerange
-
 from .laurent import LaurentPoly, _divide_geometric
 from .families import make_W
 from .numberfield import UnsupportedRamifiedPrimeError, decomposition_type
+from .primes import primes_upto
 
 
 class DegreeMismatchError(ValueError):
@@ -129,7 +128,7 @@ def global_coefficients(family, d, field, limit):
         )
     w = make_W(family, d)
     coeffs = [1] * (limit + 1)  # index 0 unused
-    for p in primerange(2, limit + 1):
+    for p in primes_upto(limit):
         kmax = 0
         q = p
         while q <= limit:

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from sympy import divisors
-from sympy.functions.combinatorial.numbers import mobius
-
 from .laurent import EulerForm, LaurentPoly, ResourceGuardError
+from .primes import mobius
 from .signed_perms import b_monomials, descent_sum, enumerate_B, enumerate_S
 
 MAX_HEISENBERG_M = 8
@@ -121,7 +119,7 @@ def witt_rank(g, i):
     generators: (1/i) * sum over j | i of mu(j) g^(i/j)."""
     if g < 1 or i < 1:
         raise ValueError("witt_rank needs g >= 1, i >= 1")
-    total = sum(int(mobius(j)) * g ** (i // j) for j in divisors(i))
+    total = sum(mobius(j) * g ** (i // j) for j in range(1, i + 1) if i % j == 0)
     assert total % i == 0
     return total // i
 

@@ -186,9 +186,8 @@ def _divide_geometric(series, factors):
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Power-series prefix: coefficients of variable^0 .. variable^N."""
+    """Power-series prefix: coefficients of Y^0 .. Y^N."""
 
-    variable: str
     coefficients: tuple
 
     def __post_init__(self):
@@ -301,7 +300,7 @@ class EulerForm:
             raise ValueError("numerator has negative Y-exponents; series is not a power series")
         series = [coeffs.get(e, Fraction(0)) for e in range(order + 1)]
         _divide_geometric(series, [(xval**a, b) for a, b in self.denominator])
-        return TruncatedSeries("Y", series)
+        return TruncatedSeries(series)
 
     def ratfunc_equal(self, other):
         """Exact equality as rational functions, by cross-multiplication."""

@@ -2,11 +2,16 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from zetaforge import cli
+from zetaforge import cli, numberfield
 from zetaforge.cli import SUITES, main
 
 runner = CliRunner()
@@ -90,6 +95,48 @@ def test_decompose_refuses_index_divisible_prime():
     result = run("decompose", "--minpoly", "3,0,1", "--p", "2")
     assert result.exit_code == 1
     assert "unsupported ramified prime 2" in result.output
+
+
+def test_decompose_refuses_reducible_field():
+    # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2) has no integer root
+    result = run("decompose", "--minpoly", "4,0,0,0,1", "--p", "5")
+    assert result.exit_code == 1
+    assert "refused: reducible: factor 2,-2,1 divides the polynomial" in result.output
+
+
+def test_broken_polynomial_invariant_is_internal(monkeypatch):
+    # a derivative with a zero leading coefficient breaks the F_p[x] invariant
+    monkeypatch.setattr(numberfield, "_diff", lambda f, p: [0, 1])
+    result = run("decompose", "--minpoly", "1,0,1", "--p", "5")
+    assert result.exit_code == 2
+    assert "internal assertion failure" in result.output
+
+
+# The benchmark's fields: Q, Q(i), Q(cbrt 2), Q(zeta_5).
+NO_SYMPY_SCRIPT = textwrap.dedent("""
+    import sys
+    import zetaforge.cli
+    from zetaforge import families, oracle
+    from zetaforge.dirichlet import global_coefficients
+    from zetaforge.numberfield import NumberField, decomposition_type
+
+    families.make_W(families.heisenberg(2), 2)
+    oracle.count_proisomorphic(oracle.heisenberg_lattice(1), 2, 2)
+    for coeffs in ((0, 1), (1, 0, 1), (-2, 0, 0, 1), (1, 1, 1, 1, 1)):
+        field = NumberField(coeffs)
+        global_coefficients(families.heisenberg(1), field.degree, field, 30)
+        decomposition_type(field, 7)
+    assert "sympy" not in sys.modules, "sympy was imported"
+""")
+
+
+def test_runtime_path_imports_no_sympy():
+    # pytest has imported sympy already, so this runs in a fresh interpreter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_euler_inert_prime():

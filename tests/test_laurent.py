@@ -225,7 +225,7 @@ def test_json_round_trip():
 
 
 def test_truncated_series_is_immutable_prefix():
-    s = TruncatedSeries("Y", [1, 2, 3])
+    s = TruncatedSeries([1, 2, 3])
     assert s.order == 2 and s[2] == 3
     with pytest.raises(Exception):
         s.coefficients = ()

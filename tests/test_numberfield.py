@@ -1,13 +1,24 @@
 """Prime decomposition in monogenic fields, pinned on classical examples and
-checked against sympy's complete factorization over F_p."""
+checked against sympy (a test-only reference): its complete factorization
+over F_p, its squarefree and distinct-degree routines, its discriminant,
+primes and Möbius function."""
 
 import random
+import time
 
 import pytest
-from sympy import primerange
+from sympy import Poly, isprime, primerange, symbols
+from sympy import mobius as sympy_mobius
 from sympy.polys.densearith import dup_mul, dup_pow, dup_sub
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_degree, gf_factor, gf_from_int_poly, gf_gcd
+from sympy.polys.galoistools import (
+    gf_ddf_zassenhaus,
+    gf_degree,
+    gf_factor,
+    gf_from_int_poly,
+    gf_gcd,
+    gf_sqf_list,
+)
 
 from zetaforge import (
     NumberField,
@@ -19,6 +30,7 @@ from zetaforge import (
 )
 from zetaforge import numberfield
 from zetaforge.laurent import ResourceGuardError
+from zetaforge.primes import is_prime, mobius, primes_upto
 
 GAUSS = NumberField((1, 0, 1))        # x^2 + 1
 CUBE2 = NumberField((-2, 0, 0, 1))    # x^3 - 2
@@ -49,20 +61,133 @@ def test_discriminants():
         discriminant((7,))
 
 
-def test_integer_roots_are_found_among_divisors(monkeypatch):
-    calls = []
-    original = numberfield._eval_int_poly
-
-    def counting_eval(coeffs, v):
-        calls.append(v)
-        return original(coeffs, v)
-
-    monkeypatch.setattr(numberfield, "_eval_int_poly", counting_eval)
-    # x^2 + 10^12: 10^12 has 169 divisors, each tried with both signs
+def test_integer_roots_are_found_without_divisors():
     assert NumberField((10**12, 0, 1)).degree == 2
-    assert len(calls) == 2 * 169
     with pytest.raises(ValueError, match="integer root 1000000$"):
         NumberField((-(10**12), 0, 1))
+    # the least |r| is named, positive before negative
+    with pytest.raises(ValueError, match="integer root 2$"):
+        NumberField((-6, 1, 1))  # (x - 2)(x + 3)
+    with pytest.raises(ValueError, match="integer root -2$"):
+        NumberField((6, 5, 1))  # (x + 2)(x + 3)
+    # nothing factors |c0| = 10^18 + 3: the mod-l patterns decide at once
+    start = time.perf_counter()
+    assert NumberField((10**18 + 3, 0, 1)).degree == 2
+    assert time.perf_counter() - start < 0.25
+
+
+def test_reducible_without_integer_root_is_refused():
+    # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2)
+    with pytest.raises(ValueError, match="reducible: factor 2,-2,1 divides"):
+        NumberField((4, 0, 0, 0, 1))
+    # (x^2 + 1)(x^2 + 2): reducible but also squarefree
+    with pytest.raises(ValueError, match="reducible: factor 1,0,1 divides"):
+        NumberField((2, 0, 3, 0, 1))
+
+
+# x^4 + 1 and x^4 - 10x^2 + 1 split into factors of degree <= 2 mod every
+# prime, so only the exact factorization can accept them; x^4 + x^2 + 3 is
+# irreducible mod 7.  Types at p < 30 as the sympy-based code computed them.
+PINNED = {
+    (1, 0, 0, 0, 1): (False, {
+        2: [(4, 1)], 17: [(1, 1)] * 4,
+        **{p: [(1, 2), (1, 2)] for p in (3, 5, 7, 11, 13, 19, 23, 29)},
+    }),
+    (1, 0, -10, 0, 1): (False, {
+        2: None, 3: [(2, 2)], 23: [(1, 1)] * 4,
+        **{p: [(1, 2), (1, 2)] for p in (5, 7, 11, 13, 17, 19, 29)},
+    }),
+    (3, 0, 1, 0, 1): (True, {
+        2: [(2, 2)], 3: [(1, 2), (2, 1)], 5: [(1, 1), (1, 1), (1, 2)],
+        11: [(2, 1), (2, 1)], 13: [(1, 2), (1, 2)], 23: [(1, 1)] * 4,
+        **{p: [(1, 4)] for p in (7, 17, 19, 29)},
+    }),
+}
+
+
+@pytest.mark.parametrize("coeffs", sorted(PINNED))
+def test_irreducible_quartics_keep_their_types(coeffs):
+    certified, types = PINNED[coeffs]
+    disc = discriminant(coeffs)
+    assert numberfield._certified_irreducible(list(reversed(coeffs)), disc) is certified
+    field = NumberField(coeffs)
+    for p, want in types.items():
+        if want is None:
+            with pytest.raises(UnsupportedRamifiedPrimeError):
+                decomposition_type(field, p)
+        else:
+            assert decomposition_type(field, p) == want
+
+
+def test_certificate_decides_the_small_fields():
+    for coeffs in ((1, 0, 1), (-2, 0, 0, 1), (1, 1, 1, 1, 1), (10**18 + 3, 0, 1)):
+        f = list(reversed(coeffs))
+        assert numberfield._certified_irreducible(f, discriminant(coeffs))
+
+
+def random_monic(rng, p, degree):
+    return [1] + [rng.randrange(p) for _ in range(degree)]
+
+
+def powers_and_products(rng, p):
+    """A monic polynomial of degree <= 8 built from repeated factors, raised
+    to the p-th power where p is small, so that the p-th-root branch of the
+    squarefree split runs."""
+    f = [1]
+    for _ in range(rng.randint(1, 3)):
+        g = random_monic(rng, p, rng.randint(1, 2))
+        fits = [k for k in (1, 2, p) if len(f) - 1 + k * (len(g) - 1) <= 8]
+        for _ in range(rng.choice(fits or [0])):
+            f = numberfield._reduce(numberfield._mul(f, g), p)
+    return f
+
+
+def test_sqf_and_ddf_match_sympy():
+    rng = random.Random(6)
+    roots_taken = 0
+    for p in list(primerange(2, 60)) + [10007, 999983]:
+        for trial in range(40):
+            if trial % 2:
+                f = random_monic(rng, p, rng.randint(1, 8))
+            else:
+                f = powers_and_products(rng, p)
+            parts = numberfield._sqf_list(f, p)
+            assert parts == gf_sqf_list(ZZ.map(f), p, ZZ)[1], (f, p)
+            roots_taken += any(k % p == 0 for _, k in parts)
+            for part, _ in parts:
+                got = numberfield._ddf(part, p)
+                assert got == gf_ddf_zassenhaus(ZZ.map(part), p, ZZ), (part, p)
+    assert roots_taken > 20
+
+
+def test_discriminant_matches_sympy():
+    rng = random.Random(7)
+    x = symbols("x")
+    for _ in range(300):
+        coeffs = [rng.randint(-20, 20) for _ in range(rng.randint(2, 9))]
+        coeffs[-1] = coeffs[-1] or 1
+        want = Poly(list(reversed(coeffs)), x).discriminant()
+        assert discriminant(coeffs) == want, coeffs
+
+
+def test_prime_helpers_match_sympy():
+    for n in (0, 1, 2, 3, 97, 100, 10**4):
+        assert primes_upto(n) == list(primerange(2, n + 1))
+    for n in list(range(-3, 5000)) + list(range(999_000, 1_000_100)):
+        assert is_prime(n) == isprime(n), n
+    for n in range(1, 3000):
+        assert mobius(n) == sympy_mobius(n), n
+    with pytest.raises(ValueError):
+        mobius(0)
+
+
+def test_broken_invariants_are_assertions():
+    with pytest.raises(AssertionError):
+        numberfield._inverse(0, 5)
+    with pytest.raises(AssertionError):
+        numberfield._divmod([1, 2], [], 5)
+    with pytest.raises(AssertionError):
+        numberfield._divmod([1, 2], [0, 1], 5)
 
 
 def reference_type(coeffs, p):
