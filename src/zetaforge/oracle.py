@@ -1,21 +1,27 @@
 """Brute-force subring counts for small Lie lattices over the integers.
 
 Everything here is ground truth by enumeration: list the finite-index
-sublattices of Z^n in Hermite normal form, keep the ones closed under the
-bracket, and decide whether each is pro-isomorphic to the ambient lattice at
-p.  The decision is exact for abelian and Heisenberg-type lattices.  For
-anything else (rank at most 4) the verdict is level-limited: bracket-preserving
-basis maps mod p are searched depth first, and each is lifted towards level
-p^(k + c_safety) as soon as it is found.  True is returned as soon as one base
-map lifts that far; False only after the whole search has failed.  A search
-that exceeds NODE_BUDGET nodes is refused with ResourceGuardError, never
-truncated into a verdict.
+subrings of Z^n in Hermite normal form, and decide whether each is
+pro-isomorphic to the ambient lattice at p.  The subrings are enumerated with
+closure pruning: the basis is built from its last row up, and a branch is cut
+at the first bracket that leaves the span of the rows placed so far (when
+every tail span(e_i, ...) of the ambient lattice is a subring; otherwise each
+finished sublattice basis is tested).  The decision is exact for abelian and
+Heisenberg-type lattices.  For anything else (rank at most 4) the verdict is
+level-limited.  It is pre-filtered by abelianization: when M/[M,M] and
+L/[L,L] differ modulo p^(k + c_safety) the answer is False without a search.
+Otherwise bracket-preserving basis maps mod p are searched depth first, and
+each is lifted towards level p^(k + c_safety) as soon as it is found.  True is
+returned as soon as one base map lifts that far; False only after the whole
+search has failed.  A search that exceeds NODE_BUDGET nodes is refused with
+ResourceGuardError, never truncated into a verdict.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -81,12 +87,20 @@ class LieLattice:
         return out
 
     def is_abelian(self):
-        return all(
-            not any(vec) for row in self.tensor for vec in row
-        )
+        return self._abelian
 
     def heisenberg_m(self):
         """m if this is the standard Heisenberg tensor of rank 2m+1, else None."""
+        return self._heisenberg_m
+
+    # Classified once per instance: every verdict asks, and recognising
+    # Heisenberg builds and validates a whole heisenberg_lattice(m).
+    @cached_property
+    def _abelian(self):
+        return all(not any(vec) for row in self.tensor for vec in row)
+
+    @cached_property
+    def _heisenberg_m(self):
         n = self.rank
         if n % 2 == 0 or n < 3:
             return None
@@ -189,19 +203,23 @@ def enumerate_sublattices(n, p, k):
 
 def _span_coefficients(basis, vec):
     """Integer coordinates of vec in the row span of an upper-triangular
-    basis, or None if vec is not in the span."""
+    basis, or None if vec is not in the span.  A row is read only where vec
+    has a nonzero coordinate on its pivot, so rows of a partial basis that
+    vec cannot involve may be None."""
     n = len(basis)
     v = list(vec)
     coeffs = []
     for j in range(n):
-        pivot = basis[j][j]
-        if v[j] % pivot:
+        if not v[j]:
+            coeffs.append(0)
+            continue
+        row = basis[j]
+        q, r = divmod(v[j], row[j])
+        if r:
             return None
-        q = v[j] // pivot
         coeffs.append(q)
-        if q:
-            for col in range(j, n):
-                v[col] -= q * basis[j][col]
+        for col in range(j, n):
+            v[col] -= q * row[col]
     return coeffs
 
 
@@ -214,6 +232,81 @@ def is_subring(lattice, basis):
             if _span_coefficients(basis, w) is None:
                 return False
     return True
+
+
+def _tails_are_subrings(lattice):
+    """True iff span(e_i, ..., e_{n-1}) is a subring for every i, that is
+    tensor[a][b][l] == 0 whenever l < min(a, b)."""
+    t = lattice.tensor
+    n = lattice.rank
+    return all(
+        not any(t[a][b][:min(a, b)]) for a in range(n) for b in range(n)
+    )
+
+
+def enumerate_subrings(lattice, p, k):
+    """All row-HNF bases of subrings of index p^k, each once.
+
+    The basis is built bottom-up, row n-1 first and row 0 last, each row
+    running through its pivot p^e and its entries reduced modulo the pivots
+    below.  When every tail span(e_i, ...) is a subring, the part of the
+    subring inside span(e_i, ...) is the span of rows i..n-1, so the basis
+    spans a subring iff each bracket [row_i, row_j] (j > i) lies in the span
+    of rows i..n-1.  Each is tested as soon as row i is placed, and a branch
+    that fails is cut there; pairs whose bracket is identically zero are
+    never tested.  For any other presentation the same walk runs unpruned
+    and `is_subring` tests each finished basis.  `enumerate_sublattices` is
+    the unpruned reference.
+    """
+    n = lattice.rank
+    _check_enum_guards(n, p, k)
+    pruned = _tails_are_subrings(lattice)
+    checks = [[] for _ in range(n)]
+    if pruned:
+        nonzero = [
+            (a, b, [(l, c) for l, c in enumerate(lattice.tensor[a][b]) if c])
+            for a in range(n) for b in range(a + 1, n) if any(lattice.tensor[a][b])
+        ]
+        for i in range(n):
+            for j in range(i + 1, n):
+                # row_i lives on columns >= i and row_j on columns >= j
+                terms = [(a, b, vec) for a, b, vec in nonzero if a >= i and b >= j]
+                if terms:
+                    checks[i].append((j, terms))
+    rows = [None] * n
+
+    def closed(i):
+        u = rows[i]
+        for j, terms in checks[i]:
+            w = rows[j]
+            out = [0] * n
+            for a, b, vec in terms:
+                c = u[a] * w[b] - u[b] * w[a]
+                if c:
+                    for l, x in vec:
+                        out[l] += c * x
+            if _span_coefficients(rows, out) is None:
+                return False
+        return True
+
+    def place(i, left):
+        for e in (left,) if i == 0 else range(left + 1):
+            head = (0,) * i + (p**e,)
+            for tail in product(*(range(rows[j][j]) for j in range(i + 1, n))):
+                rows[i] = head + tail
+                if not closed(i):
+                    continue
+                if i == 0:
+                    yield tuple(rows)
+                else:
+                    yield from place(i - 1, left - e)
+
+    if pruned:
+        yield from place(n - 1, k)
+    else:
+        for basis in place(n - 1, k):
+            if is_subring(lattice, basis):
+                yield basis
 
 
 def _vp(x, p):
@@ -432,6 +525,43 @@ def _lift(cl, cm, t, p, level, target, budget):
     return False
 
 
+def _abelianization_type(tensor, p, cap):
+    """The abelianization modulo p^cap, (Z/p^cap)^n over the span of the
+    brackets tensor[a][b], as the sorted exponents e_i of its cyclic factors
+    Z/p^e_i.  Lie rings isomorphic modulo p^cap have equal types.  Smith
+    normal form over Z_p, least valuation first."""
+    n = len(tensor)
+    q = p**cap
+    rows = [[c % q for c in tensor[a][b]] for a in range(n) for b in range(a + 1, n)]
+    exps = []
+    while True:
+        rows = [row for row in rows if any(row)]
+        if not rows:
+            break
+        v, r, c = min(
+            (_vp(x, p), r, c)
+            for r, row in enumerate(rows) for c, x in enumerate(row) if x
+        )
+        pivot = rows.pop(r)
+        scale = pow(pivot[c] // p**v, -1, q)
+        # clearing column c in the other rows; the pivot row then drops out
+        for row in rows:
+            if row[c]:
+                f = (row[c] // p**v) * scale
+                row[:] = [(x - f * y) % q for x, y in zip(row, pivot)]
+        exps.append(v)
+    return sorted(exps + [cap] * (n - len(exps)))
+
+
+def _isomorphism_search(cl, cm, p, target):
+    """Is some bracket-preserving base map mod p liftable to level p^target?"""
+    budget = _Budget(NODE_BUDGET)
+    for base in _base_solutions(cl, cm, p, budget):
+        if _lift(cl, cm, base, p, 1, target, budget):
+            return True
+    return False
+
+
 def _generic_verdict(lattice, basis, p, k, c_safety):
     n = lattice.rank
     if n > MAX_GENERIC_RANK:
@@ -441,11 +571,11 @@ def _generic_verdict(lattice, basis, p, k, c_safety):
     target = k + c_safety
     cl = lattice.tensor
     cm = _structure_constants(lattice, basis)
-    budget = _Budget(NODE_BUDGET)
-    for base in _base_solutions(cl, cm, p, budget):
-        if _lift(cl, cm, base, p, 1, target, budget):
-            return True
-    return False
+    # an isomorphism modulo p^target carries one abelianization onto the
+    # other, so unequal types answer False without a search
+    if _abelianization_type(cl, p, target) != _abelianization_type(cm, p, target):
+        return False
+    return _isomorphism_search(cl, cm, p, target)
 
 
 def is_proisomorphic(lattice, basis, p, c_safety=2):
@@ -454,9 +584,10 @@ def is_proisomorphic(lattice, basis, p, c_safety=2):
 
     Exact for abelian and standard Heisenberg tensors.  Otherwise (rank <= 4)
     the verdict means "isomorphic at level p^(k + c_safety)" where p^k is the
-    index: a False is certain, a True is heuristic.  True is returned as soon
-    as one base map mod p lifts to level p^(k + c_safety); False only after
-    the whole search.  A search that exceeds NODE_BUDGET nodes raises
+    index: a False is certain, a True is heuristic.  False is returned
+    without a search when the abelianizations differ modulo p^(k + c_safety).
+    Otherwise True is returned as soon as one base map mod p lifts to level
+    p^(k + c_safety); False only after the whole search.  A search that exceeds NODE_BUDGET nodes raises
     ResourceGuardError: it is refused, never truncated.
     """
     if lattice.is_abelian():
@@ -473,10 +604,7 @@ def is_proisomorphic(lattice, basis, p, c_safety=2):
 def count_proisomorphic(lattice, p, k, c_safety=2):
     """Number of index-p^k subrings whose completion at p is isomorphic to
     the ambient lattice's."""
-    count = 0
-    for basis in enumerate_sublattices(lattice.rank, p, k):
-        if is_subring(lattice, basis) and is_proisomorphic(
-            lattice, basis, p, c_safety=c_safety
-        ):
-            count += 1
-    return count
+    return sum(
+        1 for basis in enumerate_subrings(lattice, p, k)
+        if is_proisomorphic(lattice, basis, p, c_safety=c_safety)
+    )

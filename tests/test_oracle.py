@@ -7,6 +7,7 @@ from zetaforge import (
     abelian_lattice,
     count_proisomorphic,
     enumerate_sublattices,
+    enumerate_subrings,
     heisenberg,
     heisenberg_lattice,
     is_proisomorphic,
@@ -26,6 +27,8 @@ M3 = lattice_from_dict({
     "rank": 4,
     "brackets": [[1, 2, [0, 0, 1, 0]], [1, 3, [0, 0, 0, 1]]],
 })
+H1_PLUS_Z = lattice_from_dict({"rank": 4, "brackets": [[1, 2, [0, 0, 1, 0]]]})
+H1_ORDERS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
 def _permuted(lat, perm):
@@ -118,6 +121,48 @@ def test_is_subring():
     assert is_subring(abelian_lattice(2), ((4, 1), (0, 2)))
 
 
+SUBRING_CASES = [
+    pytest.param(lat, p, kmax, id=f"{name}-p{p}")
+    for name, lat, kmax in [
+        ("Z3", abelian_lattice(3), 3), ("H1", H1, 3), ("H2", H2, 2), ("M3", M3, 3),
+        ("H1+Z", H1_PLUS_Z, 3),
+    ] + [(f"perm{''.join(map(str, q))}", _permuted(H1, q), 3) for q in H1_ORDERS]
+    for p in (2, 3)
+]
+
+
+@pytest.mark.parametrize("lat,p,kmax", SUBRING_CASES)
+def test_subring_walk_matches_filtered_sublattices(lat, p, kmax):
+    for k in range(kmax + 1):
+        walked = list(enumerate_subrings(lat, p, k))
+        assert len(walked) == len(set(walked))
+        assert set(walked) == {
+            b for b in enumerate_sublattices(lat.rank, p, k) if is_subring(lat, b)
+        }
+
+
+def test_subring_walk_prunes_only_when_tails_are_subrings():
+    assert oracle._tails_are_subrings(H1)
+    assert oracle._tails_are_subrings(H2)
+    assert oracle._tails_are_subrings(M3)
+    # z first: span(x, y) is not closed
+    assert not oracle._tails_are_subrings(_permuted(H1, (2, 0, 1)))
+
+
+def test_subring_walk_guards():
+    for lat, p, k, error in [
+        (abelian_lattice(7), 2, 1, ResourceGuardError),
+        (H1, 7, 1, ResourceGuardError),
+        (H1, 2, 5, ResourceGuardError),
+        (H1, 2, -1, ValueError),
+    ]:
+        with pytest.raises(error) as walked:
+            list(enumerate_subrings(lat, p, k))
+        with pytest.raises(error) as reference:
+            list(enumerate_sublattices(lat.rank, p, k))
+        assert str(walked.value) == str(reference.value)
+
+
 def test_heisenberg_verdicts_by_hand():
     # index p: the derived subring shrinks but the center does not
     assert not is_proisomorphic(H1, ((2, 0, 0), (0, 1, 0), (0, 0, 1)), 2)
@@ -157,11 +202,11 @@ def test_generic_rank4_counts_match_series():
 
 
 # Presentations of H1 over Z_p that are not the standard tensor, so their
-# verdicts take the level-limited search: the four basis orders that move z,
-# and (at p = 2, where 3 is a unit) the bracket scaled by 3.
+# verdicts take the level-limited search: the five other basis orders, and
+# (at p = 2, where 3 is a unit) the bracket scaled by 3.
 H1_PRESENTATIONS = [
     pytest.param(_permuted(H1, q), p, kmax, id=f"perm{''.join(map(str, q))}-p{p}")
-    for q in ((0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    for q in H1_ORDERS
     for p, kmax in ((2, 3), (3, 1))
 ] + [pytest.param(_scaled(H1, 3), 2, 3, id="scale3-p2")]
 
@@ -176,11 +221,36 @@ def test_generic_search_matches_heisenberg_series(lat, p, kmax):
 
 def test_generic_search_refuses_over_budget(monkeypatch):
     monkeypatch.setattr(oracle, "NODE_BUDGET", 100)
+    basis = ((8, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     # a False verdict needs the whole search, which exceeds the budget
     with pytest.raises(ResourceGuardError, match="100 nodes"):
-        is_proisomorphic(M3, ((8, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 2)
+        oracle._isomorphism_search(
+            M3.tensor, oracle._structure_constants(M3, basis), 2, 3 + 2
+        )
+    # the abelianizations differ modulo 2^5, so the verdict needs no search
+    assert not is_proisomorphic(M3, basis, 2)
     # a True verdict stops at the first base map that lifts
     assert is_proisomorphic(M3, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 2)
+
+
+# M3 and H1+Z at p = 3 are left out: their unfiltered searches take minutes.
+@pytest.mark.parametrize("lat,p,kmax,rejected", [
+    pytest.param(_permuted(H1, (2, 0, 1)), 2, 3, 53, id="perm201-p2"),
+    pytest.param(M3, 2, 1, 3, id="M3-p2"),
+    pytest.param(H1_PLUS_Z, 2, 1, 3, id="H1+Z-p2"),
+])
+def test_abelianization_prefilter_rejects_only_false_verdicts(lat, p, kmax, rejected):
+    seen = 0
+    for k in range(kmax + 1):
+        target = k + 2
+        for basis in enumerate_subrings(lat, p, k):
+            cm = oracle._structure_constants(lat, basis)
+            if oracle._abelianization_type(lat.tensor, p, target) != (
+                oracle._abelianization_type(cm, p, target)
+            ):
+                seen += 1
+                assert not oracle._isomorphism_search(lat.tensor, cm, p, target)
+    assert seen == rejected
 
 
 def test_generic_rank_guard():
