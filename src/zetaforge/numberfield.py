@@ -1,18 +1,19 @@
 """Decomposition of rational primes in monogenic number fields.
 
-The field is presented by a monic integer polynomial f.  Squarefree and
-distinct-degree factorization of f modulo p give the ramification/inertia
-pairs (e_i, f_i) whenever p does not divide the index of the equation order;
-that holds whenever every e_i is 1, and otherwise Dedekind's index test
-decides.  Primes where the test fails are refused — callers may override
-with an explicit decomposition type.
+The field is presented by a monic integer polynomial f.  The factorization
+type of f modulo p, the multiplicity e and degree of each irreducible factor,
+gives the ramification/inertia pairs (e_i, f_i) whenever p does not divide
+the index of the equation order; that holds whenever every e_i is 1, and
+otherwise Dedekind's index test decides on the radical of f mod p.  Primes
+where the test fails are refused — callers may override with an explicit
+decomposition type.
 
 Polynomials over F_p are lists of ints in [0, p), leading coefficient first
-and without leading zeros (the zero polynomial is []), as in sympy's
-galoistools; `_sqf_list` and `_ddf` are step-for-step ports of its
-`gf_sqf_list` and `gf_ddf_zassenhaus`.  sympy itself is imported only by
-`_factor_over_q`, for fields whose mod-l factorization patterns cannot
-certify irreducibility.
+and without leading zeros (the zero polynomial is []).  `_factor_type` reads
+the type from the gcds of f with x^(p^i) - x, one degree i at a time, and
+needs neither the complete factors nor a squarefree split.  sympy is
+imported only by `_factor_over_q`, for fields whose mod-l factorization
+patterns cannot certify irreducibility.
 """
 
 from __future__ import annotations
@@ -106,75 +107,24 @@ def _gcd(f, g, p):
     return _monic(f, p)
 
 
-def _diff(f, p):
-    n = len(f) - 1
-    return _reduce([c * (n - i) for i, c in enumerate(f[:-1])], p)
-
-
-def _xpow(n, g, p):
-    """x^n mod g, by left-to-right squaring: a multiplication by x is a shift."""
+def _powmod(g, n, f, p):
+    """g^n mod f, by left-to-right squaring."""
     out = [1]
     for bit in bin(n)[2:]:
-        out = _rem(_mul(out, out), g, p)
+        out = _rem(_mul(out, out), f, p)
         if bit == "1":
-            out = _rem(out + [0], g, p)
+            out = _rem(_mul(out, g), f, p)
     return out
 
 
-def _sqf_list(f, p):
-    """Squarefree decomposition of f != 0: pairs (part, k), the parts monic,
-    squarefree and pairwise coprime, f = lc(f) * prod part^k.  When f' = 0,
-    f is a polynomial in x^p and its p-th root is decomposed instead, with
-    every multiplicity times p."""
-    f = _monic(f, p)
-    if len(f) < 2:
-        return []
-    n, factors = 1, []
-    while True:
-        df = _diff(f, p)
-        if df:
-            g = _gcd(f, df, p)
-            h = _quo(f, g, p)
-            i = 1
-            while h != [1]:
-                common = _gcd(g, h, p)
-                part = _quo(h, common, p)
-                if len(part) > 1:
-                    factors.append((part, i * n))
-                g, h, i = _quo(g, common, p), common, i + 1
-            if g == [1]:
-                return factors
-            f = g
-        f, n = f[::p], n * p  # a^(1/p) = a in F_p
-
-
-def _frobenius_base(g, p):
-    """x^(i*p) mod g for i = 0 .. deg g - 1."""
-    n = len(g) - 1
-    if n < 1:
-        return []
-    base = [[1]]
-    if p < n:
-        for _ in range(1, n):
-            base.append(_rem(base[-1] + [0] * p, g, p))
-    elif n > 1:
-        base.append(_xpow(p, g, p))
-        for _ in range(2, n):
-            base.append(_rem(_mul(base[-1], base[1]), g, p))
-    return base
-
-
-def _frobenius_map(f, g, base, p):
-    """f^p mod g, as sum_i f_i (x^(i*p) mod g) over the coefficients f_i."""
-    if len(f) >= len(g):
-        f = _rem(f, g, p)
-    out = [0] * (len(g) - 1)
-    for i, c in enumerate(reversed(f)):
-        row = base[i]
-        offset = len(out) - len(row)
-        for j, b in enumerate(row):
-            out[offset + j] += c * b
-    return _reduce(out, p)
+def _compose(g, h, f, p):
+    """g(h) mod f, by Horner's rule."""
+    out = []
+    for c in g:
+        out = _mul(out, h) or [0]
+        out[-1] += c
+        out = _rem(out, f, p)
+    return out
 
 
 def _minus_x(g, p):
@@ -183,25 +133,40 @@ def _minus_x(g, p):
     return _reduce(g, p)
 
 
-def _ddf(f, p):
-    """Distinct-degree factorization of a monic squarefree f: pairs
-    (block, i) with i increasing, each block the product of the irreducible
-    factors of f of degree i; a last block of degree > i/2 of what remains is
-    irreducible and comes with its own degree."""
-    i, g, factors = 1, [1, 0], []
-    base = _frobenius_base(f, p)
-    while 2 * i <= len(f) - 1:
-        g = _frobenius_map(g, f, base, p)
-        h = _gcd(f, _minus_x(g, p), p)
-        if h != [1]:
-            factors.append((h, i))
-            f = _quo(f, h, p)
-            g = _rem(g, f, p)
-            base = _frobenius_base(f, p)
+def _factor_type(f, p):
+    """The factorization type of a monic f over F_p: the sorted pairs
+    (e, deg phi) over its irreducible factors phi^e, and its radical, the
+    product of the phi.
+
+    x^(p^i) - x is the product of the monic irreducibles of degree dividing
+    i, so once the factors of degree < i are divided out, a = gcd(f,
+    x^(p^i) - x) is the product of the phi of degree i.  It is squarefree
+    whether f is or not, so no derivative and no p-th root are needed:
+    after f <- f/a, b = gcd(f, a) keeps the phi of multiplicity > e, and the
+    other (deg a - deg b)/i have multiplicity e.  Once 2i > deg f, what is
+    left of f is 1 or irreducible.
+    """
+    pairs, radical, i = [], [1], 1
+    while 2 * i < len(f):
+        if i == 1:
+            xp = xq = _powmod([1, 0], p, f, p)  # x^p and x^(p^i) mod f
+        else:
+            xq = _compose(xq, xp, f, p)
+        a = _gcd(f, _minus_x(xq, p), p)
+        if len(a) > 1:
+            radical = _reduce(_mul(radical, a), p)
+            e = 1
+            while len(a) > 1:
+                f = _quo(f, a, p)
+                b = _gcd(f, a, p)
+                pairs += [(e, i)] * ((len(a) - len(b)) // i)
+                a, e = b, e + 1
+            xp, xq = _rem(xp, f, p), _rem(xq, f, p)
         i += 1
-    if f != [1]:
-        factors.append((f, len(f) - 1))
-    return factors
+    if len(f) > 1:
+        pairs.append((1, len(f) - 1))
+        radical = _reduce(_mul(radical, f), p)
+    return sorted(pairs), radical
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +225,8 @@ def _certified_irreducible(f, disc):
     for ell in _CERTIFICATE_PRIMES:
         if disc % ell:
             sums = {0}
-            for block, i in _ddf(_reduce(f, ell), ell):
-                for _ in range((len(block) - 1) // i):
-                    sums |= {s + i for s in sums}
+            for _, i in _factor_type(_reduce(f, ell), ell)[0]:
+                sums |= {s + i for s in sums}
             possible &= sums
             if not possible:
                 return True
@@ -323,48 +287,37 @@ def rationals():
     return NumberField((0, 1))
 
 
-def _index_coprime(f, p, parts):
+def _index_coprime(f, p, g):
     """True iff p does not divide [O_K : Z[x]/(f)], by Dedekind's index test.
 
-    `f` is the polynomial over Z, leading coefficient first, and `parts` its
-    squarefree decomposition mod p, [(g_k, k), ...].  The radical of f mod p
-    is g = prod g_k and its cofactor is h = prod g_k^(k-1); with both lifted
-    to Z[x] (here: the products over Z of the parts) and F = (g*h - f)/p, the
-    test asks gcd(Fbar, g, h) = 1.  The answer does not depend on the lifts.
+    `f` is the monic polynomial over Z, leading coefficient first, and `g`
+    the radical of f mod p, with cofactor h = (f mod p)/g.  With both lifted
+    to Z[x] (here: coefficients in [0, p)) and F = (g*h - f)/p, the test asks
+    gcd(Fbar, g, h) = 1.  The answer does not depend on the lifts.
     """
-    g, h = [1], [1]
-    for part, k in parts:
-        g = _mul(g, part)
-        for _ in range(k - 1):
-            h = _mul(h, part)
+    h = _quo(_reduce(f, p), g, p)
     gh = _mul(g, h)
     diff = [a - b for a, b in zip(gh, f)]
     if len(gh) != len(f) or any(c % p for c in diff):
         raise AssertionError("g*h - f should vanish mod p by construction")
     big_f = _reduce([c // p for c in diff], p)
-    return len(_gcd(_gcd(big_f, _reduce(g, p), p), _reduce(h, p), p)) <= 1
+    return len(_gcd(_gcd(big_f, g, p), h, p)) <= 1
 
 
 def decomposition_type(field, p):
     """The sorted (e_i, f_i) pairs of the primes above p.
 
-    A squarefree part of multiplicity e whose distinct-degree part of degree
-    f has n*f roots contributes n pairs (e, f).  Valid whenever p does not
-    divide the index of the equation order: either every e is 1 (for monic f
-    that is exactly p not dividing the discriminant), or the index test
-    certifies it.  Other primes raise UnsupportedRamifiedPrimeError
-    ("unsupported ramified prime").
+    An irreducible factor phi^e of the polynomial mod p contributes the pair
+    (e, deg phi).  Valid whenever p does not divide the index of the
+    equation order: either every e is 1 (for monic f that is exactly p not
+    dividing the discriminant), or the index test certifies it.  Other
+    primes raise UnsupportedRamifiedPrimeError ("unsupported ramified
+    prime").
     """
     _check_prime(p)
     poly = list(reversed(field.minpoly))
-    parts = _sqf_list(_reduce(poly, p), p)
-    pairs = sorted(
-        (e, i)
-        for part, e in parts
-        for block, i in _ddf(part, p)
-        for _ in range((len(block) - 1) // i)
-    )
-    if pairs[-1][0] > 1 and not _index_coprime(poly, p, parts):
+    pairs, radical = _factor_type(_reduce(poly, p), p)
+    if pairs[-1][0] > 1 and not _index_coprime(poly, p, radical):
         raise UnsupportedRamifiedPrimeError(
             f"unsupported ramified prime {p}: it divides the index of the equation order"
         )

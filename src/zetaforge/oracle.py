@@ -49,6 +49,8 @@ class LieLattice:
     def __post_init__(self):
         n = self.rank
         t = self.tensor
+        if n < 1:
+            raise ValueError(f"rank must be at least 1, got {n}")
         if len(t) != n or any(len(row) != n for row in t):
             raise ValueError("structure tensor must be rank x rank")
         for i in range(n):

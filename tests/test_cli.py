@@ -105,8 +105,8 @@ def test_decompose_refuses_reducible_field():
 
 
 def test_broken_polynomial_invariant_is_internal(monkeypatch):
-    # a derivative with a zero leading coefficient breaks the F_p[x] invariant
-    monkeypatch.setattr(numberfield, "_diff", lambda f, p: [0, 1])
+    # a polynomial with a zero leading coefficient breaks the F_p[x] invariant
+    monkeypatch.setattr(numberfield, "_minus_x", lambda g, p: [0, 1])
     result = run("decompose", "--minpoly", "1,0,1", "--p", "5")
     assert result.exit_code == 2
     assert "internal assertion failure" in result.output
@@ -239,6 +239,29 @@ def test_oracle_lattice_from_file(tmp_path):
     result = run("oracle", "--lattice", f"file:{path}", "--p", "2", "--k", "2")
     assert result.exit_code == 0
     assert json.loads(result.output)["count"] == 12
+
+
+def test_oracle_refuses_rank_zero_lattice(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"rank": 0}')
+    result = run("oracle", "--lattice", f"file:{path}", "--p", "2", "--k", "1")
+    assert result.exit_code == 1
+    assert "refused: rank must be at least 1" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["families", "--family", "abelian:2", "--d", "2"],
+    ["euler", "--family", "abelian:2", "--d", "2", "--minpoly", "1,0,1", "--p", "5"],
+    ["dirichlet", "--family", "abelian:2", "--d", "2", "--minpoly", "1,0,1", "--n", "4"],
+    ["abscissa", "--family", "abelian:3", "--d", "2"],
+], ids=lambda command: command[0])
+def test_abelian_beyond_d1_is_refused(command):
+    # Z^4 = O_K^2 for K = Q(i) has 15 subgroups of index 2, but the abelian
+    # W at d = 2 counts O_K-submodules and would print b_2 = 3
+    result = run(*command)
+    assert result.exit_code == 1
+    assert "refused: abelian:" in result.output
+    assert "supported only at d=1" in result.output
 
 
 def test_oracle_guard_is_a_refusal():

@@ -11,6 +11,8 @@ recorded from the implementation that factored f mod p completely and
 specialised a bivariate product of W(X^f, Y^f).  The cases cover split,
 inert and ramified primes (e = 2, 3, 4 and e = f = 2), primes the index test
 refuses (with and without a `--type` override), a formal form, and `bk`.
+The two abelian cases at d = 4 pin the refusal of abelian families at
+d >= 2 (exit 1).
 """
 
 import hashlib
@@ -105,7 +107,7 @@ COMMANDS = [
     ("euler --family lmn:2:3 --d 3 --minpoly 1,1,0,1 --p 31", 0, "82ab257c9621b690b1544cfb95bd4b6327207319247c453d65cc87aa80f1039a"),
     ("euler --family lmn:1:2 --d 4 --minpoly 1,1,1,1,1 --p 19", 0, "fb672311a7b832bf836c1bf8c4121507cc14f14bba9ccc8a18ab62df80ee60c0"),
     ("euler --family heisenberg:2 --d 4 --minpoly 3,0,1,0,1 --p 2", 0, "a6519cbf004ababf6461684becc2c1653cb6c693ed665f3f6f121f91c36cb38b"),
-    ("euler --family abelian:3 --d 4 --minpoly 1,1,1,1,1 --p 5", 0, "ade7dd86671f0614a3a0ce8088ca27f86e5edb22d3448496ac34228333b66f1b"),
+    ("euler --family abelian:3 --d 4 --minpoly 1,1,1,1,1 --p 5", 1, "87ec7dfc68154e816bd530d019615021c30c9175b84c5383079494e40f54ea53"),
     ("euler --family free:2:3 --d 2 --minpoly 1,0,1 --p 7", 0, "0b9d8abce2c61c3586fe8470105c2ccd11ff8b7a529428bfabc58dbf68756bd4"),
     ("euler --family maxclass:4 --d 3 --minpoly -2,0,0,1 --p 3", 0, "2a04ca074c6d2edcfe4689be6d670a0503355d4837bdf6ee3a67526936e3172f"),
     ("euler --family f4 --d 2 --minpoly 1,0,1 --p 13", 0, "61e7e74e5dda89959005f7234405b2f5135cbcae3b7090b680bceb38183aa7c8"),
@@ -123,7 +125,7 @@ COMMANDS = [
     ("dirichlet --family heisenberg:2 --d 1 --minpoly 0,1 --n 40", 0, "83519f1ce31bc1f49bbb2268a2dfdbbfa9ca28309ae1b18a822b3e60379f757b"),
     ("dirichlet --family heisenberg:2 --d 3 --minpoly -2,0,0,1 --n 40", 0, "5506239907bb4ca2c38b5667747b878c69acf1053056f6445133cbaabe353ff2"),
     ("dirichlet --family lmn:1:2 --d 3 --minpoly 1,1,0,1 --n 40", 0, "20f31b6691fbdfd371e4bcedc2e72e554743c69dcd9fb075f5d7b653fdaf109d"),
-    ("dirichlet --family abelian:2 --d 4 --minpoly 1,1,1,1,1 --n 60", 0, "b59dd00028cac989db40a3ebec2000e5cbf382926324d86f4e2dfd96507c56a4"),
+    ("dirichlet --family abelian:2 --d 4 --minpoly 1,1,1,1,1 --n 60", 1, "22aea4f903e851a42edeb0b7abea0769b212f3f6fb422c14f84d2f8e2af166fc"),
     ("dirichlet --family free:2:2 --d 2 --minpoly 1,0,1 --n 60", 0, "aa892209b15a0a2eedbb7f4d12770fcbfe8c79ffcd602d7e2154ec722d05c1c2"),
     ("dirichlet --family maxclass:3 --d 4 --minpoly 3,0,1,0,1 --n 40", 0, "7d7360f03731e758a2689d81eaecb80b5e883e9b22ef199e05f92ed965d0565a"),
     ("dirichlet --family q5 --d 2 --minpoly 1,0,1 --n 40", 0, "a32a52c17daec8ef6a76a2563d381c8f5dbe56e0b3faf450f499944ba29a74da"),

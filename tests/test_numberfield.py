@@ -1,7 +1,7 @@
 """Prime decomposition in monogenic fields, pinned on classical examples and
 checked against sympy (a test-only reference): its complete factorization
-over F_p, its squarefree and distinct-degree routines, its discriminant,
-primes and Möbius function."""
+over F_p (against which the factorization type and radical are checked),
+its discriminant, primes and Möbius function."""
 
 import random
 import time
@@ -12,12 +12,11 @@ from sympy import mobius as sympy_mobius
 from sympy.polys.densearith import dup_mul, dup_pow, dup_sub
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (
-    gf_ddf_zassenhaus,
     gf_degree,
     gf_factor,
     gf_from_int_poly,
     gf_gcd,
-    gf_sqf_list,
+    gf_mul,
 )
 
 from zetaforge import (
@@ -131,8 +130,8 @@ def random_monic(rng, p, degree):
 
 def powers_and_products(rng, p):
     """A monic polynomial of degree <= 8 built from repeated factors, raised
-    to the p-th power where p is small, so that the p-th-root branch of the
-    squarefree split runs."""
+    to the p-th power where p is small, so that factors of multiplicity
+    divisible by p are covered."""
     f = [1]
     for _ in range(rng.randint(1, 3)):
         g = random_monic(rng, p, rng.randint(1, 2))
@@ -142,22 +141,23 @@ def powers_and_products(rng, p):
     return f
 
 
-def test_sqf_and_ddf_match_sympy():
+def test_factor_type_matches_sympy():
     rng = random.Random(6)
-    roots_taken = 0
+    p_powers = 0
     for p in list(primerange(2, 60)) + [10007, 999983]:
         for trial in range(40):
             if trial % 2:
                 f = random_monic(rng, p, rng.randint(1, 8))
             else:
                 f = powers_and_products(rng, p)
-            parts = numberfield._sqf_list(f, p)
-            assert parts == gf_sqf_list(ZZ.map(f), p, ZZ)[1], (f, p)
-            roots_taken += any(k % p == 0 for _, k in parts)
-            for part, _ in parts:
-                got = numberfield._ddf(part, p)
-                assert got == gf_ddf_zassenhaus(ZZ.map(part), p, ZZ), (part, p)
-    assert roots_taken > 20
+            _, factors = gf_factor(ZZ.map(f), p, ZZ)
+            radical = [ZZ(1)]
+            for fac, _ in factors:
+                radical = gf_mul(radical, fac, p, ZZ)
+            want = sorted((k, len(fac) - 1) for fac, k in factors)
+            assert numberfield._factor_type(f, p) == (want, radical), (f, p)
+            p_powers += any(k % p == 0 for _, k in factors)
+    assert p_powers > 20
 
 
 def test_discriminant_matches_sympy():
