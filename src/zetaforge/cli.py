@@ -2,8 +2,9 @@
 
 Every command is pure input -> output.  Emission is byte-deterministic:
 sorted keys, compact separators, canonical term order, big integers as
-decimal strings.  Exit codes: 0 success, 1 refused input (domain errors and
-resource guards), 2 internal assertion failure.
+decimal strings.  Exit codes: 0 success, 1 refused input (an `InputError`,
+which every domain error derives from, or a resource guard), 2 any other
+exception, which is a fault of the program.
 
 `verify` is the acceptance gate: `SUITES` holds one suite per acceptance
 criterion, each over the criterion's full range, and tests/test_acceptance.py
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
+import traceback
 from fractions import Fraction
 from functools import wraps
 from math import gcd
@@ -21,20 +23,10 @@ from math import gcd
 import click
 
 from . import families as fam
-from .dirichlet import (
-    DegreeMismatchError,
-    GlobalExpansionError,
-    abscissa_from_shape,
-    global_coefficients,
-    local_factor,
-)
+from .dirichlet import abscissa_from_shape, global_coefficients, local_factor
 from .families import UnsupportedFamilyError, make_W, parse_family, weight
-from .laurent import DegenerateSpecializationError, ResourceGuardError
-from .numberfield import (
-    NumberField,
-    UnsupportedRamifiedPrimeError,
-    decomposition_type,
-)
+from .laurent import InputError, ResourceGuardError
+from .numberfield import NumberField, decomposition_type
 from .oracle import (
     abelian_lattice,
     count_proisomorphic,
@@ -53,15 +45,7 @@ from .symmetry import (
 
 SCHEMA = "zetaforge/1"
 
-_REFUSALS = (
-    UnsupportedFamilyError,
-    UnsupportedRamifiedPrimeError,
-    DegreeMismatchError,
-    GlobalExpansionError,
-    DegenerateSpecializationError,
-    ResourceGuardError,
-    ValueError,
-)
+_REFUSALS = (InputError, ResourceGuardError)
 
 
 def _emit(payload):
@@ -78,6 +62,10 @@ def _guarded(fn):
             sys.exit(1)
         except AssertionError as exc:
             click.echo(f"internal assertion failure: {exc}", err=True)
+            sys.exit(2)
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            click.echo(traceback.format_exc(), err=True, nl=False)
             sys.exit(2)
 
     return wrapper
@@ -98,7 +86,7 @@ def _parse_field(text):
     try:
         coeffs = tuple(int(c) for c in text.split(","))
     except ValueError:
-        raise ValueError(f"--minpoly wants comma-separated integers, got {text!r}")
+        raise InputError(f"--minpoly wants comma-separated integers, got {text!r}")
     return NumberField(coeffs)
 
 
@@ -108,7 +96,7 @@ def _parse_type(text):
         try:
             e, f = (int(x) for x in chunk.split(","))
         except ValueError:
-            raise ValueError(
+            raise InputError(
                 f"--type wants semicolon-separated e,f integer pairs, got {chunk!r}"
             )
         pairs.append((e, f))
@@ -117,14 +105,21 @@ def _parse_type(text):
 
 def _parse_lattice(text):
     if text.startswith("file:"):
-        with open(text[5:], encoding="utf-8") as handle:
-            return lattice_from_json(handle.read())
+        try:
+            with open(text[5:], encoding="utf-8") as handle:
+                data = handle.read()
+        except OSError as exc:
+            raise InputError(str(exc)) from exc
+        return lattice_from_json(data)
     parts = text.split(":")
-    if parts[0] == "heisenberg" and len(parts) == 2:
-        return heisenberg_lattice(int(parts[1]))
-    if parts[0] == "abelian" and len(parts) == 2:
-        return abelian_lattice(int(parts[1]))
-    raise ValueError(
+    makers = {"heisenberg": heisenberg_lattice, "abelian": abelian_lattice}
+    if parts[0] in makers and len(parts) == 2:
+        try:
+            size = int(parts[1])
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        return makers[parts[0]](size)
+    raise InputError(
         f"--lattice wants heisenberg:m, abelian:n or file:<path>, got {text!r}"
     )
 

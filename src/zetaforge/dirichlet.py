@@ -14,17 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, _divide_geometric
+from .laurent import InputError, LaurentPoly, _divide_geometric
 from .families import make_W
 from .numberfield import UnsupportedRamifiedPrimeError, decomposition_type
 from .primes import primes_upto
 
 
-class DegreeMismatchError(ValueError):
+class DegreeMismatchError(InputError):
     """The field degree does not match the base-extension parameter d."""
 
 
-class GlobalExpansionError(ValueError):
+class GlobalExpansionError(InputError):
     """A prime in range could not be handled; the whole expansion is refused."""
 
 
@@ -48,7 +48,7 @@ class LocalFactor:
         c q^i t^(f j), and (1 - X^a Y^b) becomes (1 - q^a t^(f b)).
         """
         if w.is_formal:
-            raise ValueError(
+            raise InputError(
                 "local factor undefined: a denominator factor does not vanish "
                 "in positive Y-degree, so the form has no Dirichlet expansion"
             )
@@ -101,12 +101,12 @@ def local_factor(family, d, field, p, pairs=None):
     else:
         for pair in pairs:
             if len(pair) != 2 or not all(isinstance(x, int) and x >= 1 for x in pair):
-                raise ValueError(
+                raise InputError(
                     f"decomposition type wants pairs of integers e, f >= 1, got {pair!r}"
                 )
         total = sum(e * f for e, f in pairs)
         if total != field.degree:
-            raise ValueError(
+            raise InputError(
                 f"decomposition type has sum of e*f = {total}, "
                 f"but the field degree is {field.degree}"
             )
@@ -121,7 +121,7 @@ def global_coefficients(family, d, field, limit):
     the whole computation with a clear message.
     """
     if limit < 1:
-        raise ValueError("limit must be >= 1")
+        raise InputError("limit must be >= 1")
     if field.degree != d:
         raise DegreeMismatchError(
             f"field degree {field.degree} != extension parameter d={d}"
@@ -168,9 +168,9 @@ class ShapeAbscissa:
 
 def abscissa_from_shape(w):
     if not w.denominator:
-        raise ValueError("no denominator factors: no pole to read off")
+        raise InputError("no denominator factors: no pole to read off")
     if w.is_formal:
-        raise ValueError(
+        raise InputError(
             "abscissa undefined: a denominator factor does not vanish in "
             "positive Y-degree, so the series does not converge anywhere"
         )

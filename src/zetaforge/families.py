@@ -1,12 +1,14 @@
 """Closed-form local factors W(X, Y) for the supported lattice families.
 
 Each constructor returns the rational function exactly as displayed, with the
-denominator kept as a factor multiset and no simplification.  The descent-sum
-numerators (heisenberg, lmn, and the pre-collapse hyperoctahedral sum) all come
-from signed_perms.descent_sum with a per-descent monomial table.  The
-bookkeeping variable of the hyperoctahedral sum is exposed separately via
-bruhat_gsp_sum, so the collapse can be confirmed against the symmetric-group
-form by cross-multiplication.
+denominator kept as a factor multiset and no simplification.  The heisenberg
+and lmn numerators are symmetric-group descent sums with a per-descent
+monomial table; `descent_form` builds them from the descent-set recurrence
+without visiting any permutation.  Enumeration is kept for the checks: the
+pre-collapse hyperoctahedral sum, `bruhat_gsp_sum`, walks all of B_m through
+signed_perms.descent_sum, with its bookkeeping variable exposed separately so
+the collapse can be confirmed against the symmetric-group form by
+cross-multiplication, and the tests compare `descent_form` with the S_n walk.
 
 Degree-d base extension enters only through the X-exponents; d >= 1 always.
 """
@@ -15,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
-from .laurent import EulerForm, LaurentPoly, ResourceGuardError
+from .laurent import EulerForm, InputError, LaurentPoly, ResourceGuardError
 from .primes import mobius
-from .signed_perms import b_monomials, descent_sum, enumerate_B, enumerate_S
+from .signed_perms import b_monomials, descent_sum
 
 MAX_HEISENBERG_M = 8
 MAX_FREE_C = 6
@@ -30,7 +33,7 @@ MAX_BRUHAT_M = 5
 KINDS = ("abelian", "free", "heisenberg", "lmn", "maxclass", "f4", "q5", "bk")
 
 
-class UnsupportedFamilyError(ValueError):
+class UnsupportedFamilyError(InputError):
     pass
 
 
@@ -45,13 +48,13 @@ class Family:
 
 def abelian(n):
     if n < 1:
-        raise ValueError("abelian rank must be >= 1")
+        raise InputError("abelian rank must be >= 1")
     return Family("abelian", (n,))
 
 
 def free(c, g):
     if c < 2 or g < 1:
-        raise ValueError("free nilpotent family needs class >= 2, generators >= 1")
+        raise InputError("free nilpotent family needs class >= 2, generators >= 1")
     if c > MAX_FREE_C or g > MAX_FREE_G:
         raise ResourceGuardError(
             f"free family capped at c <= {MAX_FREE_C}, g <= {MAX_FREE_G}"
@@ -61,7 +64,7 @@ def free(c, g):
 
 def heisenberg(m):
     if m < 1:
-        raise ValueError("heisenberg index must be >= 1")
+        raise InputError("heisenberg index must be >= 1")
     if m > MAX_HEISENBERG_M:
         raise ResourceGuardError(f"heisenberg family capped at m <= {MAX_HEISENBERG_M}")
     return Family("heisenberg", (m,))
@@ -69,7 +72,7 @@ def heisenberg(m):
 
 def lmn(m, n):
     if m < 1 or n < 2:
-        raise ValueError("lmn family needs m >= 1, n >= 2")
+        raise InputError("lmn family needs m >= 1, n >= 2")
     if m + n > MAX_LMN_TOTAL:
         raise ResourceGuardError(f"lmn family capped at m + n <= {MAX_LMN_TOTAL}")
     return Family("lmn", (m, n))
@@ -77,7 +80,7 @@ def lmn(m, n):
 
 def maxclass(c):
     if c < 2:
-        raise ValueError("maximal-class family needs c >= 2")
+        raise InputError("maximal-class family needs c >= 2")
     return Family("maxclass", (c,))
 
 
@@ -104,10 +107,14 @@ def parse_family(text):
     parts = text.strip().lower().split(":")
     kind, args = parts[0], parts[1:]
     if kind not in _MAKERS:
-        raise ValueError(f"unknown family {kind!r}; expected one of {', '.join(KINDS)}")
+        raise InputError(f"unknown family {kind!r}; expected one of {', '.join(KINDS)}")
     if len(args) != _ARITY[kind]:
-        raise ValueError(f"family {kind!r} takes {_ARITY[kind]} parameter(s), got {len(args)}")
-    return _MAKERS[kind](*(int(a) for a in args))
+        raise InputError(f"family {kind!r} takes {_ARITY[kind]} parameter(s), got {len(args)}")
+    try:
+        params = [int(a) for a in args]
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    return _MAKERS[kind](*params)
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +150,62 @@ def descent_form(monomials):
     and denominator prod_{i=0}^{n} (1 - M_i), for M_i = X^{a_i} Y^{b_i}.
 
     `monomials` is the ordered list (a_0, b_0), ..., (a_n, b_n); descents of
-    S_n only ever touch indices 1..n-1.  The numerator is
-    `signed_perms.descent_sum` over S_n with this table.
+    S_n only ever touch indices 1..n-1.  The numerator comes from the
+    descent-set formula (Stanley, EC1 1.4): with q = X^{-1}, the windows whose
+    descent set lies in T contribute the q-multinomial [n; comp(T)]_q, so the
+    sum is sum_T [n; comp(T)]_q prod_{i in T} M_i prod_{i notin T} (1 - M_i).
+    Summed by last cut, G_0 = 1 and
+
+        G_j = sum_{i<j} G_i [j choose i]_q M_i^{[i>0]} prod_{i<l<j} (1 - M_l),
+
+    and the numerator is G_n: O(n^2) products instead of n! windows.
+    `signed_perms.descent_sum` over S_n is the enumerating reference.
     """
-    num = descent_sum(enumerate_S(len(monomials) - 1), monomials)
+    n = len(monomials) - 1
+    cuts = [{(0, 0): 1}] + [{} for _ in range(n)]
+    for i in range(n):
+        # run = G_i M_i^{[i>0]} prod_{i<l<j} (1 - M_l), for j = i+1, ..., n
+        if i:
+            a, b = monomials[i]
+            run = {(x + a, y + b): c for (x, y), c in cuts[i].items()}
+        else:
+            run = dict(cuts[0])
+        for j in range(i + 1, n + 1):
+            if j > i + 1:
+                run = _times_one_minus(run, monomials[j - 1])
+            target = cuts[j]
+            for k, coeff in _q_binomial(j, i):
+                for (x, y), c in run.items():
+                    key = (x - k, y)
+                    target[key] = target.get(key, 0) + coeff * c
+    num = LaurentPoly(cuts[n])
     # formal=True: interior exponents of some large instances leave the
     # series-expandable cone (Y-exponent <= 0); the descent sum is still a
     # well-defined rational function and is stored verbatim.
     return EulerForm(num, monomials, descent_data=tuple(monomials), formal=True)
+
+
+def _times_one_minus(terms, monomial):
+    """The product of the polynomial `terms` with 1 - X^a Y^b."""
+    a, b = monomial
+    out = dict(terms)
+    for (x, y), c in terms.items():
+        key = (x + a, y + b)
+        out[key] = out.get(key, 0) - c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _q_binomial(n, k):
+    """[n choose k]_q as pairs (e, coefficient of q^e), by q-Pascal."""
+    if k == 0 or k == n:
+        return ((0, 1),)
+    coeffs = [0] * (k * (n - k) + 1)
+    for e, c in _q_binomial(n - 1, k - 1):
+        coeffs[e] += c
+    for e, c in _q_binomial(n - 1, k):
+        coeffs[e + k] += c
+    return tuple(enumerate(coeffs))
 
 
 def lmn_monomials(m, n, d):
@@ -187,7 +242,7 @@ def lmn_monomials(m, n, d):
 def make_W(family, d):
     """The exact local factor W(X, Y) of the given family at extension degree d."""
     if d < 1:
-        raise ValueError("extension degree d must be >= 1")
+        raise InputError("extension degree d must be >= 1")
     kind, p = family.kind, family.params
     if kind == "abelian":
         n = p[0]
@@ -242,7 +297,7 @@ def bruhat_gsp_sum(m):
     if m > MAX_BRUHAT_M:
         raise ResourceGuardError(f"bruhat sum capped at m <= {MAX_BRUHAT_M}")
     monos = b_monomials(m)
-    return EulerForm(descent_sum(enumerate_B(m), monos), monos)
+    return EulerForm(descent_sum(m, monos, signed=True), monos)
 
 
 def heisenberg_from_bruhat(m, d):
@@ -284,7 +339,7 @@ def weight(family):
 def abscissa(family, d):
     """Abscissa of convergence of the global zeta function, as an exact rational."""
     if d < 1:
-        raise ValueError("extension degree d must be >= 1")
+        raise InputError("extension degree d must be >= 1")
     kind, p = family.kind, family.params
     if kind == "abelian":
         return Fraction(p[0])
@@ -298,7 +353,7 @@ def abscissa(family, d):
     if kind == "lmn":
         pairs = lmn_monomials(*p, d)
         if any(g <= 0 for _, g in pairs):
-            raise ValueError(
+            raise InputError(
                 f"abscissa undefined for {family}: denominator exponent data "
                 "includes a non-positive Y-exponent, so the series does not converge"
             )

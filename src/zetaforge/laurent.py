@@ -17,7 +17,12 @@ class ResourceGuardError(RuntimeError):
     """Raised when an operation exceeds its documented size bound."""
 
 
-class DegenerateSpecializationError(ValueError):
+class InputError(ValueError):
+    """Raised when the input is outside what the program answers: a refusal,
+    as opposed to a fault of the program itself.  The CLI maps it to exit 1."""
+
+
+class DegenerateSpecializationError(InputError):
     """Raised when a specialization (e.g. X=1) kills a numerator."""
 
 
@@ -288,7 +293,7 @@ class EulerForm:
             raise ValueError("order must be >= 0")
         if self.is_formal:
             a, b = min(self.denominator, key=lambda f: f[1])
-            raise ValueError(
+            raise InputError(
                 f"series expansion undefined: denominator factor "
                 f"(1 - X^{a} Y^{b}) does not vanish in positive Y-degree"
             )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import EulerForm, ResourceGuardError
+from .laurent import EulerForm, InputError, ResourceGuardError
 from .primes import is_prime, primes_upto
 
 MAX_PRIME = 10**6
@@ -29,7 +29,7 @@ MAX_PRIME = 10**6
 _CERTIFICATE_PRIMES = primes_upto(100)
 
 
-class UnsupportedRamifiedPrimeError(ValueError):
+class UnsupportedRamifiedPrimeError(InputError):
     """The prime divides the index of the equation order; no type is computed."""
 
 
@@ -37,7 +37,7 @@ def _check_prime(p):
     if p > MAX_PRIME:
         raise ResourceGuardError(f"primes capped at {MAX_PRIME}, got {p}")
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +259,23 @@ class NumberField:
         coeffs = tuple(int(c) for c in self.minpoly)
         object.__setattr__(self, "minpoly", coeffs)
         if len(coeffs) < 2 or coeffs[-1] != 1:
-            raise ValueError("minimal polynomial must be monic of degree >= 1")
+            raise InputError("minimal polynomial must be monic of degree >= 1")
         if self.degree > 1:
             if coeffs[0] == 0:
-                raise ValueError("reducible: x divides the polynomial")
+                raise InputError("reducible: x divides the polynomial")
             disc = discriminant(coeffs)
             if disc == 0:
-                raise ValueError("not squarefree")
+                raise InputError("not squarefree")
             if not _certified_irreducible(list(reversed(coeffs)), disc):
                 factors = _factor_over_q(coeffs)
                 roots = [-fac[0] for fac in factors if len(fac) == 2]
                 if roots:
                     root = min(roots, key=lambda r: (abs(r), r < 0))
-                    raise ValueError(f"reducible: integer root {root}")
+                    raise InputError(f"reducible: integer root {root}")
                 if len(factors) > 1:
                     least = min(factors, key=lambda fac: (len(fac), fac))
                     csv = ",".join(map(str, least))
-                    raise ValueError(f"reducible: factor {csv} divides the polynomial")
+                    raise InputError(f"reducible: factor {csv} divides the polynomial")
 
     @property
     def degree(self):

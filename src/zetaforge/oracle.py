@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd
 
-from .laurent import ResourceGuardError
+from .laurent import InputError, ResourceGuardError
 
 MAX_ENUM_RANK = 6
 ENUM_PRIMES = (2, 3, 5)
@@ -50,15 +50,15 @@ class LieLattice:
         n = self.rank
         t = self.tensor
         if n < 1:
-            raise ValueError(f"rank must be at least 1, got {n}")
+            raise InputError(f"rank must be at least 1, got {n}")
         if len(t) != n or any(len(row) != n for row in t):
-            raise ValueError("structure tensor must be rank x rank")
+            raise InputError("structure tensor must be rank x rank")
         for i in range(n):
             for j in range(n):
                 if len(t[i][j]) != n:
-                    raise ValueError("bracket vectors must have length rank")
+                    raise InputError("bracket vectors must have length rank")
                 if any(t[i][j][l] != -t[j][i][l] for l in range(n)):
-                    raise ValueError("structure tensor is not antisymmetric")
+                    raise InputError("structure tensor is not antisymmetric")
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
@@ -70,7 +70,7 @@ class LieLattice:
                                 for r in range(n):
                                     jac[r] += inner[l] * t[l][c][r]
                     if any(jac):
-                        raise ValueError(f"Jacobi identity fails on ({i},{j},{k})")
+                        raise InputError(f"Jacobi identity fails on ({i},{j},{k})")
 
     def bracket(self, u, w):
         n = self.rank
@@ -134,26 +134,37 @@ def heisenberg_lattice(m):
 def lattice_from_dict(data):
     """{"rank": n, "brackets": [[i, j, [c_1..c_n]], ...]} with 1-indexed i<j;
     omitted brackets are zero, antisymmetry is filled in."""
-    n = int(data["rank"])
+    try:
+        n = int(data["rank"])
+        brackets = [
+            (int(i) - 1, int(j) - 1, [int(c) for c in vec])
+            for i, j, vec in data.get("brackets", ())
+        ]
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"malformed lattice data: {exc!r}") from exc
     t = [[[0] * n for _ in range(n)] for _ in range(n)]
     seen = set()
-    for entry in data.get("brackets", ()):
-        i, j, vec = entry
-        i, j = int(i) - 1, int(j) - 1
+    for i, j, vec in brackets:
         if not (0 <= i < j < n):
-            raise ValueError(f"bracket indices must satisfy 1 <= i < j <= {n}")
+            raise InputError(f"bracket indices must satisfy 1 <= i < j <= {n}")
         if (i, j) in seen:
-            raise ValueError(f"duplicate bracket ({i + 1},{j + 1})")
+            raise InputError(f"duplicate bracket ({i + 1},{j + 1})")
         seen.add((i, j))
         if len(vec) != n:
-            raise ValueError("bracket coefficient vectors must have length rank")
-        t[i][j] = [int(c) for c in vec]
-        t[j][i] = [-int(c) for c in vec]
+            raise InputError("bracket coefficient vectors must have length rank")
+        t[i][j] = vec
+        t[j][i] = [-c for c in vec]
     return LieLattice(n, _freeze(t))
 
 
 def lattice_from_json(text):
-    return lattice_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    return lattice_from_dict(data)
 
 
 def _check_enum_guards(n, p, k):
@@ -164,7 +175,7 @@ def _check_enum_guards(n, p, k):
     if k > MAX_ENUM_K:
         raise ResourceGuardError(f"enumeration index exponent capped at {MAX_ENUM_K}")
     if k < 0:
-        raise ValueError("index exponent must be nonnegative")
+        raise InputError("index exponent must be nonnegative")
 
 
 def _compositions_colex(total, parts):
@@ -567,7 +578,7 @@ def _isomorphism_search(cl, cm, p, target):
 def _generic_verdict(lattice, basis, p, k, c_safety):
     n = lattice.rank
     if n > MAX_GENERIC_RANK:
-        raise ValueError(
+        raise InputError(
             f"no exact criterion for this lattice and rank > {MAX_GENERIC_RANK}"
         )
     target = k + c_safety

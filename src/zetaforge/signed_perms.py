@@ -4,15 +4,20 @@ exhaustive identity checks.
 Elements of the hyperoctahedral group B_m are handled in window notation as
 tuples of nonzero integers whose absolute values permute 1..m.  The symmetric
 group S_m sits inside B_m as the all-positive windows and shares its
-statistics.  `descent_sum` is the one routine that turns group elements and a
-per-descent monomial table into a polynomial.  The two exhaustive verifiers at
-the bottom confirm, by direct enumeration, the polynomial identity that
-collapses a B_m descent sum to an S_m descent sum times a product of
-binomial-exponent factors, and the involution bookkeeping it rests on.
+statistics.  `descent_sum(m, monomials, signed)` turns a whole B_m (or S_m)
+and a per-descent monomial table into a polynomial: one depth-first walk over
+the group tallies the windows by (length, descent set), extending each prefix
+by one entry, and the table is applied once per distinct tally key.  `stats`
+is the per-window definition of the same statistics.  The walk still visits
+every window, so the two exhaustive verifiers at the bottom remain brute-force
+checks of the polynomial identity that collapses a B_m descent sum to an S_m
+descent sum times a product of binomial-exponent factors, and of the
+involution bookkeeping it rests on.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import comb
@@ -102,46 +107,87 @@ def eta(j, w):
     m = len(w)
     if not 1 <= j <= m:
         raise ValueError(f"j must lie in 1..{m}")
-    support = sorted(abs(w[k]) for k in range(j))
-    # c_k -> -c_{j+1-k}, extended oddly: w_j(-x) = -w_j(x).
-    move = {c: -support[j - 1 - idx] for idx, c in enumerate(support)}
-    out = []
-    for k in range(m):
-        v = w[k]
-        if abs(v) in move:
-            out.append(move[abs(v)] if v > 0 else -move[abs(v)])
-        else:
-            out.append(v)
-    return tuple(out)
+    head = w[:j]
+    support = sorted(map(abs, head))
+    # c_k -> -c_{j+1-k}, extended oddly: w_j(-x) = -w_j(x).  The support is
+    # exactly the first j absolute values, so later positions stay put.
+    move = dict(zip(support, [-c for c in reversed(support)]))
+    return tuple([move[v] if v > 0 else -move[-v] for v in head]) + tuple(w[j:])
 
 
 def satisfies_property_p(j, w):
     """Property (P_j): for j < m, w(j) < 0 iff w(j+1) lies strictly between
     w(j) and (eta_j w)(j); property (P_m) is simply w(m) > 0."""
-    m = len(w)
-    if j == m:
-        return w[m - 1] > 0
-    a, c = w[j - 1], w[j]
-    b = eta(j, w)[j - 1]
-    between = min(a, b) < c < max(a, b)
-    return (a < 0) == between
+    return _property_p(j, w, eta(j, w))
 
 
-def descent_sum(windows, monomials):
-    """Sum over the windows w of X^{-l(w)} prod_{i in Des(w)} M_i, where
-    M_i = X^{a_i} Y^{b_i} is entry i of `monomials` and Des(w) is the descent
-    set of `stats` (position 0 is a descent iff the first entry is negative)."""
-    return LaurentPoly.collect((_descent_monomial(w, monomials), 1) for w in windows)
+def _property_p(j, w, eta_w):
+    """(P_j) of w, given its partner eta_w = eta_j(w)."""
+    if j == len(w):
+        return w[j - 1] > 0
+    a, b, c = w[j - 1], eta_w[j - 1], w[j]
+    return (a < 0) == (min(a, b) < c < max(a, b))
+
+
+def descent_tally(m, signed):
+    """Counter of (length, des_mask) over the windows of B_m (signed=True) or
+    S_m (signed=False), with the statistics of `stats`.
+
+    A depth-first walk places the window left to right and visits every
+    window.  Appending v = +a or -a at position k adds the pairs it closes
+    with the prefix: its inversions, and its negative-sum pairs (itself
+    included).  Their number depends only on a, k and the count i of unused
+    values below a: +a adds the prefix entries of absolute value above a,
+    that is (m - a) - (unused values above a); -a adds every prefix entry
+    once, those of absolute value below a once more, and itself, that is
+    k + (a - 1 - i) + 1.  Bit k is set when the previous entry (0 before
+    position 0) exceeds v.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > MAX_ENUM_M:
+        raise ResourceGuardError(f"B_m enumeration capped at m={MAX_ENUM_M}, got {m}")
+    tally = Counter()
+
+    def extend(k, unused, last, length, mask):
+        if k == m:
+            tally[length, mask] += 1
+            return
+        others = m - k - 1  # unused values besides a; others - i lie above it
+        for i, a in enumerate(unused):
+            rest = unused[:i] + unused[i + 1:]
+            up = (m - a) - (others - i)
+            extend(k + 1, rest, a, length + up, mask | (last > a) << k)
+            if signed:
+                extend(k + 1, rest, -a, length + k + a - i, mask | (last > -a) << k)
+
+    extend(0, tuple(range(1, m + 1)), 0, 0, 0)
+    return tally
+
+
+def descent_sum(m, monomials, signed):
+    """Sum over the windows w of B_m (signed=True) or S_m (signed=False) of
+    X^{-l(w)} prod_{i in Des(w)} M_i, where M_i = X^{a_i} Y^{b_i} is entry i
+    of `monomials` and Des(w) is the descent set of `stats` (position 0 is a
+    descent iff the first entry is negative)."""
+    return LaurentPoly.collect(
+        (_mask_monomial(length, mask, monomials), count)
+        for (length, mask), count in descent_tally(m, signed).items()
+    )
+
+
+def _mask_monomial(length, mask, monomials):
+    xe, ye = -length, 0
+    for i, (a, b) in enumerate(monomials):
+        if mask >> i & 1:
+            xe += a
+            ye += b
+    return xe, ye
 
 
 def _descent_monomial(w, monomials):
     st = stats(w)
-    xe, ye = -st.length, 0
-    for i in range(len(w)):
-        if st.des_mask >> i & 1:
-            xe += monomials[i][0]
-            ye += monomials[i][1]
-    return xe, ye
+    return _mask_monomial(st.length, st.des_mask, monomials)
 
 
 def b_monomials(m):
@@ -160,12 +206,12 @@ def s_monomials(m):
 
 def b_descent_sum(m):
     """Sum over B_m of X^{(sigma_C - length)(w)} Y^{(2 des - eps1)(w)}."""
-    return descent_sum(enumerate_B(m), b_monomials(m))
+    return descent_sum(m, b_monomials(m), signed=True)
 
 
 def s_descent_sum(m):
     """Sum over S_m of X^{(sigma_A - length + rbin)(sigma)} Y^{des(sigma)}."""
-    return descent_sum(enumerate_S(m), s_monomials(m))
+    return descent_sum(m, s_monomials(m), signed=False)
 
 
 def verify_bm_identity(m):
@@ -190,22 +236,28 @@ def verify_bm_identity(m):
 def verify_sublemma(m):
     """Check, for every w in B_m and j in [m], that exactly one of {w, eta_j w}
     satisfies (P_j), and that when w does, the monomial of eta_j w is the
-    monomial of w shifted by X^{C(m+1,2)-C(j+1,2)} Y."""
+    monomial of w shifted by X^{C(m+1,2)-C(j+1,2)} Y.
+
+    Each window's monomial is computed once.  For each (w, j) the partners
+    v = eta_j(w) and u = eta_j(v) are computed once each: (P_j) of w reads v,
+    (P_j) of v reads u, and the pair checked is (w, v) or (v, u).
+    """
     if m > MAX_SUBLEMMA_M:
         raise ResourceGuardError(
             f"sublemma verification capped at m={MAX_SUBLEMMA_M}, got {m}"
         )
     table = b_monomials(m)
-    for w in enumerate_B(m):
+    monomial = {w: _descent_monomial(w, table) for w in enumerate_B(m)}
+    top = comb(m + 1, 2)
+    for w in monomial:
         for j in range(1, m + 1):
             v = eta(j, w)
-            pw, pv = satisfies_property_p(j, w), satisfies_property_p(j, v)
+            u = eta(j, v)
+            pw, pv = _property_p(j, w, v), _property_p(j, v, u)
             if pw == pv:
                 return False
-            good = w if pw else v
-            other = eta(j, good)
-            gx, gy = _descent_monomial(good, table)
-            ox, oy = _descent_monomial(other, table)
-            if (ox - gx, oy - gy) != (comb(m + 1, 2) - comb(j + 1, 2), 1):
+            gx, gy = monomial[w] if pw else monomial[v]
+            ox, oy = monomial[v] if pw else monomial[u]
+            if (ox - gx, oy - gy) != (top - comb(j + 1, 2), 1):
                 return False
     return True

@@ -264,6 +264,55 @@ def test_abelian_beyond_d1_is_refused(command):
     assert "supported only at d=1" in result.output
 
 
+def test_internal_value_error_is_not_a_refusal(monkeypatch):
+    def broken(f, p):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(numberfield, "_factor_type", broken)
+    result = run("decompose", "--minpoly", "1,0,1", "--p", "5")
+    assert result.exit_code == 2
+    assert "internal error: ValueError: boom" in result.output
+    assert "refused" not in result.output
+
+
+REFUSED_INPUT = [
+    (["families", "--family", "heisenberg:x"], "invalid literal for int()"),
+    (["families", "--family", "heisenberg:2", "--d", "0"], "extension degree d must be >= 1"),
+    (["families", "--family", "lmn:1:1"], "lmn family needs m >= 1, n >= 2"),
+    (["abscissa", "--family", "lmn:4:2"], "abscissa undefined"),
+    (["decompose", "--minpoly", "1,0,2", "--p", "5"], "monic"),
+    (["decompose", "--minpoly", "1,0,1", "--p", "4"], "4 is not prime"),
+    (["dirichlet", "--family", "heisenberg:1", "--minpoly", "0,1", "--n", "0"], "limit must be >= 1"),
+    (["oracle", "--lattice", "heisenberg:x", "--p", "2", "--k", "1"], "invalid literal for int()"),
+    (["oracle", "--lattice", "abelian:2", "--p", "2", "--k", "-1"], "index exponent must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("command, message", REFUSED_INPUT,
+                         ids=[" ".join(command) for command, _ in REFUSED_INPUT])
+def test_validators_refuse_with_exit_1(command, message):
+    result = run(*command)
+    assert result.exit_code == 1
+    assert result.output.startswith("refused:")
+    assert message in result.output
+
+
+@pytest.mark.parametrize("content", ["{not json", '{"brackets": []}', "[1, 2]",
+                                     '{"rank": 2, "brackets": [[1, 2]]}'])
+def test_malformed_lattice_file_is_refused(tmp_path, content):
+    path = tmp_path / "lattice.json"
+    path.write_text(content)
+    result = run("oracle", "--lattice", f"file:{path}", "--p", "2", "--k", "1")
+    assert result.exit_code == 1
+    assert result.output.startswith("refused:")
+
+
+def test_missing_lattice_file_is_refused(tmp_path):
+    result = run("oracle", "--lattice", f"file:{tmp_path / 'absent.json'}", "--p", "2", "--k", "1")
+    assert result.exit_code == 1
+    assert result.output.startswith("refused:")
+
+
 def test_oracle_guard_is_a_refusal():
     result = run("oracle", "--lattice", "abelian:2", "--p", "7", "--k", "1")
     assert result.exit_code == 1

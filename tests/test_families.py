@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaforge import (
     UnsupportedFamilyError,
@@ -21,8 +23,10 @@ from zetaforge import (
     q5,
     weight,
 )
-from zetaforge.families import free_alpha_beta, lmn_monomials, witt_rank
+from zetaforge import families, signed_perms
+from zetaforge.families import descent_form, free_alpha_beta, lmn_monomials, witt_rank
 from zetaforge.laurent import LaurentPoly, ResourceGuardError
+from zetaforge.signed_perms import descent_sum
 
 
 def test_parse_family_round_trips():
@@ -105,6 +109,47 @@ def test_bruhat_sum_m1_by_hand():
     form = bruhat_gsp_sum(1)
     assert form.numerator == LaurentPoly({(0, 0): 1, (0, 1): 1})
     assert form.denominator == ((0, 2), (1, 1))
+
+
+def _enumerated(monomials):
+    return descent_sum(len(monomials) - 1, monomials, signed=False)
+
+
+DESCENT_FAMILIES = [heisenberg(m) for m in range(1, 8)] + [
+    lmn(m, n) for n in range(2, 8) for m in range(1, 11 - n)
+]
+
+
+@pytest.mark.parametrize("family", DESCENT_FAMILIES, ids=str)
+def test_descent_recurrence_matches_enumeration(family):
+    for d in (1, 2, 3):
+        w = make_W(family, d)
+        assert w.numerator == _enumerated(w.descent_data)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, 12), st.integers(-4, 4)),
+            min_size=n + 1,
+            max_size=n + 1,
+        )
+    )
+)
+def test_descent_recurrence_on_random_tables(monomials):
+    assert descent_form(monomials).numerator == _enumerated(monomials)
+
+
+def test_descent_form_does_not_enumerate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("descent_form must not enumerate windows")
+
+    for name in ("enumerate_S", "enumerate_B", "stats", "descent_tally"):
+        monkeypatch.setattr(signed_perms, name, refuse)
+    monkeypatch.setattr(families, "descent_sum", refuse)
+    assert make_W(heisenberg(8), 1).numerator
+    assert make_W(lmn(1, 9), 2).numerator
 
 
 def test_lmn_small_instance():

@@ -1,10 +1,12 @@
 """Byte-identity of CLI output: sha256 of the JSON (or refusal) it prints.
 
 `DIGESTS` pins the `families` JSON of the descent-sum families.  The digests
-were recorded from the enumerating implementation, so any change to how the
-descent sums are built must reproduce every numerator term, coefficient and
-denominator factor exactly.  The lmn cases with large n include formal forms
-(a denominator factor with Y-exponent <= 0).
+were recorded from the implementation that summed over every permutation of
+S_n, so any change to how the descent sums are built must reproduce every
+numerator term, coefficient and denominator factor exactly.  They run up to
+the largest sizes the family guards admit (heisenberg:8, lmn with n = 8, 9).
+The lmn cases with large n include formal forms (a denominator factor with
+Y-exponent <= 0).
 
 `COMMANDS` pins `decompose`, `euler`, `dirichlet` and `abscissa` output,
 recorded from the implementation that factored f mod p completely and
@@ -79,6 +81,14 @@ DIGESTS = {
     ("lmn:2:6", 2): "77d4f6b4cf9818decc05d3364ed9a23523b5d867fd2567db36d8cfa268e22ecc",
     ("lmn:1:7", 1): "4d910a66395bb790e0ebeb7df44518ee1bf8a1f97b21c8a1ff6f603baa79d663",
     ("lmn:1:7", 2): "0bbce2e553dfed7107c425ffacc331556d24d2693d6c32f6f4af95e7b721bbc8",
+    ("heisenberg:8", 1): "2c712616465a1e854e34159da4356cab157b9e9465e069d96c89b365e80bfd43",
+    ("heisenberg:8", 2): "2a70bb81056d6cce100d81c8dd550159758b4a1981c5043af50f897d5308484c",
+    ("lmn:1:8", 1): "67ce1bac6beb74d2b37dcdadd22f3d09a1983904b1220b9f6ee776d32df3b6fe",
+    ("lmn:1:8", 2): "6e6e6bca22d8f1f2b02cce4cca6194f3abe0548baaf43588643d38e126baabcc",
+    ("lmn:2:8", 1): "27b129ddda46a4db44678f3742356b272eedc0a5e7424808e85a25db85bece9c",
+    ("lmn:2:8", 2): "c06597f6beaf8988e5e7d55f4d9a7f991cdadfda5f4a47ad0539683147e5bed1",
+    ("lmn:1:9", 1): "9bd662704104e42049ecf3d213bb11b647ca34fa7829069bc35d37c8bbb13796",
+    ("lmn:1:9", 2): "f6c9c7315a5972be84931ee9ce5f6906de6c0dfd0e81d9c4a53bc145863c8f5c",
 }
 
 # (command line, exit code, sha256 of everything it prints)

@@ -1,6 +1,7 @@
 """Hyperoctahedral statistics and the exhaustive descent-sum identities."""
 
-from math import comb
+from collections import Counter
+from math import comb, factorial
 
 import pytest
 
@@ -14,12 +15,14 @@ from zetaforge import (
     verify_bm_identity,
     verify_sublemma,
 )
+from zetaforge import bruhat_gsp_sum, signed_perms
 from zetaforge.laurent import LaurentPoly, ResourceGuardError
 from zetaforge.signed_perms import (
     _descent_monomial,
     b_descent_sum,
     b_monomials,
     descent_sum,
+    descent_tally,
     s_monomials,
 )
 
@@ -39,7 +42,7 @@ def test_window_validation():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_group_orders(m):
     seen = set(enumerate_B(m))
-    assert len(seen) == 2**m * __import__("math").factorial(m)
+    assert len(seen) == 2**m * factorial(m)
     assert len(set(enumerate_S(m))) == len(seen) >> m
 
 
@@ -138,7 +141,7 @@ def test_s3_descent_sum_by_hand():
             (-3 + 5 + 7, 3): 1,  # 321: Des {1, 2}
         }
     )
-    assert descent_sum(enumerate_S(3), table) == expected
+    assert descent_sum(3, table, signed=False) == expected
 
 
 def _q_int(k):
@@ -153,8 +156,8 @@ def test_descent_sum_with_trivial_monomials_is_the_poincare_polynomial(n):
         s_side = s_side * _q_int(k)
         b_side = b_side * _q_int(2 * k)
     zeros = [(0, 0)] * (n + 1)
-    assert descent_sum(enumerate_S(n), zeros) == s_side
-    assert descent_sum(enumerate_B(n), zeros) == b_side
+    assert descent_sum(n, zeros, signed=False) == s_side
+    assert descent_sum(n, zeros, signed=True) == b_side
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -190,9 +193,95 @@ def test_sublemma(m):
     assert verify_sublemma(m)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("signed", [True, False])
+def test_walk_tally_matches_per_window_stats(m, signed):
+    windows = enumerate_B(m) if signed else enumerate_S(m)
+    want = Counter((st.length, st.des_mask) for st in map(stats, windows))
+    got = descent_tally(m, signed)
+    assert got == want
+    assert sum(got.values()) == (2**m if signed else 1) * factorial(m)
+
+
+def _counting_tally(monkeypatch):
+    """Patch descent_tally to record how many windows each walk visits."""
+    visited = []
+    original = signed_perms.descent_tally
+
+    def counting(m, signed):
+        tally = original(m, signed)
+        visited.append(sum(tally.values()))
+        return tally
+
+    monkeypatch.setattr(signed_perms, "descent_tally", counting)
+    return visited
+
+
+@pytest.mark.parametrize("m", [1, 4, 6])
+def test_bm_identity_visits_every_window(monkeypatch, m):
+    visited = _counting_tally(monkeypatch)
+    assert verify_bm_identity(m)
+    assert sorted(visited) == [factorial(m), 2**m * factorial(m)]
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_bruhat_sum_visits_every_window(monkeypatch, m):
+    visited = _counting_tally(monkeypatch)
+    bruhat_gsp_sum(m)
+    assert visited == [2**m * factorial(m)]
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_sublemma_visits_every_window(monkeypatch, m):
+    seen = []
+    original = signed_perms._descent_monomial
+
+    def counting(w, monomials):
+        seen.append(w)
+        return original(w, monomials)
+
+    monkeypatch.setattr(signed_perms, "_descent_monomial", counting)
+    assert verify_sublemma(m)
+    assert len(seen) == len(set(seen)) == 2**m * factorial(m)
+
+
+def _shift_entry(table_fn, index):
+    """table_fn with the X-exponent of entry `index` raised by one."""
+
+    def shifted(m):
+        table = list(table_fn(m))
+        a, b = table[index]
+        table[index] = (a + 1, b)
+        return table
+
+    return shifted
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_bm_identity_fails_on_a_shifted_s_table(monkeypatch, m):
+    # entry 0 is never a descent of S_m, so shift entry 1
+    monkeypatch.setattr(signed_perms, "s_monomials", _shift_entry(s_monomials, 1))
+    assert not verify_bm_identity(m)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_sublemma_fails_when_eta_is_the_identity(monkeypatch, m):
+    monkeypatch.setattr(signed_perms, "eta", lambda j, w: tuple(w))
+    assert not verify_sublemma(m)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("index", [0, 1])
+def test_sublemma_fails_on_a_shifted_b_table(monkeypatch, m, index):
+    monkeypatch.setattr(signed_perms, "b_monomials", _shift_entry(b_monomials, index))
+    assert not verify_sublemma(m)
+
+
 def test_resource_guards():
     with pytest.raises(ResourceGuardError):
         list(enumerate_B(9))
+    with pytest.raises(ResourceGuardError):
+        descent_tally(9, False)
     with pytest.raises(ResourceGuardError):
         verify_bm_identity(7)
     with pytest.raises(ResourceGuardError):
