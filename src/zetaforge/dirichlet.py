@@ -6,17 +6,27 @@ one for each pair (e, f) of the decomposition type, of W(X^f, Y^f) at X = p
 and Y = t = p^{-s}.  Each factor is specialised on its own and the univariate
 results are multiplied.  Multiplying local expansions out to the needed prime
 powers yields the global coefficients, which stay exact all the way (integers
-in every case we generate, enforced loudly).
+in every case we generate, enforced loudly).  The coefficients up to N read
+the factor at p only through t^k with p^k <= N, so there only the terms
+through t^k are specialised; `euler` prints the whole factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
-from .laurent import InputError, LaurentPoly, _divide_geometric
+from .laurent import InputError, LaurentPoly, ResourceGuardError, _divide_geometric
 from .families import make_W
-from .numberfield import UnsupportedRamifiedPrimeError, decomposition_type
+from .numberfield import (
+    MAX_PRIME,
+    UnsupportedRamifiedPrimeError,
+    _check_prime,
+    _decomposition_type,
+    _frobenius_images,
+    decomposition_type,
+)
 from .primes import primes_upto
 
 
@@ -42,37 +52,9 @@ class LocalFactor:
 
     @classmethod
     def from_euler(cls, w, p, pairs):
-        """The product over (e, f) in `pairs` of W(X^f, Y^f) at X = p, Y = t.
-
-        Each factor is W(q, t^f) with q = p^f: the term c X^i Y^j becomes
-        c q^i t^(f j), and (1 - X^a Y^b) becomes (1 - q^a t^(f b)).
-        """
-        if w.is_formal:
-            raise InputError(
-                "local factor undefined: a denominator factor does not vanish "
-                "in positive Y-degree, so the form has no Dirichlet expansion"
-            )
-        numerator = {0: 1}
-        denominator = []
-        for _, f in pairs:
-            q = p**f
-            factor = {}
-            for (i, j), c in w.numerator.terms.items():
-                if i < 0:
-                    if c % q ** (-i):
-                        raise ValueError("non-integral local numerator coefficient")
-                    c //= q ** (-i)
-                else:
-                    c *= q**i
-                factor[f * j] = factor.get(f * j, 0) + c
-            product = {}
-            for j1, c1 in numerator.items():
-                for j2, c2 in factor.items():
-                    product[j1 + j2] = product.get(j1 + j2, 0) + c1 * c2
-            numerator = product
-            denominator += [(q**a, f * b) for a, b in w.denominator]
-        numerator = tuple(sorted((j, c) for j, c in numerator.items() if c))
-        return cls(p, numerator, tuple(sorted(denominator)))
+        """The product over (e, f) in `pairs` of W(X^f, Y^f) at X = p, Y = t,
+        in full (see `_specialise`)."""
+        return cls(p, *_specialise(w, p, pairs))
 
     def expand(self, order):
         """Coefficients of t^0 .. t^order of the full rational function."""
@@ -86,12 +68,57 @@ class LocalFactor:
         return series
 
 
+def _specialise(w, p, pairs, order=None):
+    """Numerator and denominator, as `LocalFactor` stores them, of the
+    product over (e, f) in `pairs` of W(q, t^f) with q = p^f.
+
+    The term c X^i Y^j becomes c q^i t^(f j), and (1 - X^a Y^b) becomes
+    (1 - q^a t^(f b)).  With `order` only what can reach t^0 .. t^order is
+    specialised: numerator terms and partial products past the cut are
+    dropped before q^i is formed, and so are the denominator factors with
+    f b > order, which cannot touch those coefficients.  The cut is `order`
+    widened by the negative t-exponents the factors can contribute, so the
+    result expands through t^order exactly as the full factor does.  Every
+    term with i < 0 is checked for integrality, dropped or not.
+    """
+    if w.is_formal:
+        raise InputError(
+            "local factor undefined: a denominator factor does not vanish "
+            "in positive Y-degree, so the form has no Dirichlet expansion"
+        )
+    limit = inf if order is None else order
+    low = min((j for _, j in w.numerator.terms), default=0)
+    cut = limit - sum(min(0, f * low) for _, f in pairs)
+    numerator = {0: 1}
+    denominator = []
+    for _, f in pairs:
+        q = p**f
+        factor = {}
+        for (i, j), c in w.numerator.terms.items():
+            if i < 0 and c % q ** (-i):
+                raise ValueError("non-integral local numerator coefficient")
+            if f * j > cut:
+                continue
+            c = c // q ** (-i) if i < 0 else c * q**i
+            factor[f * j] = factor.get(f * j, 0) + c
+        product = {}
+        for j1, c1 in numerator.items():
+            for j2, c2 in factor.items():
+                if j1 + j2 <= cut:
+                    product[j1 + j2] = product.get(j1 + j2, 0) + c1 * c2
+        numerator = product
+        denominator += [(q**a, f * b) for a, b in w.denominator if f * b <= limit]
+    numerator = tuple(sorted((j, c) for j, c in numerator.items() if c))
+    return numerator, tuple(sorted(denominator))
+
+
 def local_factor(family, d, field, p, pairs=None):
     """The local factor of the pro-isomorphic zeta function of the family's
     lattice base-extended along `field`, at the rational prime p.
 
     `pairs` overrides the computed decomposition type (for primes the index
-    test refuses): integers e, f >= 1 with sum of e*f equal to the degree."""
+    test refuses): integers e, f >= 1 with sum of e*f equal to the degree.
+    p is checked to be a prime up to MAX_PRIME either way."""
     if field.degree != d:
         raise DegreeMismatchError(
             f"field degree {field.degree} != extension parameter d={d}"
@@ -99,8 +126,13 @@ def local_factor(family, d, field, p, pairs=None):
     if pairs is None:
         pairs = decomposition_type(field, p)
     else:
+        _check_prime(p)
         for pair in pairs:
-            if len(pair) != 2 or not all(isinstance(x, int) and x >= 1 for x in pair):
+            if not (
+                isinstance(pair, (tuple, list))
+                and len(pair) == 2
+                and all(isinstance(x, int) and x >= 1 for x in pair)
+            ):
                 raise InputError(
                     f"decomposition type wants pairs of integers e, f >= 1, got {pair!r}"
                 )
@@ -116,31 +148,42 @@ def local_factor(family, d, field, p, pairs=None):
 def global_coefficients(family, d, field, limit):
     """Dirichlet coefficients b_1 .. b_limit, exact, by multiplicativity.
 
-    W is built once and specialized at each prime.  Every prime up to the
-    limit must admit a decomposition type; a refused ramified prime aborts
-    the whole computation with a clear message.
+    W is built once and specialized at each prime p, through t^kmax only,
+    where p^kmax is the largest power of p up to the limit (see
+    `_specialise`): kmax = 1 for every p above the square root of the limit.
+    The decomposition types take x^p mod the minimal polynomial from
+    `_frobenius_images`, one step per integer up to the limit rather than a
+    powering per prime.
+    Every prime up to the limit must admit a decomposition type; a refused
+    ramified prime aborts the whole computation with a clear message.
     """
     if limit < 1:
         raise InputError("limit must be >= 1")
+    if limit > MAX_PRIME:
+        raise ResourceGuardError(
+            f"cannot expand to {limit}: primes capped at {MAX_PRIME}"
+        )
     if field.degree != d:
         raise DegreeMismatchError(
             f"field degree {field.degree} != extension parameter d={d}"
         )
     w = make_W(family, d)
     coeffs = [1] * (limit + 1)  # index 0 unused
-    for p in primes_upto(limit):
+    primes = primes_upto(limit)
+    images = _frobenius_images(list(reversed(field.minpoly)), primes)
+    for p, xp in zip(primes, images):
         kmax = 0
         q = p
         while q <= limit:
             kmax += 1
             q *= p
         try:
-            pairs = decomposition_type(field, p)
+            pairs = _decomposition_type(field, p, xp)
         except UnsupportedRamifiedPrimeError as exc:
             raise GlobalExpansionError(
                 f"cannot expand to {limit}: prime {p} refused ({exc})"
             ) from exc
-        series = LocalFactor.from_euler(w, p, pairs).expand(kmax)
+        series = LocalFactor(p, *_specialise(w, p, pairs, kmax)).expand(kmax)
         for n in range(p, limit + 1, p):
             v = 0
             m = n

@@ -285,9 +285,10 @@ class EulerForm:
     def expand_series(self, xval, order):
         """Coefficients of Y^0..Y^order of the power-series expansion at X=xval.
 
-        The numerator is evaluated at X=xval first (so negative X-exponents
-        are harmless) and each denominator factor is divided out by
-        `_divide_geometric`.
+        Only the numerator terms with Y-exponent <= order are evaluated at
+        X=xval (so negative X-exponents are harmless); the others cannot
+        reach the coefficients returned.  Each denominator factor is then
+        divided out by `_divide_geometric`.
         """
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -298,8 +299,8 @@ class EulerForm:
                 f"(1 - X^{a} Y^{b}) does not vanish in positive Y-degree"
             )
         xval = Fraction(xval)
-        coeffs = self.numerator.evaluate_x(xval)
-        coeffs = {y: c for y, c in coeffs.items() if y <= order}
+        kept = {k: c for k, c in self.numerator.terms.items() if k[1] <= order}
+        coeffs = LaurentPoly(kept).evaluate_x(xval)
         low = min(coeffs, default=0)
         if low < 0:
             raise ValueError("numerator has negative Y-exponents; series is not a power series")

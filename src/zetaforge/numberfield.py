@@ -11,9 +11,10 @@ decomposition type.
 Polynomials over F_p are lists of ints in [0, p), leading coefficient first
 and without leading zeros (the zero polynomial is []).  `_factor_type` reads
 the type from the gcds of f with x^(p^i) - x, one degree i at a time, and
-needs neither the complete factors nor a squarefree split.  sympy is
-imported only by `_factor_over_q`, for fields whose mod-l factorization
-patterns cannot certify irreducibility.
+needs neither the complete factors nor a squarefree split.  For a run of
+primes, `_frobenius_images` hands it x^p mod f stepped over Z instead of
+powered at each p.  sympy is imported only by `_factor_over_q`, for fields
+whose mod-l factorization patterns cannot certify irreducibility.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ MAX_PRIME = 10**6
 
 # The primes l whose factorization patterns mod l may certify irreducibility.
 _CERTIFICATE_PRIMES = primes_upto(100)
+# `_frobenius_images` steps x^n mod f over Z while its coefficients stay
+# below this many bits.
+_STEP_BITS = 4096
 
 
 class UnsupportedRamifiedPrimeError(InputError):
@@ -133,10 +137,11 @@ def _minus_x(g, p):
     return _reduce(g, p)
 
 
-def _factor_type(f, p):
+def _factor_type(f, p, xp=None):
     """The factorization type of a monic f over F_p: the sorted pairs
     (e, deg phi) over its irreducible factors phi^e, and its radical, the
-    product of the phi.
+    product of the phi.  `xp` is x^p mod f when the caller already has it
+    (see `_frobenius_images`).
 
     x^(p^i) - x is the product of the monic irreducibles of degree dividing
     i, so once the factors of degree < i are divided out, a = gcd(f,
@@ -144,14 +149,21 @@ def _factor_type(f, p):
     whether f is or not, so no derivative and no p-th root are needed:
     after f <- f/a, b = gcd(f, a) keeps the phi of multiplicity > e, and the
     other (deg a - deg b)/i have multiplicity e.  Once 2i > deg f, what is
-    left of f is 1 or irreducible.
+    left of f is 1 or irreducible.  When x^(p^i) = x mod f, a is f itself:
+    what is left is squarefree, every phi of degree i.
     """
     pairs, radical, i = [], [1], 1
     while 2 * i < len(f):
         if i == 1:
-            xp = xq = _powmod([1, 0], p, f, p)  # x^p and x^(p^i) mod f
+            if xp is None:
+                xp = _powmod([1, 0], p, f, p)
+            xq = xp  # x^p and x^(p^i) mod f
         else:
             xq = _compose(xq, xp, f, p)
+        if xq == [1, 0]:
+            pairs += [(1, i)] * ((len(f) - 1) // i)
+            radical, f = _reduce(_mul(radical, f), p), [1]
+            break
         a = _gcd(f, _minus_x(xq, p), p)
         if len(a) > 1:
             radical = _reduce(_mul(radical, a), p)
@@ -167,6 +179,37 @@ def _factor_type(f, p):
         pairs.append((1, len(f) - 1))
         radical = _reduce(_mul(radical, f), p)
     return sorted(pairs), radical
+
+
+def _frobenius_images(f, primes):
+    """x^p mod f over F_p, as `_factor_type` takes it, for each of the
+    increasing `primes`; f is monic over Z, leading coefficient first.
+
+    x^n mod f is stepped over Z from one prime to the next and reduced mod
+    each p, so a prime costs a few shifts where `_powmod` squares log p
+    times.  Over Z the coefficients grow by about log2 of the largest root's
+    absolute value per step; once they pass _STEP_BITS, each remaining prime
+    is powered on its own.  Below degree 2, `_factor_type` needs no x^p.
+    """
+    d = len(f) - 1
+    if d < 2:
+        yield from (None for _ in primes)
+        return
+    tail = [-c for c in reversed(f[1:])]  # x^d = sum of tail[i] x^i mod f
+    g, n = [1] + [0] * (d - 1), 0  # x^n mod f, constant term first
+    stepping = True
+    for p in primes:
+        stepping = stepping and max(map(abs, g)).bit_length() <= _STEP_BITS
+        if not stepping:
+            yield _powmod([1, 0], p, _reduce(f, p), p)
+            continue
+        for _ in range(p - n):
+            c = g.pop()
+            g.insert(0, 0)
+            if c:
+                g = [a + c * t for a, t in zip(g, tail)]
+        n = p
+        yield _reduce(g[::-1], p)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +358,15 @@ def decomposition_type(field, p):
     prime").
     """
     _check_prime(p)
+    return _decomposition_type(field, p)
+
+
+def _decomposition_type(field, p, xp=None):
+    """`decomposition_type` for a p already known to be a prime <= MAX_PRIME
+    (a sieve prime), without the primality test; `xp` as for
+    `_factor_type`."""
     poly = list(reversed(field.minpoly))
-    pairs, radical = _factor_type(_reduce(poly, p), p)
+    pairs, radical = _factor_type(_reduce(poly, p), p, xp)
     if pairs[-1][0] > 1 and not _index_coprime(poly, p, radical):
         raise UnsupportedRamifiedPrimeError(
             f"unsupported ramified prime {p}: it divides the index of the equation order"

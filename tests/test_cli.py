@@ -10,9 +10,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaforge import cli, numberfield
 from zetaforge.cli import SUITES, main
+from zetaforge.laurent import InputError
 
 runner = CliRunner()
 
@@ -175,6 +178,45 @@ def test_euler_refuses_bad_type_override(override, message):
     assert result.exit_code == 1
     assert result.output.startswith("refused:")
     assert message in result.output
+
+
+# Well-formed --type text, text near its grammar, and arbitrary text.
+type_texts = st.one_of(
+    st.lists(st.tuples(st.integers(-2, 5), st.integers(-2, 5)), min_size=1, max_size=3).map(
+        lambda pairs: ";".join(f"{e},{f}" for e, f in pairs)
+    ),
+    st.text(alphabet="0123456789,;- +_x\u0661", max_size=12),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(type_texts)
+def test_parse_type_returns_pairs_or_refuses(text):
+    try:
+        pairs = cli._parse_type(text)
+    except InputError:
+        return
+    assert pairs and all(
+        len(pair) == 2 and all(isinstance(x, int) for x in pair) for pair in pairs
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(type_texts, st.integers(-3, 30))
+def test_euler_type_override_exits_0_or_1(text, p):
+    result = run("euler", "--family", "heisenberg:1", "--d", "2",
+                 "--minpoly", "1,0,1", "--p", str(p), "--type", text)
+    assert result.exit_code in (0, 1), result.output
+    if result.exit_code == 1:
+        assert result.output.startswith("refused:")
+
+
+def test_euler_type_override_refuses_a_non_prime():
+    result = run("euler", "--family", "heisenberg:1", "--d", "2",
+                 "--minpoly", "1,0,1", "--p", "4", "--type", "1,2")
+    assert result.exit_code == 1
+    assert "4 is not prime" in result.output
 
 
 def test_euler_prints_coefficients_past_the_str_digit_limit():

@@ -24,9 +24,12 @@ from zetaforge import (
     make_W,
     rationals,
 )
-from zetaforge import families
+from zetaforge import dirichlet, families
 from zetaforge.cli import main
-from zetaforge.laurent import EulerForm, LaurentPoly
+from zetaforge.dirichlet import _specialise
+from zetaforge.laurent import EulerForm, InputError, LaurentPoly, ResourceGuardError
+from zetaforge.numberfield import decomposition_type
+from zetaforge.primes import primes_upto
 
 GAUSS = NumberField((1, 0, 1))
 EISEN = NumberField((3, 0, 1))
@@ -119,6 +122,164 @@ def specialise_product(w, p, pairs):
 def test_from_euler_specialises_the_bivariate_product(w, p, pairs):
     lf = LocalFactor.from_euler(w, p, pairs)
     assert (lf.numerator, lf.denominator) == specialise_product(w, p, pairs)
+
+
+# -- the cut at the expanded order -----------------------------------------
+
+# The families and fields of the benchmark's `dirichlet` pools.
+POOL_FAMILIES = [
+    "free:2:3", "free:3:2", "maxclass:3", "maxclass:4", "f4", "q5", "bk",
+    "heisenberg:1", "heisenberg:2", "heisenberg:3", "heisenberg:4", "heisenberg:5",
+    "lmn:1:2", "lmn:2:2", "lmn:1:3", "lmn:2:3",
+]
+POOL_FIELDS = {1: (0, 1), 2: (1, 0, 1), 3: (-2, 0, 0, 1), 4: (1, 1, 1, 1, 1)}
+
+
+@pytest.mark.parametrize("d", sorted(POOL_FIELDS))
+@pytest.mark.parametrize("family_id", POOL_FAMILIES)
+def test_global_coefficients_match_the_uncut_factors(family_id, d):
+    field = NumberField(POOL_FIELDS[d])
+    family = families.parse_family(family_id)
+    w = make_W(family, d)
+    coeffs = global_coefficients(family, d, field, 200)
+    for p in primes_upto(200):
+        full = LocalFactor.from_euler(w, p, decomposition_type(field, p))
+        k, pk = 1, p
+        while pk <= 200:
+            assert coeffs[pk - 1] == full.expand(k)[k], (p, k)
+            k, pk = k + 1, pk * p
+
+
+def _outcome(fn):
+    """The value of fn(), or the type and message of the error it raises."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# About half the coefficients are multiples of 2^12 3^6 5^6, so that terms
+# with negative X-exponents are integral at most of the drawn q.
+signed_forms = st.builds(
+    EulerForm,
+    st.dictionaries(
+        st.tuples(st.integers(-2, 3), st.integers(-2, 4)),
+        st.builds(
+            lambda c, m: c * m,
+            st.integers(-9, 9),
+            st.sampled_from([1, 2**12 * 3**6 * 5**6]),
+        ),
+        max_size=5,
+    ).map(LaurentPoly),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(signed_forms, st.sampled_from([2, 3, 5]), types, st.integers(0, 8))
+def test_cut_factor_expands_as_the_full_factor(w, p, pairs, order):
+    cut = _outcome(lambda: LocalFactor(p, *_specialise(w, p, pairs, order)).expand(order))
+    full = _outcome(lambda: LocalFactor.from_euler(w, p, pairs).expand(order))
+    assert cut == full
+
+
+def test_cut_is_widened_by_negative_t_exponents():
+    # W = (3 - X) Y^-1 + Y^3 over 1 - Y at p = 3, type (1,1),(1,2): the first
+    # factor is t^3 (its t^-1 cancels), the second -6 t^-2 + t^6, so the
+    # t^1 coefficient comes from t^3, beyond the order 1 that is expanded
+    w = EulerForm(LaurentPoly({(0, -1): 3, (1, -1): -1, (0, 3): 1}), [(0, 1)])
+    pairs = [(1, 1), (1, 2)]
+    assert LocalFactor.from_euler(w, 3, pairs).expand(1) == [0, -6]
+    assert LocalFactor(3, *_specialise(w, 3, pairs, 1)).expand(1) == [0, -6]
+    # a t^-1 that survives is refused with or without the cut
+    w = EulerForm(LaurentPoly({(0, -1): 1, (0, 0): 1}), [(0, 1)])
+    with pytest.raises(ValueError, match="negative t-exponent"):
+        LocalFactor(2, *_specialise(w, 2, [(1, 1)], 1)).expand(1)
+
+
+def test_cut_checks_integrality_of_dropped_terms():
+    # 1 / X Y^5 at q = 2 is dropped by the cut at t^1, and still refused
+    w = EulerForm(LaurentPoly({(0, 0): 1, (-1, 5): 1}), [(0, 1)])
+    with pytest.raises(ValueError, match="non-integral"):
+        _specialise(w, 2, [(1, 1)], 1)
+
+
+class _Exponent(int):
+    """An X-exponent that records every power it is raised into."""
+
+    raised = []
+
+    def __rpow__(self, base):
+        _Exponent.raised.append(int(self))
+        return int(base) ** int(self)
+
+
+def test_only_terms_through_the_cut_are_specialised(monkeypatch):
+    # Each X-exponent tags one term: 10 + j for the numerator term X^(10+j) Y^j
+    # and 20 + b for the denominator factor (1 - X^(20+b) Y^b).
+    w = EulerForm(
+        LaurentPoly({(_Exponent(10 + j), j): 1 for j in range(6)}),
+        [(_Exponent(20 + b), b) for b in (1, 2, 3, 5)],
+    )
+    monkeypatch.setattr(dirichlet, "make_W", lambda family, d: w)
+    _Exponent.raised = []
+    coeffs = global_coefficients(heisenberg(1), 2, GAUSS, 30)
+    want = []
+    for p in primes_upto(30):
+        kmax = 1
+        while p ** (kmax + 1) <= 30:
+            kmax += 1
+        for _, f in decomposition_type(GAUSS, p):
+            want += [10 + j for j in range(6) if f * j <= kmax]
+            want += [20 + b for b in (1, 2, 3, 5) if f * b <= kmax]
+    assert sorted(_Exponent.raised) == sorted(want)
+    # no product past t^kmax is kept, and the coefficients are those of the
+    # full factors
+    for p in primes_upto(30):
+        pairs = decomposition_type(GAUSS, p)
+        numerator, denominator = _specialise(w, p, pairs, 1)
+        assert all(j <= 1 for j, _ in numerator) and all(b <= 1 for _, b in denominator)
+        full = LocalFactor.from_euler(w, p, pairs).expand(4)
+        k, pk = 1, p
+        while pk <= 30:
+            assert coeffs[pk - 1] == full[k]
+            k, pk = k + 1, pk * p
+
+
+def test_global_limit_is_capped_before_any_work():
+    with pytest.raises(ResourceGuardError, match="primes capped"):
+        global_coefficients(heisenberg(1), 1, rationals(), 10**6 + 1)
+
+
+# -- the pairs override on arbitrary input ----------------------------------
+
+junk = st.one_of(
+    st.integers(-3, 6), st.text(max_size=3), st.none(), st.floats(allow_nan=True),
+    st.booleans(),
+)
+override_items = st.one_of(
+    st.tuples(st.integers(-3, 6), st.integers(-3, 6)),
+    st.lists(st.one_of(st.integers(-3, 6), junk), max_size=3),
+    st.tuples(junk, junk),
+    junk,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(override_items, max_size=4), st.integers(-3, 40))
+def test_pairs_override_returns_or_refuses(pairs, p):
+    try:
+        lf = local_factor(heisenberg(1), 2, GAUSS, p, pairs=pairs)
+    except (InputError, ResourceGuardError):
+        return
+    assert lf.p == p and lf.denominator
+
+
+def test_pairs_override_checks_the_prime():
+    with pytest.raises(InputError, match="4 is not prime"):
+        local_factor(heisenberg(1), 2, GAUSS, 4, pairs=[(1, 2)])
+    with pytest.raises(InputError, match="e, f >= 1"):
+        local_factor(heisenberg(1), 2, GAUSS, 5, pairs=[5])
 
 
 def test_inert_prime_local_factor():

@@ -14,7 +14,10 @@ specialised a bivariate product of W(X^f, Y^f).  The cases cover split,
 inert and ramified primes (e = 2, 3, 4 and e = f = 2), primes the index test
 refuses (with and without a `--type` override), a formal form, and `bk`.
 The two abelian cases at d = 4 pin the refusal of abelian families at
-d >= 2 (exit 1).
+d >= 2 (exit 1).  Three larger `dirichlet` runs (bk at d = 4 up to 2000,
+heisenberg:5 at d = 3, lmn:2:3 at d = 2) were recorded from the
+implementation that specialised every local factor in full before expanding
+it, so cutting the factors at the expanded order must not move a digit.
 """
 
 import hashlib
@@ -142,6 +145,9 @@ COMMANDS = [
     ("dirichlet --family bk --d 2 --minpoly 1,0,1 --n 20", 0, "46bcc589e7cc8745c8bed54f4f0c244e02a2a1d0f6d9257ecb1cbe6d712249ea"),
     ("dirichlet --family heisenberg:1 --d 2 --minpoly 3,0,1 --n 10", 1, "e409d699824eee056315fae5f21512a108fa1c233bb74204781b44c14d16335a"),
     ("dirichlet --family lmn:4:2 --d 1 --minpoly 0,1 --n 10", 1, "22246b182270ec263949ed8839c32ec1f69a478f0be6783fcfd966a09b5b0d79"),
+    ("dirichlet --family bk --d 4 --minpoly 1,1,1,1,1 --n 2000", 0, "befd7dd353a9a2fb53087723bcc4f905277b6aa3503c283016e442b9c1e1ac72"),
+    ("dirichlet --family heisenberg:5 --d 3 --minpoly -2,0,0,1 --n 300", 0, "39681aebb72e12a97ae22319413b0641569d6a0d9993839ec4b8b67fffeb912b"),
+    ("dirichlet --family lmn:2:3 --d 2 --minpoly 1,0,1 --n 1000", 0, "6116c3115092b0a32b82fb43d6a3142b430615137c7368eb77996d93822589ed"),
     ("abscissa --family heisenberg:3 --d 2", 0, "9e51535e59acac4b63a68d78d45b35071fdd71850b322cb59a99ac917664db49"),
     ("abscissa --family lmn:2:3 --d 2", 0, "d1cde62623d870f7396c1a3c44e4e09742f7b316122aad34fc3775f211411ed7"),
     ("abscissa --family q5 --d 2", 0, "b3e84ebd0560aecd9d38386c36332fdbe681e24aef034442df9b8e302bfd198b"),

@@ -187,6 +187,64 @@ def test_expand_series_rejects_negative_y_numerator():
         w.expand_series(2, 1)
 
 
+def expand_everything(w, xval, order):
+    """Reference for expand_series: evaluate every numerator term at X =
+    xval, then truncate, and multiply by each factor's geometric series."""
+    xval = Fraction(xval)
+    coeffs = {}
+    for (x, y), c in w.numerator.terms.items():
+        coeffs[y] = coeffs.get(y, 0) + c * xval**x
+    coeffs = {y: c for y, c in coeffs.items() if c and y <= order}
+    if min(coeffs, default=0) < 0:
+        raise ValueError("numerator has negative Y-exponents; series is not a power series")
+    series = [coeffs.get(e, Fraction(0)) for e in range(order + 1)]
+    for a, b in w.denominator:
+        geometric = [xval ** (a * (e // b)) if e % b == 0 else 0 for e in range(order + 1)]
+        series = [sum(series[i] * geometric[e - i] for i in range(e + 1)) for e in range(order + 1)]
+    return series
+
+
+def _outcome(fn):
+    try:
+        return list(fn())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+signed_forms = st.builds(
+    EulerForm,
+    st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-2, 6)), st.integers(-9, 9), max_size=5
+    ).map(LaurentPoly),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    signed_forms,
+    st.sampled_from([2, 3, Fraction(1, 2), Fraction(-2, 3)]),
+    st.integers(0, 7),
+)
+def test_expand_series_matches_evaluate_then_truncate(w, xval, order):
+    got = _outcome(lambda: w.expand_series(xval, order).coefficients)
+    assert got == _outcome(lambda: expand_everything(w, xval, order))
+
+
+def test_expand_series_cut_keeps_the_negative_y_refusal():
+    # Y^-1 is below the cut and refused; Y^-1 terms cancelling at X = 2 are not
+    w = EulerForm(P({(0, -1): 1, (0, 5): 1}), [(0, 1)])
+    for xval in (2, 3):
+        with pytest.raises(ValueError, match="negative Y-exponents"):
+            w.expand_series(xval, 1)
+        with pytest.raises(ValueError, match="negative Y-exponents"):
+            expand_everything(w, xval, 1)
+    w = EulerForm(P({(0, -1): 2, (1, -1): -1, (0, 0): 1}), [(0, 1)])
+    assert list(w.expand_series(2, 2).coefficients) == [1, 1, 1]
+    with pytest.raises(ValueError, match="nonzero value"):
+        w.expand_series(0, 2)
+
+
 def test_invert_variables_single_factor():
     w = EulerForm.from_denominator([(2, 2)])
     (num_inv, num), (sign, a, b) = w.invert_variables()

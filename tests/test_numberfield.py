@@ -7,6 +7,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Poly, isprime, primerange, symbols
 from sympy import mobius as sympy_mobius
 from sympy.polys.densearith import dup_mul, dup_pow, dup_sub
@@ -28,7 +30,7 @@ from zetaforge import (
     rationals,
 )
 from zetaforge import numberfield
-from zetaforge.laurent import ResourceGuardError
+from zetaforge.laurent import InputError, ResourceGuardError
 from zetaforge.primes import is_prime, mobius, primes_upto
 
 GAUSS = NumberField((1, 0, 1))        # x^2 + 1
@@ -160,6 +162,27 @@ def test_factor_type_matches_sympy():
     assert p_powers > 20
 
 
+@pytest.mark.parametrize("step_bits", [numberfield._STEP_BITS, 40])
+def test_frobenius_images_match_powering(monkeypatch, step_bits):
+    # 40 bits forces the switch to powering part-way through the primes
+    monkeypatch.setattr(numberfield, "_STEP_BITS", step_bits)
+    rng = random.Random(11)
+    primes = primes_upto(600)
+    for trial in range(24):
+        size = 10**6 if trial % 3 == 0 else 9
+        coeffs = [rng.randint(-size, size) for _ in range(rng.randint(1, 6))]
+        f = [1] + coeffs
+        images = list(numberfield._frobenius_images(f, primes))
+        assert len(images) == len(primes)
+        for p, xp in zip(primes, images):
+            fp = numberfield._reduce(f, p)
+            if len(f) < 3:
+                assert xp is None
+                continue
+            assert xp == numberfield._powmod([1, 0], p, fp, p), (f, p)
+            assert numberfield._factor_type(fp, p, xp) == numberfield._factor_type(fp, p), (f, p)
+
+
 def test_discriminant_matches_sympy():
     rng = random.Random(7)
     x = symbols("x")
@@ -282,3 +305,19 @@ def test_prime_guards():
         decomposition_type(GAUSS, 6)
     with pytest.raises(ResourceGuardError):
         decomposition_type(GAUSS, 1000003)
+
+
+coefficients = st.one_of(st.integers(-30, 30), st.integers(-(10**30), 10**30))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.lists(coefficients, max_size=6),
+    st.lists(coefficients, max_size=5).map(lambda c: c + [1]),
+))
+def test_number_field_returns_or_refuses(coeffs):
+    try:
+        field = NumberField(tuple(coeffs))
+    except InputError:
+        return
+    assert field.minpoly == tuple(coeffs) and field.degree == len(coeffs) - 1
