@@ -28,10 +28,12 @@ from .families import UnsupportedFamilyError, make_W, parse_family, weight
 from .laurent import InputError, ResourceGuardError
 from .numberfield import NumberField, decomposition_type
 from .oracle import (
+    _check_enum_guards,
+    _lattice_fields,
     abelian_lattice,
     count_proisomorphic,
     heisenberg_lattice,
-    lattice_from_json,
+    lattice_from_dict,
 )
 from .primes import primes_upto
 from .signed_perms import verify_bm_identity, verify_sublemma
@@ -103,25 +105,31 @@ def _parse_type(text):
     return pairs
 
 
-def _parse_lattice(text):
+def _parse_lattice(text, p, k):
+    """The --lattice lattice.  The enumeration guards see its rank first:
+    the structure tensor alone has rank^3 entries."""
     if text.startswith("file:"):
         try:
             with open(text[5:], encoding="utf-8") as handle:
-                data = handle.read()
-        except OSError as exc:
+                data = json.load(handle)
+        except (OSError, ValueError) as exc:
             raise InputError(str(exc)) from exc
-        return lattice_from_json(data)
-    parts = text.split(":")
-    makers = {"heisenberg": heisenberg_lattice, "abelian": abelian_lattice}
-    if parts[0] in makers and len(parts) == 2:
+        make, rank = lattice_from_dict, _lattice_fields(data)[0]
+    else:
+        parts = text.split(":")
+        makers = {"heisenberg": heisenberg_lattice, "abelian": abelian_lattice}
+        if parts[0] not in makers or len(parts) != 2:
+            raise InputError(
+                f"--lattice wants heisenberg:m, abelian:n or file:<path>, got {text!r}"
+            )
         try:
-            size = int(parts[1])
+            data = int(parts[1])
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        return makers[parts[0]](size)
-    raise InputError(
-        f"--lattice wants heisenberg:m, abelian:n or file:<path>, got {text!r}"
-    )
+        make = makers[parts[0]]
+        rank = 2 * data + 1 if parts[0] == "heisenberg" else data
+    _check_enum_guards(rank, p, k)
+    return make(data)
 
 
 def _frac_str(q):
@@ -276,7 +284,7 @@ def abscissa_cmd(family_id, d):
 @_guarded
 def oracle_cmd(lattice_id, p, k):
     """Count index-p^k subrings pro-isomorphic to the lattice, by brute force."""
-    lattice = _parse_lattice(lattice_id)
+    lattice = _parse_lattice(lattice_id, p, k)
     _emit({"schema": SCHEMA, "count": count_proisomorphic(lattice, p, k)})
 
 

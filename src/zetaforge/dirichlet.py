@@ -51,10 +51,10 @@ class LocalFactor:
     denominator: tuple
 
     @classmethod
-    def from_euler(cls, w, p, pairs):
+    def from_euler(cls, w, p, pairs, order=None):
         """The product over (e, f) in `pairs` of W(X^f, Y^f) at X = p, Y = t,
-        in full (see `_specialise`)."""
-        return cls(p, *_specialise(w, p, pairs))
+        in full or, with `order`, through t^order (see `_specialise`)."""
+        return cls(p, *_specialise(w, p, pairs, order))
 
     def expand(self, order):
         """Coefficients of t^0 .. t^order of the full rational function."""
@@ -183,7 +183,7 @@ def global_coefficients(family, d, field, limit):
             raise GlobalExpansionError(
                 f"cannot expand to {limit}: prime {p} refused ({exc})"
             ) from exc
-        series = LocalFactor(p, *_specialise(w, p, pairs, kmax)).expand(kmax)
+        series = LocalFactor.from_euler(w, p, pairs, kmax).expand(kmax)
         for n in range(p, limit + 1, p):
             v = 0
             m = n

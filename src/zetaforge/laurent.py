@@ -266,21 +266,19 @@ class EulerForm:
     # -- operations from the contract ----------------------------------
 
     def invert_variables(self):
-        """Data expressing W(X^{-1}, Y^{-1}) in terms of W(X, Y).
+        """(sign, A, B) expressing W(X^{-1}, Y^{-1}) in terms of W(X, Y).
 
         Applying (1 - X^{-a}Y^{-b}) = -X^{-a}Y^{-b}(1 - X^a Y^b) to each of
         the k denominator factors gives
 
             W(X^{-1},Y^{-1}) = sign * X^A Y^B * N(X^{-1},Y^{-1})/N(X,Y) * W(X,Y)
 
-        with sign = (-1)^k, A = sum a_i, B = sum b_i.  Returns the numerator
-        ratio as a pair of Laurent polynomials plus (sign, A, B).
+        with sign = (-1)^k, A = sum a_i, B = sum b_i.
         """
-        k = len(self.denominator)
+        sign = -1 if len(self.denominator) % 2 else 1
         a_total = sum(a for a, _ in self.denominator)
         b_total = sum(b for _, b in self.denominator)
-        sign = -1 if k % 2 else 1
-        return (self.numerator.invert(), self.numerator), (sign, a_total, b_total)
+        return sign, a_total, b_total
 
     def expand_series(self, xval, order):
         """Coefficients of Y^0..Y^order of the power-series expansion at X=xval.

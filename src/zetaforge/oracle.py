@@ -3,18 +3,19 @@
 Everything here is ground truth by enumeration: list the finite-index
 subrings of Z^n in Hermite normal form, and decide whether each is
 pro-isomorphic to the ambient lattice at p.  The subrings are enumerated with
-closure pruning: the basis is built from its last row up, and a branch is cut
-at the first bracket that leaves the span of the rows placed so far (when
-every tail span(e_i, ...) of the ambient lattice is a subring; otherwise each
-finished sublattice basis is tested).  The decision is exact for abelian and
+closure pruning, for every presentation: the basis is built from its last row
+up, and each bracket [row_i, row_j] is tested as soon as the rows that span
+the subring on the columns the bracket can reach are placed; a branch is cut
+at the first bracket outside that span.  Every bracket reads one sparse table
+of the nonzero [e_a, e_b] per lattice.  The decision is exact for abelian and
 Heisenberg-type lattices.  For anything else (rank at most 4) the verdict is
 level-limited.  It is pre-filtered by abelianization: when M/[M,M] and
 L/[L,L] differ modulo p^(k + c_safety) the answer is False without a search.
 Otherwise bracket-preserving basis maps mod p are searched depth first, and
-each is lifted towards level p^(k + c_safety) as soon as it is found.  True is
-returned as soon as one base map lifts that far; False only after the whole
-search has failed.  A search that exceeds NODE_BUDGET nodes is refused with
-ResourceGuardError, never truncated into a verdict.
+each is lifted towards level p^(k + c_safety) as soon as it is found.  True
+is returned as soon as one base map lifts that far; False only after the
+whole search has failed.  A search that exceeds NODE_BUDGET nodes is refused
+with ResourceGuardError, never truncated into a verdict.
 """
 
 from __future__ import annotations
@@ -73,33 +74,26 @@ class LieLattice:
                         raise InputError(f"Jacobi identity fails on ({i},{j},{k})")
 
     def bracket(self, u, w):
-        n = self.rank
-        out = [0] * n
-        for i in range(n):
-            if not u[i]:
-                continue
-            for j in range(n):
-                if not w[j]:
-                    continue
-                coeff = u[i] * w[j]
-                vec = self.tensor[i][j]
-                for l in range(n):
-                    if vec[l]:
-                        out[l] += coeff * vec[l]
-        return out
+        return _bracket(self._table, u, w)
 
     def is_abelian(self):
-        return self._abelian
+        return not self._table
 
     def heisenberg_m(self):
         """m if this is the standard Heisenberg tensor of rank 2m+1, else None."""
         return self._heisenberg_m
 
-    # Classified once per instance: every verdict asks, and recognising
-    # Heisenberg builds and validates a whole heisenberg_lattice(m).
+    # Built once per instance: every bracket reads the table, and
+    # recognising Heisenberg builds and validates a whole heisenberg_lattice(m).
     @cached_property
-    def _abelian(self):
-        return all(not any(vec) for row in self.tensor for vec in row)
+    def _table(self):
+        """The nonzero [e_a, e_b], a < b, as (a, b, ((l, c), ...)) with
+        [e_a, e_b] = sum of c e_l."""
+        n = self.rank
+        return tuple(
+            (a, b, tuple((l, c) for l, c in enumerate(self.tensor[a][b]) if c))
+            for a in range(n) for b in range(a + 1, n) if any(self.tensor[a][b])
+        )
 
     @cached_property
     def _heisenberg_m(self):
@@ -110,6 +104,19 @@ class LieLattice:
         if self.tensor == heisenberg_lattice(m).tensor:
             return m
         return None
+
+
+def _bracket(table, u, w):
+    """[u, w] through `table`, part of a bracket table (see
+    `LieLattice._table`) holding every entry (a, b, vec) with u[a] w[b] or
+    u[b] w[a] nonzero."""
+    out = [0] * len(u)
+    for a, b, vec in table:
+        c = u[a] * w[b] - u[b] * w[a]
+        if c:
+            for l, x in vec:
+                out[l] += c * x
+    return out
 
 
 def _freeze(tensor):
@@ -131,9 +138,9 @@ def heisenberg_lattice(m):
     return LieLattice(n, _freeze(t))
 
 
-def lattice_from_dict(data):
-    """{"rank": n, "brackets": [[i, j, [c_1..c_n]], ...]} with 1-indexed i<j;
-    omitted brackets are zero, antisymmetry is filled in."""
+def _lattice_fields(data):
+    """(rank, [(i, j, vec), ...]) read from lattice data, 0-indexed, without
+    building the rank^3 structure tensor."""
     try:
         n = int(data["rank"])
         brackets = [
@@ -144,6 +151,13 @@ def lattice_from_dict(data):
         raise InputError(str(exc)) from exc
     except (KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed lattice data: {exc!r}") from exc
+    return n, brackets
+
+
+def lattice_from_dict(data):
+    """{"rank": n, "brackets": [[i, j, [c_1..c_n]], ...]} with 1-indexed i<j;
+    omitted brackets are zero, antisymmetry is filled in."""
+    n, brackets = _lattice_fields(data)
     t = [[[0] * n for _ in range(n)] for _ in range(n)]
     seen = set()
     for i, j, vec in brackets:
@@ -247,58 +261,35 @@ def is_subring(lattice, basis):
     return True
 
 
-def _tails_are_subrings(lattice):
-    """True iff span(e_i, ..., e_{n-1}) is a subring for every i, that is
-    tensor[a][b][l] == 0 whenever l < min(a, b)."""
-    t = lattice.tensor
-    n = lattice.rank
-    return all(
-        not any(t[a][b][:min(a, b)]) for a in range(n) for b in range(n)
-    )
-
-
 def enumerate_subrings(lattice, p, k):
     """All row-HNF bases of subrings of index p^k, each once.
 
     The basis is built bottom-up, row n-1 first and row 0 last, each row
     running through its pivot p^e and its entries reduced modulo the pivots
-    below.  When every tail span(e_i, ...) is a subring, the part of the
-    subring inside span(e_i, ...) is the span of rows i..n-1, so the basis
-    spans a subring iff each bracket [row_i, row_j] (j > i) lies in the span
-    of rows i..n-1.  Each is tested as soon as row i is placed, and a branch
-    that fails is cut there; pairs whose bracket is identically zero are
-    never tested.  For any other presentation the same walk runs unpruned
-    and `is_subring` tests each finished basis.  `enumerate_sublattices` is
-    the unpruned reference.
+    below.  The basis spans a subring iff each bracket [row_i, row_j] (i < j)
+    lies in the span.  That bracket lives on the columns >= l, the least
+    column the bracket table reaches from rows i and j, and the subring's
+    part on the columns >= s = min(i, l) is the span of rows s..n-1.  So the
+    bracket is tested as soon as row s is placed, and a branch that fails is
+    cut there; pairs whose bracket is identically zero are never tested.
+    When every tail span(e_i, ...) of the lattice is a subring, s = i.
+    `enumerate_sublattices` filtered by `is_subring` is the reference.
     """
     n = lattice.rank
     _check_enum_guards(n, p, k)
-    pruned = _tails_are_subrings(lattice)
     checks = [[] for _ in range(n)]
-    if pruned:
-        nonzero = [
-            (a, b, [(l, c) for l, c in enumerate(lattice.tensor[a][b]) if c])
-            for a in range(n) for b in range(a + 1, n) if any(lattice.tensor[a][b])
-        ]
-        for i in range(n):
-            for j in range(i + 1, n):
-                # row_i lives on columns >= i and row_j on columns >= j
-                terms = [(a, b, vec) for a, b, vec in nonzero if a >= i and b >= j]
-                if terms:
-                    checks[i].append((j, terms))
+    for i in range(n):
+        for j in range(i + 1, n):
+            # row_i lives on columns >= i and row_j on columns >= j
+            terms = [(a, b, vec) for a, b, vec in lattice._table if a >= i and b >= j]
+            if terms:
+                s = min([i] + [l for _, _, vec in terms for l, _ in vec])
+                checks[s].append((i, j, terms))
     rows = [None] * n
 
-    def closed(i):
-        u = rows[i]
-        for j, terms in checks[i]:
-            w = rows[j]
-            out = [0] * n
-            for a, b, vec in terms:
-                c = u[a] * w[b] - u[b] * w[a]
-                if c:
-                    for l, x in vec:
-                        out[l] += c * x
-            if _span_coefficients(rows, out) is None:
+    def closed(s):
+        for i, j, terms in checks[s]:
+            if _span_coefficients(rows, _bracket(terms, rows[i], rows[j])) is None:
                 return False
         return True
 
@@ -314,12 +305,7 @@ def enumerate_subrings(lattice, p, k):
                 else:
                     yield from place(i - 1, left - e)
 
-    if pruned:
-        yield from place(n - 1, k)
-    else:
-        for basis in place(n - 1, k):
-            if is_subring(lattice, basis):
-                yield basis
+    yield from place(n - 1, k)
 
 
 def _vp(x, p):

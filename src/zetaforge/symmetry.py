@@ -47,7 +47,7 @@ def _numerator_antipalindrome(num):
 
 def extract_functional_equation(w):
     """The SymmetryFactor of w, or None when no functional equation exists."""
-    _, (sign0, a_total, b_total) = w.invert_variables()
+    sign0, a_total, b_total = w.invert_variables()
     hit = _numerator_antipalindrome(w.numerator)
     if hit is None:
         return None
@@ -59,12 +59,7 @@ def verify_functional_equation(w, factor):
     """Confirm W(X^{-1},Y^{-1}) = sign X^a Y^b W(X,Y) as exact rational
     functions.  Clearing each inverted denominator factor against its upright
     twin leaves a plain polynomial identity."""
-    k = len(w.denominator)
-    a_total = sum(a for a, _ in w.denominator)
-    b_total = sum(b for _, b in w.denominator)
-    lhs = w.numerator.invert() * LaurentPoly.monomial(
-        -1 if k % 2 else 1, a_total, b_total
-    )
+    lhs = w.numerator.invert() * LaurentPoly.monomial(*w.invert_variables())
     rhs = w.numerator * LaurentPoly.monomial(factor.sign, factor.a, factor.b)
     return lhs == rhs
 
@@ -129,8 +124,7 @@ def reduced_leading_ratio(w):
     if not spec:
         raise DegenerateSpecializationError("numerator vanishes at X = 1")
     e_min, e_max = min(spec), max(spec)
-    k = len(w.denominator)
-    b_total = sum(b for _, b in w.denominator)
+    sign, _, b_total = w.invert_variables()
     exponent = b_total - e_min - e_max
-    constant = Fraction(spec[e_min], spec[e_max]) * (-1 if k % 2 else 1)
+    constant = Fraction(spec[e_min], spec[e_max]) * sign
     return exponent, constant

@@ -291,6 +291,20 @@ def test_oracle_refuses_rank_zero_lattice(tmp_path):
     assert "refused: rank must be at least 1" in result.output
 
 
+def test_oracle_refuses_oversized_lattice_before_building_it(monkeypatch, tmp_path):
+    def build(*args):
+        raise AssertionError("lattice built before the rank guard")
+
+    for maker in ("heisenberg_lattice", "abelian_lattice", "lattice_from_dict"):
+        monkeypatch.setattr(cli, maker, build)
+    path = tmp_path / "rank7.json"
+    path.write_text('{"rank": 7, "brackets": [[1, 2, [0, 0, 0, 0, 0, 0, 1]]]}')
+    for lattice in ("heisenberg:4", "abelian:7", f"file:{path}"):
+        result = run("oracle", "--lattice", lattice, "--p", "2", "--k", "1")
+        assert result.exit_code == 1
+        assert result.output == "refused: sublattice enumeration capped at rank 6\n"
+
+
 @pytest.mark.parametrize("command", [
     ["families", "--family", "abelian:2", "--d", "2"],
     ["euler", "--family", "abelian:2", "--d", "2", "--minpoly", "1,0,1", "--p", "5"],
@@ -340,10 +354,10 @@ def test_validators_refuse_with_exit_1(command, message):
 
 
 @pytest.mark.parametrize("content", ["{not json", '{"brackets": []}', "[1, 2]",
-                                     '{"rank": 2, "brackets": [[1, 2]]}'])
+                                     '{"rank": 2, "brackets": [[1, 2]]}', b'\xff{"rank": 3}'])
 def test_malformed_lattice_file_is_refused(tmp_path, content):
     path = tmp_path / "lattice.json"
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     result = run("oracle", "--lattice", f"file:{path}", "--p", "2", "--k", "1")
     assert result.exit_code == 1
     assert result.output.startswith("refused:")

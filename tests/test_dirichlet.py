@@ -178,7 +178,7 @@ signed_forms = st.builds(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(signed_forms, st.sampled_from([2, 3, 5]), types, st.integers(0, 8))
 def test_cut_factor_expands_as_the_full_factor(w, p, pairs, order):
-    cut = _outcome(lambda: LocalFactor(p, *_specialise(w, p, pairs, order)).expand(order))
+    cut = _outcome(lambda: LocalFactor.from_euler(w, p, pairs, order).expand(order))
     full = _outcome(lambda: LocalFactor.from_euler(w, p, pairs).expand(order))
     assert cut == full
 
@@ -190,11 +190,11 @@ def test_cut_is_widened_by_negative_t_exponents():
     w = EulerForm(LaurentPoly({(0, -1): 3, (1, -1): -1, (0, 3): 1}), [(0, 1)])
     pairs = [(1, 1), (1, 2)]
     assert LocalFactor.from_euler(w, 3, pairs).expand(1) == [0, -6]
-    assert LocalFactor(3, *_specialise(w, 3, pairs, 1)).expand(1) == [0, -6]
+    assert LocalFactor.from_euler(w, 3, pairs, 1).expand(1) == [0, -6]
     # a t^-1 that survives is refused with or without the cut
     w = EulerForm(LaurentPoly({(0, -1): 1, (0, 0): 1}), [(0, 1)])
     with pytest.raises(ValueError, match="negative t-exponent"):
-        LocalFactor(2, *_specialise(w, 2, [(1, 1)], 1)).expand(1)
+        LocalFactor.from_euler(w, 2, [(1, 1)], 1).expand(1)
 
 
 def test_cut_checks_integrality_of_dropped_terms():

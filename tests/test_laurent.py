@@ -247,15 +247,12 @@ def test_expand_series_cut_keeps_the_negative_y_refusal():
 
 def test_invert_variables_single_factor():
     w = EulerForm.from_denominator([(2, 2)])
-    (num_inv, num), (sign, a, b) = w.invert_variables()
-    assert (sign, a, b) == (-1, 2, 2)
-    assert num_inv == ONE and num == ONE
+    assert w.invert_variables() == (-1, 2, 2)
 
 
 def test_invert_variables_two_factors():
     w = EulerForm.from_denominator([(2, 2), (3, 2)])
-    _, (sign, a, b) = w.invert_variables()
-    assert (sign, a, b) == (1, 5, 4)
+    assert w.invert_variables() == (1, 5, 4)
 
 
 def test_ratfunc_equal_common_factor_extension():

@@ -1,6 +1,8 @@
 """Ground-truth enumeration: subring counts against the closed-form series."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaforge import (
     LieLattice,
@@ -141,12 +143,44 @@ def test_subring_walk_matches_filtered_sublattices(lat, p, kmax):
         }
 
 
-def test_subring_walk_prunes_only_when_tails_are_subrings():
-    assert oracle._tails_are_subrings(H1)
-    assert oracle._tails_are_subrings(H2)
-    assert oracle._tails_are_subrings(M3)
-    # z first: span(x, y) is not closed
-    assert not oracle._tails_are_subrings(_permuted(H1, (2, 0, 1)))
+@st.composite
+def presentations(draw):
+    """Rank <= 4: H1, M3 or H1+Z under a basis permutation and a nonzero
+    bracket scale, or a class-2 tensor whose brackets land in a drawn set of
+    central coordinates, where the Jacobi identity holds."""
+    if draw(st.booleans()):
+        lat = draw(st.sampled_from([H1, M3, H1_PLUS_Z]))
+        perm = draw(st.permutations(range(lat.rank)))
+        return _scaled(_permuted(lat, perm), draw(st.integers(-3, 3).filter(bool)))
+    n = draw(st.integers(2, 4))
+    central = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    brackets = [
+        [a + 1, b + 1, [draw(st.integers(-2, 2)) if l in central else 0 for l in range(n)]]
+        for a in range(n) for b in range(a + 1, n)
+        if a not in central and b not in central
+    ]
+    return lattice_from_dict({"rank": n, "brackets": brackets})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(presentations(), st.sampled_from([2, 3]), st.integers(0, 2))
+def test_subring_walk_matches_filtered_sublattices_on_random_presentations(lat, p, k):
+    walked = list(enumerate_subrings(lat, p, k))
+    assert len(walked) == len(set(walked))
+    assert set(walked) == {
+        b for b in enumerate_sublattices(lat.rank, p, k) if is_subring(lat, b)
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(presentations(), st.data())
+def test_bracket_is_the_dense_tensor_sum(lat, data):
+    n = lat.rank
+    u, w = (data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)) for _ in "uw")
+    t = lat.tensor
+    assert lat.bracket(u, w) == [
+        sum(u[i] * w[j] * t[i][j][l] for i in range(n) for j in range(n)) for l in range(n)
+    ]
 
 
 def test_subring_walk_guards():
@@ -199,6 +233,18 @@ def test_generic_rank4_counts_match_series():
     counts = [count_proisomorphic(M3, 2, k) for k in range(4)]
     assert counts == [series[k] for k in range(4)]
     assert counts == [1, 0, 0, 32]
+
+
+# Pinned counts of presentations that no other test counts; each verdict
+# takes the level-limited search.
+@pytest.mark.parametrize("lat,p,counts", [
+    pytest.param(_scaled(H1, 2), 2, [1, 0, 12, 0], id="scale2-p2"),
+    pytest.param(_scaled(H1, 2), 3, [1, 0], id="scale2-p3"),
+    pytest.param(_scaled(H1, -3), 2, [1, 0, 12, 0], id="scale-3-p2"),
+    pytest.param(H1_PLUS_Z, 2, [1, 4, 40], id="H1+Z-p2"),
+])
+def test_pinned_counts(lat, p, counts):
+    assert [count_proisomorphic(lat, p, k) for k in range(len(counts))] == counts
 
 
 # Presentations of H1 over Z_p that are not the standard tensor, so their
