@@ -8,14 +8,21 @@ up, and each bracket [row_i, row_j] is tested as soon as the rows that span
 the subring on the columns the bracket can reach are placed; a branch is cut
 at the first bracket outside that span.  Every bracket reads one sparse table
 of the nonzero [e_a, e_b] per lattice.  The decision is exact for abelian and
-Heisenberg-type lattices.  For anything else (rank at most 4) the verdict is
-level-limited.  It is pre-filtered by abelianization: when M/[M,M] and
-L/[L,L] differ modulo p^(k + c_safety) the answer is False without a search.
-Otherwise bracket-preserving basis maps mod p are searched depth first, and
-each is lifted towards level p^(k + c_safety) as soon as it is found.  True
-is returned as soon as one base map lifts that far; False only after the
-whole search has failed.  A search that exceeds NODE_BUDGET nodes is refused
-with ResourceGuardError, never truncated into a verdict.
+Heisenberg-type lattices.  Every subring of an abelian lattice is
+pro-isomorphic to it, so abelian counts make no verdict call.  A subring of
+the Heisenberg lattice of rank 2m+1 is decided by valuations: its non-central
+rows bracket to an alternating Gram matrix G on the z axis, with entry gcd g,
+and the answer is True iff g != 0, v_p(g) = v_p(z_gen) and
+v_p(Pf(G)) = m v_p(g) with Pf(G) != 0 (G/g invertible mod p).
+
+For anything else (rank at most 4) the verdict is level-limited.  It is
+pre-filtered by abelianization: when M/[M,M] and L/[L,L] differ modulo
+p^(k + c_safety) the answer is False without a search.  Otherwise
+bracket-preserving basis maps mod p are searched depth first, and each is
+lifted towards level p^(k + c_safety) as soon as it is found.  True is
+returned as soon as one base map lifts that far; False only after the whole
+search has failed.  A search that exceeds NODE_BUDGET nodes is refused with
+ResourceGuardError, never truncated into a verdict.
 """
 
 from __future__ import annotations
@@ -294,11 +301,12 @@ def enumerate_subrings(lattice, p, k):
         return True
 
     def place(i, left):
+        tested = bool(checks[i])
         for e in (left,) if i == 0 else range(left + 1):
             head = (0,) * i + (p**e,)
             for tail in product(*(range(rows[j][j]) for j in range(i + 1, n))):
                 rows[i] = head + tail
-                if not closed(i):
+                if tested and not closed(i):
                     continue
                 if i == 0:
                     yield tuple(rows)
@@ -318,13 +326,37 @@ def _vp(x, p):
     return v
 
 
+def _pfaffian(upper, idx=None):
+    """Pfaffian of the alternating matrix whose entries above the diagonal
+    are upper[a][b] (a < b), restricted to the indices `idx` (all of them by
+    default), by Laplace expansion along the first row.  Pf(A)^2 = det(A)."""
+    if idx is None:
+        idx = tuple(range(len(upper)))
+    if not idx:
+        return 1
+    a, rest = idx[0], idx[1:]
+    total = 0
+    for pos, b in enumerate(rest):
+        if upper[a][b]:
+            sign = -1 if pos % 2 else 1
+            total += sign * upper[a][b] * _pfaffian(upper, rest[:pos] + rest[pos + 1:])
+    return total
+
+
 def _heisenberg_verdict(lattice, basis, p, m):
+    """Exact verdict for a subring of the standard Heisenberg lattice of rank
+    2m+1.  The brackets of the 2m non-central rows land on the z axis and
+    form an alternating Gram matrix G with entry gcd g.  The completion is
+    Heisenberg iff g != 0, v_p(g) = v_p(z_gen) (derived sublattice and
+    centre agree over Z_p) and G/g is invertible mod p, i.e. p does not
+    divide det(G/g) = Pf(G)^2 / g^(2m): Pf(G) != 0 and v_p(Pf(G)) = m v_p(g).
+    """
     n = 2 * m + 1
     z_gen = basis[n - 1][n - 1]
     gram = [[0] * (2 * m) for _ in range(2 * m)]
     g = 0
     for a in range(2 * m):
-        for b in range(2 * m):
+        for b in range(a + 1, 2 * m):
             w = lattice.bracket(basis[a], basis[b])
             # brackets land on the z axis only
             assert not any(w[:-1])
@@ -334,23 +366,26 @@ def _heisenberg_verdict(lattice, basis, p, m):
         return False
     # derived sublattice = (g z); central intersection = (z_gen z); they must
     # agree over Z_p, i.e. have the same p-valuation
-    if _vp(g, p) != _vp(z_gen, p):
+    vg = _vp(g, p)
+    if vg != _vp(z_gen, p):
         return False
-    reduced = [[entry // g for entry in row] for row in gram]
-    # the reduced Gram matrix is invertible mod p iff its kernel is zero
-    return not _solve_mod_p(reduced, [0] * (2 * m), p)[1]
+    pf = _pfaffian(gram)
+    return pf != 0 and _vp(pf, p) == m * vg
 
 
 def _structure_constants(lattice, basis):
+    """out[a][b] = coordinates of [basis[a], basis[b]] in the basis.  Only
+    the pairs a < b are bracketed; antisymmetry fills in the rest."""
     n = lattice.rank
-    out = [[None] * n for _ in range(n)]
+    out = [[[0] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
-        for b in range(n):
+        for b in range(a + 1, n):
             w = lattice.bracket(basis[a], basis[b])
             coeffs = _span_coefficients(basis, w)
             if coeffs is None:
                 raise ValueError("basis does not span a subring")
             out[a][b] = coeffs
+            out[b][a] = [-c for c in coeffs]
     return out
 
 
@@ -586,8 +621,9 @@ def is_proisomorphic(lattice, basis, p, c_safety=2):
     index: a False is certain, a True is heuristic.  False is returned
     without a search when the abelianizations differ modulo p^(k + c_safety).
     Otherwise True is returned as soon as one base map mod p lifts to level
-    p^(k + c_safety); False only after the whole search.  A search that exceeds NODE_BUDGET nodes raises
-    ResourceGuardError: it is refused, never truncated.
+    p^(k + c_safety); False only after the whole search.  A search that
+    exceeds NODE_BUDGET nodes raises ResourceGuardError: it is refused, never
+    truncated.
     """
     if lattice.is_abelian():
         return True
@@ -602,8 +638,15 @@ def is_proisomorphic(lattice, basis, p, c_safety=2):
 
 def count_proisomorphic(lattice, p, k, c_safety=2):
     """Number of index-p^k subrings whose completion at p is isomorphic to
-    the ambient lattice's."""
+    the ambient lattice's.
+
+    Every subring of an abelian lattice is pro-isomorphic to it, so an
+    abelian count is the number of subrings and makes no verdict call.
+    """
+    subrings = enumerate_subrings(lattice, p, k)
+    if lattice.is_abelian():
+        return sum(1 for _ in subrings)
     return sum(
-        1 for basis in enumerate_subrings(lattice, p, k)
+        1 for basis in subrings
         if is_proisomorphic(lattice, basis, p, c_safety=c_safety)
     )

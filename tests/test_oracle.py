@@ -1,11 +1,15 @@
 """Ground-truth enumeration: subring counts against the closed-form series."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 from zetaforge import (
     LieLattice,
+    abelian,
     abelian_lattice,
     count_proisomorphic,
     enumerate_sublattices,
@@ -205,9 +209,126 @@ def test_heisenberg_verdicts_by_hand():
     assert is_proisomorphic(H1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 5)
 
 
+def _reference_heisenberg_verdict(lattice, basis, p, m):
+    """The verdict by elimination: all (2m)^2 brackets, then the Gram matrix
+    divided by its entry gcd g, row-reduced mod p."""
+    n = 2 * m + 1
+    rows = basis[:2 * m]
+    gram = [[lattice.bracket(u, w)[-1] for w in rows] for u in rows]
+    g = 0
+    for row in gram:
+        for x in row:
+            g = gcd(g, x)
+    if g == 0 or oracle._vp(g, p) != oracle._vp(basis[n - 1][n - 1], p):
+        return False
+    reduced = [[x // g for x in row] for row in gram]
+    return not oracle._solve_mod_p(reduced, [0] * (2 * m), p)[1]
+
+
+# (m, p, kmax): the sizes the benchmark's exact workload counts
+HEISENBERG_SIZES = [(1, 2, 4), (1, 3, 4), (1, 5, 3), (2, 2, 3), (2, 3, 2), (2, 5, 1)]
+
+
+@pytest.mark.parametrize("m,p,kmax", HEISENBERG_SIZES)
+def test_heisenberg_verdict_matches_elimination_on_every_subring(m, p, kmax):
+    lat = heisenberg_lattice(m)
+    verdicts = set()
+    for k in range(kmax + 1):
+        for basis in enumerate_subrings(lat, p, k):
+            got = oracle._heisenberg_verdict(lat, basis, p, m)
+            assert got == _reference_heisenberg_verdict(lat, basis, p, m), basis
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@st.composite
+def heisenberg_bases(draw):
+    """(m, p, basis): an upper-triangular basis with positive diagonal.
+    Pivots are mostly 1 and small prime powers, so that every test of the
+    verdict (valuations of g, then of the Pfaffian) decides some draws."""
+    m = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = 2 * m + 1
+    pivots = st.sampled_from([1, 1, 1, 2, 3, 4, 5, 8, 9, 25])
+    basis = tuple(
+        tuple(
+            draw(pivots) if i == j else draw(st.integers(-12, 12)) if j > i else 0
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return m, p, basis
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(heisenberg_bases())
+def test_heisenberg_verdict_matches_elimination_on_random_bases(drawn):
+    m, p, basis = drawn
+    lat = heisenberg_lattice(m)
+    assert oracle._heisenberg_verdict(lat, basis, p, m) == (
+        _reference_heisenberg_verdict(lat, basis, p, m)
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_heisenberg_verdict_brackets_each_pair_once(m, monkeypatch):
+    calls = []
+    bracket = LieLattice.bracket
+
+    def counted(self, u, w):
+        calls.append((u, w))
+        return bracket(self, u, w)
+
+    monkeypatch.setattr(LieLattice, "bracket", counted)
+    n = 2 * m + 1
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert oracle._heisenberg_verdict(heisenberg_lattice(m), identity, 2, m)
+    assert len(calls) == m * (2 * m - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_pfaffian_squared_is_the_determinant(data):
+    size = data.draw(st.integers(0, 6))
+    upper = [[0] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(a + 1, size):
+            upper[a][b] = data.draw(st.integers(-5, 5))
+    full = Matrix(size, size, lambda a, b: upper[a][b] if a < b else -upper[b][a])
+    assert oracle._pfaffian(upper) ** 2 == full.det()
+
+
+@pytest.mark.parametrize("lat,p,kmax", [(M3, 2, 2), (H1_PLUS_Z, 2, 2), (H2, 2, 2)])
+def test_structure_constants_match_all_ordered_pairs(lat, p, kmax):
+    for k in range(kmax + 1):
+        for basis in enumerate_subrings(lat, p, k):
+            full = [
+                [oracle._span_coefficients(basis, lat.bracket(u, w)) for w in basis]
+                for u in basis
+            ]
+            assert oracle._structure_constants(lat, basis) == full
+    # [e1, e2] = e3 is not in span(e1, e2, 2 e3, e4)
+    basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="not span a subring"):
+        oracle._structure_constants(M3, basis)
+
+
 def test_abelian_counts_are_all_sublattices():
     assert [count_proisomorphic(abelian_lattice(3), 2, k) for k in range(3)] == [
         1, 7, 35,
+    ]
+
+
+@pytest.mark.parametrize("n,p,kmax", [(4, 3, 3), (5, 2, 3)])
+def test_abelian_counts_match_series_without_verdicts(n, p, kmax, monkeypatch):
+    def no_verdict(*args, **kwargs):
+        raise AssertionError("an abelian count called is_proisomorphic")
+
+    monkeypatch.setattr(oracle, "is_proisomorphic", no_verdict)
+    series = make_W(abelian(n), 1).expand_series(p, kmax)
+    lat = abelian_lattice(n)
+    assert [count_proisomorphic(lat, p, k) for k in range(kmax + 1)] == [
+        series[k] for k in range(kmax + 1)
     ]
 
 
