@@ -106,8 +106,9 @@ def _parse_type(text):
 
 
 def _parse_lattice(text, p, k):
-    """The --lattice lattice.  The enumeration guards see its rank first:
-    the structure tensor alone has rank^3 entries."""
+    """The --lattice lattice.  The enumeration guards see its rank first,
+    so an oversized lattice is refused before its brackets are read into a
+    table and Jacobi-checked."""
     if text.startswith("file:"):
         try:
             with open(text[5:], encoding="utf-8") as handle:
@@ -278,7 +279,7 @@ def abscissa_cmd(family_id, d):
 
 @main.command("oracle")
 @click.option("--lattice", "lattice_id", required=True,
-              help="heisenberg:m, abelian:n, or file:<path> with a JSON tensor")
+              help="heisenberg:m, abelian:n, or file:<path> with a JSON bracket list")
 @click.option("--p", type=int, required=True)
 @click.option("--k", type=int, required=True)
 @_guarded

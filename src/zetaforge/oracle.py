@@ -2,24 +2,25 @@
 
 Everything here is ground truth by enumeration: list the finite-index
 subrings of Z^n in Hermite normal form, and decide whether each is
-pro-isomorphic to the ambient lattice at p.  The subrings are enumerated with
-closure pruning, for every presentation: the basis is built from its last row
-up, and each bracket [row_i, row_j] is tested as soon as the rows that span
-the subring on the columns the bracket can reach are placed; a branch is cut
-at the first bracket outside that span.  Every bracket reads one sparse table
-of the nonzero [e_a, e_b] per lattice.  The decision is exact for abelian and
-Heisenberg-type lattices.  Every subring of an abelian lattice is
-pro-isomorphic to it, so abelian counts make no verdict call.  A subring of
-the Heisenberg lattice of rank 2m+1 is decided by valuations: its non-central
-rows bracket to an alternating Gram matrix G on the z axis, with entry gcd g,
-and the answer is True iff g != 0, v_p(g) = v_p(z_gen) and
+pro-isomorphic to the ambient lattice at p.  A lattice is its sparse bracket
+table, the nonzero [e_a, e_b] for a < b (see `LieLattice`), and every bracket
+here is computed from a table by `_bracket`.  The subrings are enumerated
+with closure pruning, for every presentation: the basis is built from its
+last row up, and each bracket [row_i, row_j] is tested as soon as the rows
+that span the subring on the columns the bracket can reach are placed; a
+branch is cut at the first bracket outside that span.  The decision is exact
+for abelian and Heisenberg-type lattices.  Every subring of an abelian
+lattice is pro-isomorphic to it, so abelian counts make no verdict call.  A
+subring of the Heisenberg lattice of rank 2m+1 is decided by valuations: its
+non-central rows bracket to an alternating Gram matrix G on the z axis, with
+entry gcd g, and the answer is True iff g != 0, v_p(g) = v_p(z_gen) and
 v_p(Pf(G)) = m v_p(g) with Pf(G) != 0 (G/g invertible mod p).
 
 For anything else (rank at most 4) the verdict is level-limited.  It is
 pre-filtered by abelianization: when M/[M,M] and L/[L,L] differ modulo
-p^(k + c_safety) the answer is False without a search.  Otherwise
+p^(k + C_SAFETY) the answer is False without a search.  Otherwise
 bracket-preserving basis maps mod p are searched depth first, and each is
-lifted towards level p^(k + c_safety) as soon as it is found.  True is
+lifted towards level p^(k + C_SAFETY) as soon as it is found.  True is
 returned as soon as one base map lifts that far; False only after the whole
 search has failed.  A search that exceeds NODE_BUDGET nodes is refused with
 ResourceGuardError, never truncated into a verdict.
@@ -40,83 +41,68 @@ ENUM_PRIMES = (2, 3, 5)
 MAX_ENUM_K = 4
 MAX_GENERIC_RANK = 4
 NODE_BUDGET = 2**20
+# levels past the index p^k to which a searched verdict lifts
+C_SAFETY = 2
 
 
 @dataclass(frozen=True)
 class LieLattice:
-    """Free Z-Lie ring of rank n given by its structure tensor.
+    """Free Z-Lie ring of rank n given by its sparse bracket table.
 
-    tensor[i][j] is the coordinate vector of the bracket of basis elements
-    i and j (0-indexed).  Antisymmetry and the Jacobi identity are enforced
-    at construction.
+    `brackets` lists the nonzero [e_a, e_b], a < b, as (a, b, ((l, c), ...))
+    with [e_a, e_b] = sum of c e_l (0-indexed): pairs in increasing order,
+    each once, and in each entry the coordinates l increasing with every c a
+    nonzero int.  [e_b, e_a] is the negative of [e_a, e_b], so antisymmetry
+    holds by construction; the Jacobi identity is enforced at construction.
     """
 
     rank: int
-    tensor: tuple
+    brackets: tuple
 
     def __post_init__(self):
         n = self.rank
-        t = self.tensor
         if n < 1:
             raise InputError(f"rank must be at least 1, got {n}")
-        if len(t) != n or any(len(row) != n for row in t):
-            raise InputError("structure tensor must be rank x rank")
-        for i in range(n):
-            for j in range(n):
-                if len(t[i][j]) != n:
-                    raise InputError("bracket vectors must have length rank")
-                if any(t[i][j][l] != -t[j][i][l] for l in range(n)):
-                    raise InputError("structure tensor is not antisymmetric")
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    jac = [0] * n
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = t[a][b]
-                        for l in range(n):
-                            if inner[l]:
-                                for r in range(n):
-                                    jac[r] += inner[l] * t[l][c][r]
-                    if any(jac):
-                        raise InputError(f"Jacobi identity fails on ({i},{j},{k})")
+        pairs = [(a, b) for a, b, _ in self.brackets]
+        if pairs != sorted(set(pairs)) or any(not 0 <= a < b < n for a, b in pairs):
+            raise InputError(
+                f"bracket pairs must satisfy 0 <= a < b < {n}, each once, in increasing order"
+            )
+        for _, _, vec in self.brackets:
+            ls = [l for l, _ in vec]
+            if not vec or ls != sorted(set(ls)) or not 0 <= ls[0] <= ls[-1] < n or not all(
+                type(c) is int and c for _, c in vec
+            ):
+                raise InputError(
+                    "bracket terms must be nonzero integers on increasing coordinates < rank"
+                )
+        failing = _jacobi_failure(n, self.brackets)
+        if failing:
+            raise InputError("Jacobi identity fails on ({},{},{})".format(*failing))
 
     def bracket(self, u, w):
-        return _bracket(self._table, u, w)
+        return _bracket(self.brackets, u, w)
 
     def is_abelian(self):
-        return not self._table
+        return not self.brackets
 
     def heisenberg_m(self):
-        """m if this is the standard Heisenberg tensor of rank 2m+1, else None."""
+        """m if this is the standard Heisenberg table of rank 2m+1, else None."""
         return self._heisenberg_m
 
-    # Built once per instance: every bracket reads the table, and
-    # recognising Heisenberg builds and validates a whole heisenberg_lattice(m).
-    @cached_property
-    def _table(self):
-        """The nonzero [e_a, e_b], a < b, as (a, b, ((l, c), ...)) with
-        [e_a, e_b] = sum of c e_l."""
-        n = self.rank
-        return tuple(
-            (a, b, tuple((l, c) for l, c in enumerate(self.tensor[a][b]) if c))
-            for a in range(n) for b in range(a + 1, n) if any(self.tensor[a][b])
-        )
-
+    # Every verdict asks, so it is answered once per instance.
     @cached_property
     def _heisenberg_m(self):
         n = self.rank
         if n % 2 == 0 or n < 3:
             return None
         m = (n - 1) // 2
-        if self.tensor == heisenberg_lattice(m).tensor:
-            return m
-        return None
+        return m if self.brackets == _heisenberg_brackets(m) else None
 
 
 def _bracket(table, u, w):
-    """[u, w] through `table`, part of a bracket table (see
-    `LieLattice._table`) holding every entry (a, b, vec) with u[a] w[b] or
-    u[b] w[a] nonzero."""
+    """[u, w] through `table`, part of a bracket table (see `LieLattice`)
+    holding every entry (a, b, vec) with u[a] w[b] or u[b] w[a] nonzero."""
     out = [0] * len(u)
     for a, b, vec in table:
         c = u[a] * w[b] - u[b] * w[a]
@@ -126,32 +112,59 @@ def _bracket(table, u, w):
     return out
 
 
-def _freeze(tensor):
-    return tuple(tuple(tuple(v) for v in row) for row in tensor)
+def _jacobi_failure(n, table):
+    """The first triple i < j < k, in lexicographic order, whose Jacobiator
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] - [[e_i, e_k], e_j] is nonzero, or
+    None.  Only the pairs in the table have nonzero brackets, so only the
+    triples that touch one are tried, and only those pairs' terms summed."""
+    if not table:
+        return None
+    unit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    inner = {(a, b): _bracket(table, unit[a], unit[b]) for a, b, _ in table}
+    triples = sorted({
+        tuple(sorted((a, b, c))) for a, b in inner for c in range(n) if c not in (a, b)
+    })
+    for i, j, k in triples:
+        jac = [0] * n
+        for a, b, c, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
+            if (a, b) in inner:
+                for r, x in enumerate(_bracket(table, inner[a, b], unit[c])):
+                    jac[r] += sign * x
+        if any(jac):
+            return i, j, k
+    return None
 
 
 def abelian_lattice(n):
-    zero = [[[0] * n for _ in range(n)] for _ in range(n)]
-    return LieLattice(n, _freeze(zero))
+    return LieLattice(n, ())
+
+
+def _heisenberg_brackets(m):
+    n = 2 * m + 1
+    return tuple((i, m + i, ((n - 1, 1),)) for i in range(m))
 
 
 def heisenberg_lattice(m):
     """Rank 2m+1 with [x_i, y_i] = z; basis order x_1..x_m, y_1..y_m, z."""
-    n = 2 * m + 1
-    t = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(m):
-        t[i][m + i][n - 1] = 1
-        t[m + i][i][n - 1] = -1
-    return LieLattice(n, _freeze(t))
+    if m < 1:
+        raise InputError("heisenberg index must be >= 1")
+    return LieLattice(2 * m + 1, _heisenberg_brackets(m))
+
+
+def _lattice_int(x):
+    # JSON integers only: a bool, float or string is refused, never truncated
+    if type(x) is not int:
+        raise InputError(f"lattice data must be integers, got {x!r}")
+    return x
 
 
 def _lattice_fields(data):
     """(rank, [(i, j, vec), ...]) read from lattice data, 0-indexed, without
-    building the rank^3 structure tensor."""
+    building the lattice."""
     try:
-        n = int(data["rank"])
+        n = _lattice_int(data["rank"])
         brackets = [
-            (int(i) - 1, int(j) - 1, [int(c) for c in vec])
+            (_lattice_int(i) - 1, _lattice_int(j) - 1, [_lattice_int(c) for c in vec])
             for i, j, vec in data.get("brackets", ())
         ]
     except ValueError as exc:
@@ -163,21 +176,19 @@ def _lattice_fields(data):
 
 def lattice_from_dict(data):
     """{"rank": n, "brackets": [[i, j, [c_1..c_n]], ...]} with 1-indexed i<j;
-    omitted brackets are zero, antisymmetry is filled in."""
+    omitted brackets are zero.  Only the nonzero ones are kept, as the
+    lattice's sparse bracket table."""
     n, brackets = _lattice_fields(data)
-    t = [[[0] * n for _ in range(n)] for _ in range(n)]
-    seen = set()
+    entries = {}
     for i, j, vec in brackets:
         if not (0 <= i < j < n):
             raise InputError(f"bracket indices must satisfy 1 <= i < j <= {n}")
-        if (i, j) in seen:
+        if (i, j) in entries:
             raise InputError(f"duplicate bracket ({i + 1},{j + 1})")
-        seen.add((i, j))
         if len(vec) != n:
             raise InputError("bracket coefficient vectors must have length rank")
-        t[i][j] = vec
-        t[j][i] = [-c for c in vec]
-    return LieLattice(n, _freeze(t))
+        entries[i, j] = tuple((l, c) for l, c in enumerate(vec) if c)
+    return LieLattice(n, tuple((a, b, vec) for (a, b), vec in sorted(entries.items()) if vec))
 
 
 def lattice_from_json(text):
@@ -288,7 +299,7 @@ def enumerate_subrings(lattice, p, k):
     for i in range(n):
         for j in range(i + 1, n):
             # row_i lives on columns >= i and row_j on columns >= j
-            terms = [(a, b, vec) for a, b, vec in lattice._table if a >= i and b >= j]
+            terms = [(a, b, vec) for a, b, vec in lattice.brackets if a >= i and b >= j]
             if terms:
                 s = min([i] + [l for _, _, vec in terms for l, _ in vec])
                 checks[s].append((i, j, terms))
@@ -374,19 +385,20 @@ def _heisenberg_verdict(lattice, basis, p, m):
 
 
 def _structure_constants(lattice, basis):
-    """out[a][b] = coordinates of [basis[a], basis[b]] in the basis.  Only
-    the pairs a < b are bracketed; antisymmetry fills in the rest."""
+    """The bracket table (see `LieLattice`) of the subring spanned by
+    `basis`, in that basis: the nonzero coordinates of [basis[a], basis[b]],
+    a < b."""
     n = lattice.rank
-    out = [[[0] * n for _ in range(n)] for _ in range(n)]
+    table = []
     for a in range(n):
         for b in range(a + 1, n):
-            w = lattice.bracket(basis[a], basis[b])
-            coeffs = _span_coefficients(basis, w)
+            coeffs = _span_coefficients(basis, lattice.bracket(basis[a], basis[b]))
             if coeffs is None:
                 raise ValueError("basis does not span a subring")
-            out[a][b] = coeffs
-            out[b][a] = [-c for c in coeffs]
-    return out
+            vec = tuple((l, c) for l, c in enumerate(coeffs) if c)
+            if vec:
+                table.append((a, b, vec))
+    return tuple(table)
 
 
 def _solve_mod_p(rows, rhs, p):
@@ -442,54 +454,37 @@ class _Budget:
             )
 
 
-def _bracket_residual(cl, cm, t, i, j, modulus):
-    """Coordinates of [T e_i, T e_j] - T [e_i, e_j] mod modulus."""
-    n = len(t)
-    out = [0] * n
-    for a in range(n):
-        ta = t[a][i]
-        if not ta:
-            continue
-        for b in range(n):
-            tb = t[b][j]
-            if not tb:
-                continue
-            vec = cl[a][b]
-            for r in range(n):
-                if vec[r]:
-                    out[r] += ta * tb * vec[r]
-    for l in range(n):
-        c = cm[i][j][l]
+def _bracket_residual(cl, t, i, j, mij, modulus):
+    """Coordinates of [T e_i, T e_j] - T [e_i, e_j]_M mod modulus, where the
+    bracket is L's table `cl`, t[c] is the column T e_c and mij = [e_i, e_j]_M."""
+    out = _bracket(cl, t[i], t[j])
+    for l, c in enumerate(mij):
         if c:
-            for r in range(n):
-                out[r] -= c * t[r][l]
+            for r, x in enumerate(t[l]):
+                out[r] -= c * x
     return [x % modulus for x in out]
 
 
-def _base_solutions(cl, cm, p, budget):
-    """Invertible bracket-preserving maps mod p, yielded column by column.
+def _base_solutions(cl, pairs, n, p, budget):
+    """Invertible bracket-preserving maps mod p, yielded column by column,
+    each as its list of columns T e_c.
 
-    Lazy, so the caller lifts each map to level p^(k + c_safety) as soon as
+    Lazy, so the caller lifts each map to level p^(k + C_SAFETY) as soon as
     it is found and stops at the first that lifts (True); False means every
     map was yielded and failed to lift.  Each node spends one unit of
     `budget`, which refuses a search past NODE_BUDGET, never truncates it.
     A trial column is kept only outside the F_p-span of the columns before it.
     """
-    n = len(cl)
     needed = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            top = max(i, j)
-            for l in range(n):
-                if cm[i][j][l]:
-                    top = max(top, l)
-            needed.setdefault(top, []).append((i, j))
+    for i, j, mij in pairs:
+        top = max([j] + [l for l, c in enumerate(mij) if c])
+        needed.setdefault(top, []).append((i, j, mij))
     vectors = [tuple((v // p**r) % p for r in range(n)) for v in range(p**n)]
 
     def place(col, cols):
         budget.spend()
         if col == n:
-            yield [list(row) for row in zip(*cols)]
+            yield cols
             return
         span = {
             tuple(sum(c * v[r] for c, v in zip(coeffs, cols)) % p for r in range(n))
@@ -499,20 +494,23 @@ def _base_solutions(cl, cm, p, budget):
             if vec in span:
                 continue
             trial = cols + [vec]
-            t = [list(row) for row in zip(*(trial + [[0] * n] * (n - col - 1)))]
-            ok = True
-            for i, j in needed.get(col, ()):
-                if any(_bracket_residual(cl, cm, t, i, j, p)):
-                    ok = False
-                    break
-            if ok:
+            # a pair needed at col reads only the columns placed so far
+            if not any(
+                any(_bracket_residual(cl, trial, i, j, mij, p))
+                for i, j, mij in needed.get(col, ())
+            ):
                 yield from place(col + 1, trial)
 
     yield from place(0, [])
 
 
-def _lift(cl, cm, t, p, level, target, budget):
-    """Depth-first Hensel-style lifting of a mod-p solution to mod p^target."""
+def _lift(cl, pairs, unit, t, p, level, target, budget):
+    """Depth-first Hensel-style lifting of a mod-p solution to mod p^target.
+
+    T + p^level S keeps every bracket modulo p^(level + 1) iff S mod p solves
+    the linear part [S e_i, T e_j] + [T e_i, S e_j] - S [e_i, e_j]_M = minus
+    the residual over p^level, for every i < j; entry S[r][c] is unknown
+    r n + c."""
     budget.spend()
     if level >= target:
         return True
@@ -520,23 +518,17 @@ def _lift(cl, cm, t, p, level, target, budget):
     modulus = p**level
     rows = []
     rhs = []
-    eqs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for i, j in eqs:
-        residual = _bracket_residual(cl, cm, t, i, j, modulus * p)
+    for i, j, mij in pairs:
+        residual = _bracket_residual(cl, t, i, j, mij, modulus * p)
+        left = [_bracket(cl, e, t[j]) for e in unit]
+        right = [_bracket(cl, t[i], e) for e in unit]
         for r in range(n):
             coeff_row = [0] * (n * n)
             for a in range(n):
-                acc = 0
-                for b in range(n):
-                    acc += t[b][j] * cl[a][b][r]
-                coeff_row[a * n + i] += acc
-            for b in range(n):
-                acc = 0
-                for a in range(n):
-                    acc += t[a][i] * cl[a][b][r]
-                coeff_row[b * n + j] += acc
+                coeff_row[a * n + i] += left[a][r]
+                coeff_row[a * n + j] += right[a][r]
             for l in range(n):
-                coeff_row[r * n + l] -= cm[i][j][l]
+                coeff_row[r * n + l] -= mij[l]
             assert residual[r] % modulus == 0
             rows.append(coeff_row)
             rhs.append((-residual[r] // modulus) % p)
@@ -552,21 +544,20 @@ def _lift(cl, cm, t, p, level, target, budget):
                 for idx in range(len(s)):
                     s[idx] = (s[idx] + c * vec[idx]) % p
         lifted = [
-            [t[r][c] + modulus * s[r * n + c] for c in range(n)] for r in range(n)
+            [t[c][r] + modulus * s[r * n + c] for r in range(n)] for c in range(n)
         ]
-        if _lift(cl, cm, lifted, p, level + 1, target, budget):
+        if _lift(cl, pairs, unit, lifted, p, level + 1, target, budget):
             return True
     return False
 
 
-def _abelianization_type(tensor, p, cap):
+def _abelianization_type(table, n, p, cap):
     """The abelianization modulo p^cap, (Z/p^cap)^n over the span of the
-    brackets tensor[a][b], as the sorted exponents e_i of its cyclic factors
-    Z/p^e_i.  Lie rings isomorphic modulo p^cap have equal types.  Smith
-    normal form over Z_p, least valuation first."""
-    n = len(tensor)
+    brackets in the rank-n bracket `table`, as the sorted exponents e_i of
+    its cyclic factors Z/p^e_i.  Lie rings isomorphic modulo p^cap have
+    equal types.  Smith normal form over Z_p, least valuation first."""
     q = p**cap
-    rows = [[c % q for c in tensor[a][b]] for a in range(n) for b in range(a + 1, n)]
+    rows = [[dict(vec).get(l, 0) % q for l in range(n)] for _, _, vec in table]
     exps = []
     while True:
         rows = [row for row in rows if any(row)]
@@ -587,41 +578,46 @@ def _abelianization_type(tensor, p, cap):
     return sorted(exps + [cap] * (n - len(exps)))
 
 
-def _isomorphism_search(cl, cm, p, target):
-    """Is some bracket-preserving base map mod p liftable to level p^target?"""
+def _isomorphism_search(lattice, cm, p, target):
+    """Is some bracket-preserving base map mod p, from the subring with
+    bracket table `cm` to `lattice`, liftable to level p^target?"""
+    n = lattice.rank
+    unit = [tuple(int(r == i) for r in range(n)) for i in range(n)]
+    pairs = [(i, j, _bracket(cm, unit[i], unit[j])) for i in range(n) for j in range(i + 1, n)]
     budget = _Budget(NODE_BUDGET)
-    for base in _base_solutions(cl, cm, p, budget):
-        if _lift(cl, cm, base, p, 1, target, budget):
+    for base in _base_solutions(lattice.brackets, pairs, n, p, budget):
+        if _lift(lattice.brackets, pairs, unit, base, p, 1, target, budget):
             return True
     return False
 
 
-def _generic_verdict(lattice, basis, p, k, c_safety):
+def _generic_verdict(lattice, basis, p, k):
     n = lattice.rank
     if n > MAX_GENERIC_RANK:
         raise InputError(
             f"no exact criterion for this lattice and rank > {MAX_GENERIC_RANK}"
         )
-    target = k + c_safety
-    cl = lattice.tensor
+    target = k + C_SAFETY
     cm = _structure_constants(lattice, basis)
     # an isomorphism modulo p^target carries one abelianization onto the
     # other, so unequal types answer False without a search
-    if _abelianization_type(cl, p, target) != _abelianization_type(cm, p, target):
+    if _abelianization_type(lattice.brackets, n, p, target) != (
+        _abelianization_type(cm, n, p, target)
+    ):
         return False
-    return _isomorphism_search(cl, cm, p, target)
+    return _isomorphism_search(lattice, cm, p, target)
 
 
-def is_proisomorphic(lattice, basis, p, c_safety=2):
+def is_proisomorphic(lattice, basis, p):
     """Is the subring spanned by `basis`, p-adically completed, isomorphic to
     the completed ambient lattice?
 
-    Exact for abelian and standard Heisenberg tensors.  Otherwise (rank <= 4)
-    the verdict means "isomorphic at level p^(k + c_safety)" where p^k is the
+    Exact for abelian and standard Heisenberg tables.  Otherwise (rank <= 4)
+    the verdict means "isomorphic at level p^(k + C_SAFETY)" where p^k is the
     index: a False is certain, a True is heuristic.  False is returned
-    without a search when the abelianizations differ modulo p^(k + c_safety).
+    without a search when the abelianizations differ modulo p^(k + C_SAFETY).
     Otherwise True is returned as soon as one base map mod p lifts to level
-    p^(k + c_safety); False only after the whole search.  A search that
+    p^(k + C_SAFETY); False only after the whole search.  A search that
     exceeds NODE_BUDGET nodes raises ResourceGuardError: it is refused, never
     truncated.
     """
@@ -633,10 +629,10 @@ def is_proisomorphic(lattice, basis, p, c_safety=2):
     det = 1
     for i in range(lattice.rank):
         det *= basis[i][i]
-    return _generic_verdict(lattice, basis, p, _vp(det, p), c_safety)
+    return _generic_verdict(lattice, basis, p, _vp(det, p))
 
 
-def count_proisomorphic(lattice, p, k, c_safety=2):
+def count_proisomorphic(lattice, p, k):
     """Number of index-p^k subrings whose completion at p is isomorphic to
     the ambient lattice's.
 
@@ -646,7 +642,4 @@ def count_proisomorphic(lattice, p, k, c_safety=2):
     subrings = enumerate_subrings(lattice, p, k)
     if lattice.is_abelian():
         return sum(1 for _ in subrings)
-    return sum(
-        1 for basis in subrings
-        if is_proisomorphic(lattice, basis, p, c_safety=c_safety)
-    )
+    return sum(1 for basis in subrings if is_proisomorphic(lattice, basis, p))

@@ -341,6 +341,8 @@ REFUSED_INPUT = [
     (["dirichlet", "--family", "heisenberg:1", "--minpoly", "0,1", "--n", "0"], "limit must be >= 1"),
     (["oracle", "--lattice", "heisenberg:x", "--p", "2", "--k", "1"], "invalid literal for int()"),
     (["oracle", "--lattice", "abelian:2", "--p", "2", "--k", "-1"], "index exponent must be nonnegative"),
+    (["oracle", "--lattice", "heisenberg:0", "--p", "2", "--k", "2"], "heisenberg index must be >= 1"),
+    (["oracle", "--lattice", "heisenberg:-1", "--p", "2", "--k", "2"], "heisenberg index must be >= 1"),
 ]
 
 
@@ -353,8 +355,15 @@ def test_validators_refuse_with_exit_1(command, message):
     assert message in result.output
 
 
+# The last six hold a rank, index or coefficient that is not a JSON integer;
+# truncated by int(), the first would be read as Z^3 and counted.
 @pytest.mark.parametrize("content", ["{not json", '{"brackets": []}', "[1, 2]",
-                                     '{"rank": 2, "brackets": [[1, 2]]}', b'\xff{"rank": 3}'])
+                                     '{"rank": 2, "brackets": [[1, 2]]}', b'\xff{"rank": 3}',
+                                     '{"rank": 3, "brackets": [[1, 2, [0, 0, 0.5]]]}',
+                                     '{"rank": 2.7}', '{"rank": true}',
+                                     '{"rank": 3, "brackets": [[1.9, 2, [0, 0, 1]]]}',
+                                     '{"rank": 3, "brackets": [[1, 2, [0, 0, true]]]}',
+                                     '{"rank": 3, "brackets": [[1, "2", [0, 0, 1]]]}'])
 def test_malformed_lattice_file_is_refused(tmp_path, content):
     path = tmp_path / "lattice.json"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())

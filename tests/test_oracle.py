@@ -1,11 +1,14 @@
 """Ground-truth enumeration: subring counts against the closed-form series."""
 
+import hashlib
+import json
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from zetaforge import (
     LieLattice,
@@ -37,31 +40,104 @@ H1_PLUS_Z = lattice_from_dict({"rank": 4, "brackets": [[1, 2, [0, 0, 1, 0]]]})
 H1_ORDERS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
+def _dense(n, table):
+    """The rank^3 structure tensor of a bracket table: t[a][b] = [e_a, e_b],
+    with the pairs a > b filled in by antisymmetry."""
+    t = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a, b, vec in table:
+        for l, c in vec:
+            t[a][b][l] = c
+            t[b][a][l] = -c
+    return t
+
+
+def _from_dense(t):
+    n = len(t)
+    return LieLattice(n, tuple(
+        (a, b, tuple((l, c) for l, c in enumerate(t[a][b]) if c))
+        for a in range(n) for b in range(a + 1, n) if any(t[a][b])
+    ))
+
+
 def _permuted(lat, perm):
     """The same Lie ring in the reordered basis e'_a = e_perm[a]."""
     n = lat.rank
-    t = lat.tensor
-    return LieLattice(n, tuple(
-        tuple(tuple(t[perm[a]][perm[b]][perm[c]] for c in range(n)) for b in range(n))
+    t = _dense(n, lat.brackets)
+    return _from_dense([
+        [[t[perm[a]][perm[b]][perm[c]] for c in range(n)] for b in range(n)]
         for a in range(n)
-    ))
+    ])
 
 
 def _scaled(lat, s):
     return LieLattice(lat.rank, tuple(
-        tuple(tuple(s * c for c in vec) for vec in row) for row in lat.tensor
+        (a, b, tuple((l, s * c) for l, c in vec)) for a, b, vec in lat.brackets
     ))
 
 
+def _dense_refusal(t):
+    """The dense reference validation of a structure tensor: antisymmetry,
+    then the Jacobi identity on every triple i < j < k in lexicographic
+    order.  The refusal message, or None."""
+    n = len(t)
+    for i in range(n):
+        for j in range(n):
+            if any(t[i][j][l] != -t[j][i][l] for l in range(n)):
+                return "structure tensor is not antisymmetric"
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                jac = [0] * n
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l in range(n):
+                        for r in range(n):
+                            jac[r] += t[a][b][l] * t[l][c][r]
+                if any(jac):
+                    return f"Jacobi identity fails on ({i},{j},{k})"
+    return None
+
+
 def test_tensor_validation():
-    with pytest.raises(ValueError, match="antisymmetric"):
-        LieLattice(2, (((0, 0), (1, 0)), ((1, 0), (0, 0))))
-    with pytest.raises(ValueError, match="Jacobi"):
+    with pytest.raises(ValueError, match=r"Jacobi identity fails on \(0,1,2\)"):
         lattice_from_dict(
             {"rank": 3, "brackets": [[1, 2, [0, 0, 1]], [2, 3, [0, 1, 0]]]}
         )
-    with pytest.raises(ValueError, match="rank x rank"):
-        LieLattice(2, (((0, 0),),))
+    for rank, table in [
+        (3, ((1, 0, ((2, 1),)),)),                       # a > b
+        (3, ((0, 3, ((2, 1),)),)),                       # b out of range
+        (3, ((0, 2, ((1, 1),)), (0, 1, ((2, 1),)))),     # pairs out of order
+        (3, ((0, 1, ((2, 1),)), (0, 1, ((2, 2),)))),     # a pair twice
+    ]:
+        with pytest.raises(ValueError, match="bracket pairs"):
+            LieLattice(rank, table)
+    for table in [
+        ((0, 1, ()),),                                   # a zero bracket
+        ((0, 1, ((2, 0),)),),                            # a zero coefficient
+        ((0, 1, ((2, 1), (1, 1))),),                     # coordinates out of order
+        ((0, 1, ((3, 1),)),),                            # coordinate out of range
+        ((0, 1, ((2, 0.5),)),),                          # not an integer
+        ((0, 1, ((2, True),)),),                         # a bool, not an integer
+    ]:
+        with pytest.raises(ValueError, match="bracket terms"):
+            LieLattice(3, table)
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        LieLattice(0, ())
+
+
+@st.composite
+def bracket_tables(draw):
+    """(rank, table): a well-formed bracket table with small coefficients,
+    mostly zero, so that some draws satisfy the Jacobi identity and some
+    do not."""
+    n = draw(st.integers(1, 5))
+    table = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            vec = draw(st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2]), min_size=n, max_size=n))
+            terms = tuple((l, c) for l, c in enumerate(vec) if c)
+            if terms:
+                table.append((a, b, terms))
+    return n, tuple(table)
 
 
 def test_bracket_dict_validation():
@@ -79,12 +155,20 @@ def test_bracket_dict_validation():
 
 def test_constructors_and_recognition():
     assert abelian_lattice(3).is_abelian()
+    assert abelian_lattice(3).brackets == ()
+    assert H1.brackets == ((0, 1, ((2, 1),)),)
+    assert H2.brackets == ((0, 2, ((4, 1),)), (1, 3, ((4, 1),)))
     assert not H1.is_abelian()
     assert H1.heisenberg_m() == 1
     assert H2.heisenberg_m() == 2
     assert M3.heisenberg_m() is None
     assert H1.bracket((1, 0, 0), (0, 1, 0)) == [0, 0, 1]
     assert H1.bracket((0, 1, 0), (1, 0, 0)) == [0, 0, -1]
+    # a negated bracket is another table, so it is searched, not recognised
+    assert _scaled(H1, -1).heisenberg_m() is None
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="heisenberg index must be >= 1"):
+            heisenberg_lattice(m)
 
 
 def test_lattice_from_json_round_trip():
@@ -176,12 +260,25 @@ def test_subring_walk_matches_filtered_sublattices_on_random_presentations(lat, 
     }
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(bracket_tables(), presentations().map(lambda lat: (lat.rank, lat.brackets))))
+def test_table_validation_matches_the_dense_reference(drawn):
+    n, table = drawn
+    refusal = _dense_refusal(_dense(n, table))
+    if refusal is None:
+        assert LieLattice(n, table).brackets == table
+    else:
+        with pytest.raises(ValueError) as refused:
+            LieLattice(n, table)
+        assert str(refused.value) == refusal
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(presentations(), st.data())
 def test_bracket_is_the_dense_tensor_sum(lat, data):
     n = lat.rank
     u, w = (data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)) for _ in "uw")
-    t = lat.tensor
+    t = _dense(n, lat.brackets)
     assert lat.bracket(u, w) == [
         sum(u[i] * w[j] * t[i][j][l] for i in range(n) for j in range(n)) for l in range(n)
     ]
@@ -306,7 +403,7 @@ def test_structure_constants_match_all_ordered_pairs(lat, p, kmax):
                 [oracle._span_coefficients(basis, lat.bracket(u, w)) for w in basis]
                 for u in basis
             ]
-            assert oracle._structure_constants(lat, basis) == full
+            assert _dense(lat.rank, oracle._structure_constants(lat, basis)) == full
     # [e1, e2] = e3 is not in span(e1, e2, 2 e3, e4)
     basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1))
     with pytest.raises(ValueError, match="not span a subring"):
@@ -391,13 +488,24 @@ def test_generic_search_refuses_over_budget(monkeypatch):
     basis = ((8, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     # a False verdict needs the whole search, which exceeds the budget
     with pytest.raises(ResourceGuardError, match="100 nodes"):
-        oracle._isomorphism_search(
-            M3.tensor, oracle._structure_constants(M3, basis), 2, 3 + 2
-        )
+        oracle._isomorphism_search(M3, oracle._structure_constants(M3, basis), 2, 3 + 2)
     # the abelianizations differ modulo 2^5, so the verdict needs no search
     assert not is_proisomorphic(M3, basis, 2)
     # a True verdict stops at the first base map that lifts
     assert is_proisomorphic(M3, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 2)
+
+
+def _reference_abelianization_type(n, table, p, cap):
+    """The abelianization type from the integer invariant factors of the
+    dense bracket matrix (sympy): Z/s becomes Z/p^min(v_p(s), cap), and a
+    zero or missing factor Z/p^cap."""
+    t = _dense(n, table)
+    rows = [t[a][b] for a in range(n) for b in range(a + 1, n)]
+    factors = list(invariant_factors(Matrix(rows), domain=ZZ)) if rows else []
+    factors += [0] * (n - len(factors))
+    return sorted(
+        min(oracle._vp(s, p), cap) if s else cap for s in map(int, factors[:n])
+    )
 
 
 # M3 and H1+Z at p = 3 are left out: their unfiltered searches take minutes.
@@ -407,17 +515,47 @@ def test_generic_search_refuses_over_budget(monkeypatch):
     pytest.param(H1_PLUS_Z, 2, 1, 3, id="H1+Z-p2"),
 ])
 def test_abelianization_prefilter_rejects_only_false_verdicts(lat, p, kmax, rejected):
+    n = lat.rank
     seen = 0
     for k in range(kmax + 1):
         target = k + 2
+        ambient = oracle._abelianization_type(lat.brackets, n, p, target)
+        assert ambient == _reference_abelianization_type(n, lat.brackets, p, target)
         for basis in enumerate_subrings(lat, p, k):
             cm = oracle._structure_constants(lat, basis)
-            if oracle._abelianization_type(lat.tensor, p, target) != (
-                oracle._abelianization_type(cm, p, target)
-            ):
+            sub = oracle._abelianization_type(cm, n, p, target)
+            assert sub == _reference_abelianization_type(n, cm, p, target)
+            if ambient != sub:
                 seen += 1
-                assert not oracle._isomorphism_search(lat.tensor, cm, p, target)
+                assert not oracle._isomorphism_search(lat, cm, p, target)
     assert seen == rejected
+
+
+# The presentations of the benchmark's oracle-generic workload, each at its
+# (p, kmax).  The sha256 of their verdict sequence was recorded from the
+# dense-tensor oracle that the bracket tables replaced.
+GENERIC_CASES = (
+    [("M3", M3, ((2, 1),)), ("H1+Z", H1_PLUS_Z, ((2, 1),))]
+    + [(f"perm{q}", _permuted(H1, q), ((2, 3), (3, 1)))
+       for q in [(0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)]]
+    + [(f"scale{s}", _scaled(H1, s), ((2, 3), (3, 1))) for s in (2, -2)]
+    + [(f"scale{s}", _scaled(H1, s), ((2, 3), (3, 0))) for s in (3, -3)]
+)
+GENERIC_VERDICTS_SHA256 = "0dbe1230c2aa8b070a2ffda61443a849e1b23bb9e07bdac052d3434fb5b101c6"
+
+
+def test_generic_verdicts_match_pin():
+    verdicts = [
+        [label, p, k, [
+            int(is_proisomorphic(lat, basis, p)) for basis in enumerate_subrings(lat, p, k)
+        ]]
+        for label, lat, sizes in GENERIC_CASES
+        for p, kmax in sizes
+        for k in range(kmax + 1)
+    ]
+    assert sum(len(v[3]) for v in verdicts) == 676
+    text = json.dumps(verdicts, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERIC_VERDICTS_SHA256
 
 
 def test_generic_rank_guard():
