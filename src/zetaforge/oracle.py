@@ -18,12 +18,16 @@ v_p(Pf(G)) = m v_p(g) with Pf(G) != 0 (G/g invertible mod p).
 
 For anything else (rank at most 4) the verdict is level-limited.  It is
 pre-filtered by abelianization: when M/[M,M] and L/[L,L] differ modulo
-p^(k + C_SAFETY) the answer is False without a search.  Otherwise
-bracket-preserving basis maps mod p are searched depth first, and each is
-lifted towards level p^(k + C_SAFETY) as soon as it is found.  True is
-returned as soon as one base map lifts that far; False only after the whole
-search has failed.  A search that exceeds NODE_BUDGET nodes is refused with
-ResourceGuardError, never truncated into a verdict.
+p^(k + C_SAFETY) the answer is False without a search.  Otherwise a
+bracket-preserving map is searched depth first, one column at a time and
+one level p, p^2, ... at a time: a column extends the map of the level below
+by p^(level - 1) times a vector mod p, and each bracket is checked modulo
+p^level as soon as the columns it reads are placed.  True is returned as
+soon as all columns are placed at level p^(k + C_SAFETY); False only after
+the whole search has failed.  A search that exceeds NODE_BUDGET nodes is
+refused with ResourceGuardError, never truncated into a verdict, and a
+lattice with a bracket constant divisible by p^(k + C_SAFETY), which the
+search would read as zero, is refused with InputError.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ ENUM_PRIMES = (2, 3, 5)
 MAX_ENUM_K = 4
 MAX_GENERIC_RANK = 4
 NODE_BUDGET = 2**20
-# levels past the index p^k to which a searched verdict lifts
+# levels past the index p^k to which a searched verdict is checked
 C_SAFETY = 2
 
 
@@ -401,47 +405,6 @@ def _structure_constants(lattice, basis):
     return tuple(table)
 
 
-def _solve_mod_p(rows, rhs, p):
-    """Solve A u = b over F_p.  Returns (particular, kernel_basis) or None."""
-    neq = len(rows)
-    nvar = len(rows[0]) if neq else 0
-    aug = [[rows[r][c] % p for c in range(nvar)] + [rhs[r] % p] for r in range(neq)]
-    pivots = []
-    row = 0
-    for col in range(nvar):
-        sel = None
-        for r in range(row, neq):
-            if aug[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = pow(aug[row][col], -1, p)
-        aug[row] = [(x * inv) % p for x in aug[row]]
-        for r in range(neq):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, neq):
-        if aug[r][nvar]:
-            return None
-    particular = [0] * nvar
-    for r, col in enumerate(pivots):
-        particular[col] = aug[r][nvar]
-    free = [c for c in range(nvar) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [0] * nvar
-        vec[fc] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = (-aug[r][fc]) % p
-        kernel.append(vec)
-    return particular, kernel
-
-
 class _Budget:
     def __init__(self, limit):
         self.left = limit
@@ -463,92 +426,6 @@ def _bracket_residual(cl, t, i, j, mij, modulus):
             for r, x in enumerate(t[l]):
                 out[r] -= c * x
     return [x % modulus for x in out]
-
-
-def _base_solutions(cl, pairs, n, p, budget):
-    """Invertible bracket-preserving maps mod p, yielded column by column,
-    each as its list of columns T e_c.
-
-    Lazy, so the caller lifts each map to level p^(k + C_SAFETY) as soon as
-    it is found and stops at the first that lifts (True); False means every
-    map was yielded and failed to lift.  Each node spends one unit of
-    `budget`, which refuses a search past NODE_BUDGET, never truncates it.
-    A trial column is kept only outside the F_p-span of the columns before it.
-    """
-    needed = {}
-    for i, j, mij in pairs:
-        top = max([j] + [l for l, c in enumerate(mij) if c])
-        needed.setdefault(top, []).append((i, j, mij))
-    vectors = [tuple((v // p**r) % p for r in range(n)) for v in range(p**n)]
-
-    def place(col, cols):
-        budget.spend()
-        if col == n:
-            yield cols
-            return
-        span = {
-            tuple(sum(c * v[r] for c, v in zip(coeffs, cols)) % p for r in range(n))
-            for coeffs in product(range(p), repeat=col)
-        }
-        for vec in vectors:
-            if vec in span:
-                continue
-            trial = cols + [vec]
-            # a pair needed at col reads only the columns placed so far
-            if not any(
-                any(_bracket_residual(cl, trial, i, j, mij, p))
-                for i, j, mij in needed.get(col, ())
-            ):
-                yield from place(col + 1, trial)
-
-    yield from place(0, [])
-
-
-def _lift(cl, pairs, unit, t, p, level, target, budget):
-    """Depth-first Hensel-style lifting of a mod-p solution to mod p^target.
-
-    T + p^level S keeps every bracket modulo p^(level + 1) iff S mod p solves
-    the linear part [S e_i, T e_j] + [T e_i, S e_j] - S [e_i, e_j]_M = minus
-    the residual over p^level, for every i < j; entry S[r][c] is unknown
-    r n + c."""
-    budget.spend()
-    if level >= target:
-        return True
-    n = len(t)
-    modulus = p**level
-    rows = []
-    rhs = []
-    for i, j, mij in pairs:
-        residual = _bracket_residual(cl, t, i, j, mij, modulus * p)
-        left = [_bracket(cl, e, t[j]) for e in unit]
-        right = [_bracket(cl, t[i], e) for e in unit]
-        for r in range(n):
-            coeff_row = [0] * (n * n)
-            for a in range(n):
-                coeff_row[a * n + i] += left[a][r]
-                coeff_row[a * n + j] += right[a][r]
-            for l in range(n):
-                coeff_row[r * n + l] -= mij[l]
-            assert residual[r] % modulus == 0
-            rows.append(coeff_row)
-            rhs.append((-residual[r] // modulus) % p)
-    solved = _solve_mod_p(rows, rhs, p)
-    if solved is None:
-        return False
-    particular, kernel = solved
-    # walk the affine solution space, last kernel vector fastest, budget permitting
-    for counters in product(range(p), repeat=len(kernel)):
-        s = list(particular)
-        for vec, c in zip(kernel, counters):
-            if c:
-                for idx in range(len(s)):
-                    s[idx] = (s[idx] + c * vec[idx]) % p
-        lifted = [
-            [t[c][r] + modulus * s[r * n + c] for r in range(n)] for c in range(n)
-        ]
-        if _lift(cl, pairs, unit, lifted, p, level + 1, target, budget):
-            return True
-    return False
 
 
 def _abelianization_type(table, n, p, cap):
@@ -579,16 +456,53 @@ def _abelianization_type(table, n, p, cap):
 
 
 def _isomorphism_search(lattice, cm, p, target):
-    """Is some bracket-preserving base map mod p, from the subring with
-    bracket table `cm` to `lattice`, liftable to level p^target?"""
+    """Is there a map T from the subring with bracket table `cm` to
+    `lattice`, invertible mod p, with [T e_i, T e_j] = T [e_i, e_j]_M modulo
+    p^target for every i < j?
+
+    T is built depth first as its columns T e_c, one level at a time.  At
+    level 1 column c runs over F_p^n outside the span of the columns before
+    it; at level L + 1 over T_L e_c + p^L s for s in F_p^n, where T_L is the
+    map placed at level L.  Each pair is checked modulo p^level as soon as
+    the columns it reads are placed.  True once all n columns are placed at
+    level `target`; False only after the whole search has failed.  Each node
+    spends one unit of a `_Budget`, which refuses a search past NODE_BUDGET,
+    never truncates it.
+    """
     n = lattice.rank
+    cl = lattice.brackets
     unit = [tuple(int(r == i) for r in range(n)) for i in range(n)]
-    pairs = [(i, j, _bracket(cm, unit[i], unit[j])) for i in range(n) for j in range(i + 1, n)]
+    # needed[c]: the pairs whose check reads no column after c
+    needed = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mij = _bracket(cm, unit[i], unit[j])
+            needed[max([j] + [l for l, c in enumerate(mij) if c])].append((i, j, mij))
+    vectors = [tuple((v // p**r) % p for r in range(n)) for v in range(p**n)]
     budget = _Budget(NODE_BUDGET)
-    for base in _base_solutions(lattice.brackets, pairs, n, p, budget):
-        if _lift(lattice.brackets, pairs, unit, base, p, 1, target, budget):
-            return True
-    return False
+
+    def place(level, below, cols):
+        budget.spend()
+        col = len(cols)
+        if col == n:
+            return level == target or place(level + 1, cols, [])
+        step = p ** (level - 1)
+        span = () if level > 1 else {
+            tuple(sum(c * v[r] for c, v in zip(coeffs, cols)) % p for r in range(n))
+            for coeffs in product(range(p), repeat=col)
+        }
+        for s in vectors:
+            if s in span:
+                continue
+            trial = cols + [tuple(x + step * y for x, y in zip(below[col], s))]
+            if not any(
+                any(_bracket_residual(cl, trial, i, j, mij, step * p))
+                for i, j, mij in needed[col]
+            ) and place(level, below, trial):
+                return True
+        return False
+
+    return place(1, [(0,) * n] * n, [])
 
 
 def _generic_verdict(lattice, basis, p, k):
@@ -598,6 +512,13 @@ def _generic_verdict(lattice, basis, p, k):
             f"no exact criterion for this lattice and rank > {MAX_GENERIC_RANK}"
         )
     target = k + C_SAFETY
+    # such a bracket is zero at the search level, where L would look abelian
+    deep = [c for _, _, vec in lattice.brackets for _, c in vec if c % p**target == 0]
+    if deep:
+        raise InputError(
+            f"bracket constant {deep[0]} vanishes modulo {p}^{target}, the level "
+            "of the search (k + C_SAFETY)"
+        )
     cm = _structure_constants(lattice, basis)
     # an isomorphism modulo p^target carries one abelianization onto the
     # other, so unequal types answer False without a search
@@ -616,10 +537,12 @@ def is_proisomorphic(lattice, basis, p):
     the verdict means "isomorphic at level p^(k + C_SAFETY)" where p^k is the
     index: a False is certain, a True is heuristic.  False is returned
     without a search when the abelianizations differ modulo p^(k + C_SAFETY).
-    Otherwise True is returned as soon as one base map mod p lifts to level
-    p^(k + C_SAFETY); False only after the whole search.  A search that
-    exceeds NODE_BUDGET nodes raises ResourceGuardError: it is refused, never
-    truncated.
+    Otherwise a bracket-preserving map is searched column by column and level
+    by level; True is returned as soon as one is complete modulo
+    p^(k + C_SAFETY), False only after the whole search.  A search that
+    exceeds NODE_BUDGET nodes raises ResourceGuardError, and a lattice with a
+    bracket constant divisible by p^(k + C_SAFETY) raises InputError: both
+    are refused, never truncated.
     """
     if lattice.is_abelian():
         return True

@@ -291,6 +291,16 @@ def test_oracle_refuses_rank_zero_lattice(tmp_path):
     assert "refused: rank must be at least 1" in result.output
 
 
+def test_oracle_refuses_bracket_invisible_at_the_search_level(tmp_path):
+    # H1 scaled by 10^23: modulo 2^(2 + C_SAFETY) the bracket is zero
+    path = tmp_path / "big.json"
+    path.write_text('{"rank":3,"brackets":[[1,2,[0,0,100000000000000000000000]]]}')
+    for k in ("1", "2"):
+        result = run("oracle", "--lattice", f"file:{path}", "--p", "2", "--k", k)
+        assert result.exit_code == 1
+        assert result.output.startswith("refused: bracket constant 10")
+
+
 def test_oracle_refuses_oversized_lattice_before_building_it(monkeypatch, tmp_path):
     def build(*args):
         raise AssertionError("lattice built before the rank guard")

@@ -307,8 +307,8 @@ def test_heisenberg_verdicts_by_hand():
 
 
 def _reference_heisenberg_verdict(lattice, basis, p, m):
-    """The verdict by elimination: all (2m)^2 brackets, then the Gram matrix
-    divided by its entry gcd g, row-reduced mod p."""
+    """The verdict from all (2m)^2 brackets: the Gram matrix divided by its
+    entry gcd g must be invertible mod p, by its determinant (sympy)."""
     n = 2 * m + 1
     rows = basis[:2 * m]
     gram = [[lattice.bracket(u, w)[-1] for w in rows] for u in rows]
@@ -319,7 +319,7 @@ def _reference_heisenberg_verdict(lattice, basis, p, m):
     if g == 0 or oracle._vp(g, p) != oracle._vp(basis[n - 1][n - 1], p):
         return False
     reduced = [[x // g for x in row] for row in gram]
-    return not oracle._solve_mod_p(reduced, [0] * (2 * m), p)[1]
+    return Matrix(reduced).det() % p != 0
 
 
 # (m, p, kmax): the sizes the benchmark's exact workload counts
@@ -456,10 +456,13 @@ def test_generic_rank4_counts_match_series():
 # Pinned counts of presentations that no other test counts; each verdict
 # takes the level-limited search.
 @pytest.mark.parametrize("lat,p,counts", [
-    pytest.param(_scaled(H1, 2), 2, [1, 0, 12, 0], id="scale2-p2"),
+    pytest.param(_scaled(H1, 2), 2, [1, 0, 12, 0, 112], id="scale2-p2"),
     pytest.param(_scaled(H1, 2), 3, [1, 0], id="scale2-p3"),
     pytest.param(_scaled(H1, -3), 2, [1, 0, 12, 0], id="scale-3-p2"),
-    pytest.param(H1_PLUS_Z, 2, [1, 4, 40], id="H1+Z-p2"),
+    pytest.param(H1_PLUS_Z, 2, [1, 4, 40, 160], id="H1+Z-p2"),
+    pytest.param(H1_PLUS_Z, 3, [1, 9, 189], id="H1+Z-p3"),
+    pytest.param(M3, 2, [1, 0, 0, 32, 64], id="M3-p2"),
+    pytest.param(_permuted(H1, (0, 2, 1)), 3, [1, 0, 36, 0], id="perm021-p3"),
 ])
 def test_pinned_counts(lat, p, counts):
     assert [count_proisomorphic(lat, p, k) for k in range(len(counts))] == counts
@@ -493,6 +496,18 @@ def test_generic_search_refuses_over_budget(monkeypatch):
     assert not is_proisomorphic(M3, basis, 2)
     # a True verdict stops at the first base map that lifts
     assert is_proisomorphic(M3, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 2)
+
+
+def test_generic_verdict_refuses_bracket_invisible_at_the_search_level():
+    big = _scaled(H1, 10**23)
+    basis = ((2, 0, 0), (0, 2, 0), (0, 0, 1))
+    # v_2(10^23) = 23 >= 2 + C_SAFETY: the bracket vanishes modulo 2^4
+    with pytest.raises(ValueError, match="vanishes modulo 2\\^4"):
+        is_proisomorphic(big, basis, 2)
+    with pytest.raises(ValueError, match="vanishes modulo 2\\^2"):
+        count_proisomorphic(_scaled(H1, 4), 2, 0)
+    # one level further up v_2(4) = 2 is below 1 + C_SAFETY, and the count stands
+    assert count_proisomorphic(_scaled(H1, 4), 2, 1) == 0
 
 
 def _reference_abelianization_type(n, table, p, cap):
