@@ -13,8 +13,9 @@ and without leading zeros (the zero polynomial is []).  `_factor_type` reads
 the type from the gcds of f with x^(p^i) - x, one degree i at a time, and
 needs neither the complete factors nor a squarefree split.  For a run of
 primes, `_frobenius_images` hands it x^p mod f stepped over Z instead of
-powered at each p.  sympy is imported only by `_factor_over_q`, for fields
-whose mod-l factorization patterns cannot certify irreducibility.
+powered at each p.  The same types, at the primes l < 100 where f mod l is
+squarefree, certify that f is squarefree and irreducible over Q.  sympy is
+imported only by `_factor_over_q`, for polynomials they cannot certify.
 """
 
 from __future__ import annotations
@@ -216,59 +217,19 @@ def _frobenius_images(f, primes):
 # Polynomials over Z
 
 
-def _det(rows):
-    """Exact determinant of a square integer matrix, by fraction-free
-    (Bareiss) elimination."""
-    m = [list(row) for row in rows]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap], sign = m[swap], m[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def discriminant(coeffs):
-    """Exact discriminant of an integer polynomial (constant term first):
-    (-1)^(n(n-1)/2) Res(f, f') / lc(f), with the resultant the determinant of
-    the Sylvester matrix of f and f'.  0 when f is constant."""
-    coeffs = [int(c) for c in coeffs]
-    if len(coeffs) < 2:
-        raise ValueError("polynomial must be nonconstant")
-    f = list(reversed(coeffs))
-    while f and not f[0]:
-        f.pop(0)
-    n = len(f) - 1
-    if n < 1:
-        return 0
-    df = [c * (n - i) for i, c in enumerate(f[:-1])]
-    size = 2 * n - 1
-    rows = [[0] * i + f + [0] * (size - n - 1 - i) for i in range(n - 1)]
-    rows += [[0] * i + df + [0] * (size - n - i) for i in range(n)]
-    quotient, remainder = divmod(_det(rows), f[0])
-    if remainder:
-        raise AssertionError("Res(f, f') should be divisible by lc(f)")
-    return -quotient if n * (n - 1) // 2 % 2 else quotient
-
-
-def _certified_irreducible(f, disc):
-    """True when the factorization patterns of f mod the primes l < 100 not
-    dividing disc leave no degree for a proper factor over Q: such a factor
-    reduces mod l to a product of some of the irreducible factors mod l, so
-    its degree is a sum of some of their degrees for every l.  False means
-    undecided.  f is monic, leading coefficient first, with disc != 0, so f
-    mod l is squarefree."""
+def _certified_irreducible(f):
+    """True when the factorization patterns of f mod the primes l < 100
+    where f is squarefree leave no degree for a proper factor over Q: such a
+    factor reduces mod l to a product of some of the irreducible factors mod
+    l, so its degree is a sum of some of their degrees for every such l.
+    One squarefree reduction shows f squarefree over Q as well.  False means
+    undecided.  f is monic, leading coefficient first."""
     possible = set(range(1, len(f) - 1))
     for ell in _CERTIFICATE_PRIMES:
-        if disc % ell:
+        pairs = _factor_type(_reduce(f, ell), ell)[0]
+        if pairs[-1][0] == 1:
             sums = {0}
-            for _, i in _factor_type(_reduce(f, ell), ell)[0]:
+            for _, i in pairs:
                 sums |= {s + i for s in sums}
             possible &= sums
             if not possible:
@@ -277,22 +238,23 @@ def _certified_irreducible(f, disc):
 
 
 def _factor_over_q(coeffs):
-    """The irreducible factors over Q of the monic polynomial, each monic and
-    constant term first (sympy's exact factorization)."""
+    """The irreducible factors over Q of the monic polynomial with their
+    multiplicities: pairs (factor, e), each factor monic and constant term
+    first (sympy's exact factorization)."""
     from sympy import Poly, factor_list, symbols
 
     _, factors = factor_list(Poly(list(reversed(coeffs)), symbols("x")))
-    return [tuple(int(c) for c in reversed(fac.all_coeffs())) for fac, _ in factors]
+    return [(tuple(int(c) for c in reversed(fac.all_coeffs())), e) for fac, e in factors]
 
 
 @dataclass(frozen=True)
 class NumberField:
     """A number field Q[x]/(minpoly); coefficients constant term first.
 
-    The minimal polynomial must be monic, squarefree (nonzero discriminant)
-    and irreducible over Q.  Irreducibility is certified by factorization
-    patterns mod small primes and, when those cannot decide, by an exact
-    factorization; reducible input is refused, naming an integer root (the
+    The minimal polynomial must be monic, squarefree and irreducible over
+    Q.  Both are certified by factorization patterns mod small primes and,
+    when those cannot decide, by an exact factorization; a repeated factor
+    is refused first, then reducible input, naming an integer root (the
     least in absolute value, positive first) when there is one.
     """
 
@@ -306,11 +268,11 @@ class NumberField:
         if self.degree > 1:
             if coeffs[0] == 0:
                 raise InputError("reducible: x divides the polynomial")
-            disc = discriminant(coeffs)
-            if disc == 0:
-                raise InputError("not squarefree")
-            if not _certified_irreducible(list(reversed(coeffs)), disc):
-                factors = _factor_over_q(coeffs)
+            if not _certified_irreducible(list(reversed(coeffs))):
+                factored = _factor_over_q(coeffs)
+                if any(e > 1 for _, e in factored):
+                    raise InputError("not squarefree")
+                factors = [fac for fac, _ in factored]
                 roots = [-fac[0] for fac in factors if len(fac) == 2]
                 if roots:
                     root = min(roots, key=lambda r: (abs(r), r < 0))

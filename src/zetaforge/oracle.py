@@ -38,11 +38,12 @@ from functools import cached_property
 from itertools import product
 from math import gcd
 
-from .laurent import InputError, ResourceGuardError
+from .laurent import InputError, ResourceGuardError, _divide_geometric
 
 MAX_ENUM_RANK = 6
 ENUM_PRIMES = (2, 3, 5)
 MAX_ENUM_K = 4
+MAX_SUBLATTICES = 2**27
 MAX_GENERIC_RANK = 4
 NODE_BUDGET = 2**20
 # levels past the index p^k to which a searched verdict is checked
@@ -212,6 +213,15 @@ def _check_enum_guards(n, p, k):
         raise ResourceGuardError(f"enumeration index exponent capped at {MAX_ENUM_K}")
     if k < 0:
         raise InputError("index exponent must be nonnegative")
+    # Z^n has as many sublattices of index p^k as the t^k coefficient of
+    # prod_{i < n} 1/(1 - p^i t)
+    count = [1] + [0] * k
+    _divide_geometric(count, [(p**i, 1) for i in range(n)])
+    if count[k] > MAX_SUBLATTICES:
+        raise ResourceGuardError(
+            f"Z^{n} has {count[k]} sublattices of index {p}^{k}; "
+            f"enumeration capped at {MAX_SUBLATTICES}"
+        )
 
 
 def _compositions_colex(total, parts):

@@ -394,6 +394,12 @@ def test_oracle_guard_is_a_refusal():
     assert "refused:" in result.output
 
 
+def test_oracle_refuses_an_enumeration_too_large_to_finish():
+    result = run("oracle", "--lattice", "abelian:6", "--p", "5", "--k", "4")
+    assert result.exit_code == 1
+    assert result.output.startswith("refused:")
+
+
 def test_verify_single_suite():
     result = run("verify", "--suite", "bm-identity")
     assert result.exit_code == 0

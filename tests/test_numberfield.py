@@ -26,7 +26,6 @@ from zetaforge import (
     UnsupportedRamifiedPrimeError,
     decomposition_type,
     dedekind_zeta_local,
-    discriminant,
     rationals,
 )
 from zetaforge import numberfield
@@ -52,14 +51,9 @@ def test_field_validation():
         NumberField((-1, 0, 1))
     with pytest.raises(ValueError, match="squarefree"):
         NumberField((1, 0, 2, 0, 1))  # (x^2 + 1)^2
-
-
-def test_discriminants():
-    assert discriminant((1, 0, 1)) == -4
-    assert discriminant((-2, 0, 0, 1)) == -108
-    assert discriminant((-1, -1, 1)) == 5
-    with pytest.raises(ValueError):
-        discriminant((7,))
+    # a repeated factor is named before an integer root
+    with pytest.raises(ValueError, match="^not squarefree$"):
+        NumberField((1, -1, -1, 1))  # (x - 1)^2 (x + 1)
 
 
 def test_integer_roots_are_found_without_divisors():
@@ -84,6 +78,11 @@ def test_reducible_without_integer_root_is_refused():
     # (x^2 + 1)(x^2 + 2): reducible but also squarefree
     with pytest.raises(ValueError, match="reducible: factor 1,0,1 divides"):
         NumberField((2, 0, 3, 0, 1))
+    # (x^2 - 2)(x^2 - 6) keeps a factor of degree 2 mod every l where it is
+    # squarefree; mod 2 it is x^4, whose type, read without multiplicities,
+    # would rule degree 2 out and certify a reducible polynomial
+    with pytest.raises(ValueError, match="reducible: factor -6,0,1 divides the polynomial$"):
+        NumberField((12, 0, -8, 0, 1))
 
 
 # x^4 + 1 and x^4 - 10x^2 + 1 split into factors of degree <= 2 mod every
@@ -109,8 +108,7 @@ PINNED = {
 @pytest.mark.parametrize("coeffs", sorted(PINNED))
 def test_irreducible_quartics_keep_their_types(coeffs):
     certified, types = PINNED[coeffs]
-    disc = discriminant(coeffs)
-    assert numberfield._certified_irreducible(list(reversed(coeffs)), disc) is certified
+    assert numberfield._certified_irreducible(list(reversed(coeffs))) is certified
     field = NumberField(coeffs)
     for p, want in types.items():
         if want is None:
@@ -123,7 +121,7 @@ def test_irreducible_quartics_keep_their_types(coeffs):
 def test_certificate_decides_the_small_fields():
     for coeffs in ((1, 0, 1), (-2, 0, 0, 1), (1, 1, 1, 1, 1), (10**18 + 3, 0, 1)):
         f = list(reversed(coeffs))
-        assert numberfield._certified_irreducible(f, discriminant(coeffs))
+        assert numberfield._certified_irreducible(f)
 
 
 def random_monic(rng, p, degree):
@@ -183,16 +181,6 @@ def test_frobenius_images_match_powering(monkeypatch, step_bits):
             assert numberfield._factor_type(fp, p, xp) == numberfield._factor_type(fp, p), (f, p)
 
 
-def test_discriminant_matches_sympy():
-    rng = random.Random(7)
-    x = symbols("x")
-    for _ in range(300):
-        coeffs = [rng.randint(-20, 20) for _ in range(rng.randint(2, 9))]
-        coeffs[-1] = coeffs[-1] or 1
-        want = Poly(list(reversed(coeffs)), x).discriminant()
-        assert discriminant(coeffs) == want, coeffs
-
-
 def test_prime_helpers_match_sympy():
     for n in (0, 1, 2, 3, 97, 100, 10**4):
         assert primes_upto(n) == list(primerange(2, n + 1))
@@ -239,8 +227,9 @@ def test_types_match_complete_factorization():
         except ValueError:
             continue
     ramified = refused = 0
+    x = symbols("x")
     for field in fields:
-        disc = discriminant(field.minpoly)
+        disc = Poly(list(reversed(field.minpoly)), x).discriminant()
         for p in primerange(2, 200):
             want, coprime = reference_type(field.minpoly, p)
             ramified += disc % p == 0

@@ -205,6 +205,18 @@ def test_enumeration_guards():
         list(enumerate_sublattices(3, 2, -1))
 
 
+def test_sublattice_count_guard():
+    # S(5, 3, 4) = 75,913,222 is the largest count the caps leave
+    oracle._check_enum_guards(5, 3, 4)
+    with pytest.raises(ResourceGuardError, match="320327931 sublattices"):
+        oracle._check_enum_guards(4, 5, 4)
+    # refused before the first sublattice: the walk would take about a minute
+    with pytest.raises(ResourceGuardError):
+        count_proisomorphic(H2, 5, 3)
+    with pytest.raises(ResourceGuardError):
+        next(enumerate_sublattices(6, 5, 4))
+
+
 def test_is_subring():
     assert is_subring(H1, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert not is_subring(H1, ((1, 0, 0), (0, 1, 0), (0, 0, 2)))
