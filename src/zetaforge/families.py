@@ -42,46 +42,59 @@ class Family:
     kind: str
     params: tuple = ()
 
+    def __post_init__(self):
+        # integers only: a bool, float or string is refused, never truncated
+        for x in self.params:
+            if type(x) is not int:
+                raise InputError(f"family parameters must be integers, got {x!r}")
+
     def __str__(self):
         return ":".join([self.kind, *map(str, self.params)])
 
 
+# Each maker builds its Family first, which refuses non-integer parameters
+# before the range checks compare them.
 def abelian(n):
+    family = Family("abelian", (n,))
     if n < 1:
         raise InputError("abelian rank must be >= 1")
-    return Family("abelian", (n,))
+    return family
 
 
 def free(c, g):
+    family = Family("free", (c, g))
     if c < 2 or g < 1:
         raise InputError("free nilpotent family needs class >= 2, generators >= 1")
     if c > MAX_FREE_C or g > MAX_FREE_G:
         raise ResourceGuardError(
             f"free family capped at c <= {MAX_FREE_C}, g <= {MAX_FREE_G}"
         )
-    return Family("free", (c, g))
+    return family
 
 
 def heisenberg(m):
+    family = Family("heisenberg", (m,))
     if m < 1:
         raise InputError("heisenberg index must be >= 1")
     if m > MAX_HEISENBERG_M:
         raise ResourceGuardError(f"heisenberg family capped at m <= {MAX_HEISENBERG_M}")
-    return Family("heisenberg", (m,))
+    return family
 
 
 def lmn(m, n):
+    family = Family("lmn", (m, n))
     if m < 1 or n < 2:
         raise InputError("lmn family needs m >= 1, n >= 2")
     if m + n > MAX_LMN_TOTAL:
         raise ResourceGuardError(f"lmn family capped at m + n <= {MAX_LMN_TOTAL}")
-    return Family("lmn", (m, n))
+    return family
 
 
 def maxclass(c):
+    family = Family("maxclass", (c,))
     if c < 2:
         raise InputError("maximal-class family needs c >= 2")
-    return Family("maxclass", (c,))
+    return family
 
 
 def f4():
@@ -241,6 +254,8 @@ def lmn_monomials(m, n, d):
 
 def make_W(family, d):
     """The exact local factor W(X, Y) of the given family at extension degree d."""
+    if type(d) is not int:
+        raise InputError(f"extension degree d must be an integer, got {d!r}")
     if d < 1:
         raise InputError("extension degree d must be >= 1")
     kind, p = family.kind, family.params
@@ -338,6 +353,8 @@ def weight(family):
 
 def abscissa(family, d):
     """Abscissa of convergence of the global zeta function, as an exact rational."""
+    if type(d) is not int:
+        raise InputError(f"extension degree d must be an integer, got {d!r}")
     if d < 1:
         raise InputError("extension degree d must be >= 1")
     kind, p = family.kind, family.params

@@ -261,7 +261,11 @@ class NumberField:
     minpoly: tuple
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.minpoly)
+        # integers only: a bool, float or string is refused, never truncated
+        for c in self.minpoly:
+            if type(c) is not int:
+                raise InputError(f"minimal polynomial coefficients must be integers, got {c!r}")
+        coeffs = tuple(self.minpoly)
         object.__setattr__(self, "minpoly", coeffs)
         if len(coeffs) < 2 or coeffs[-1] != 1:
             raise InputError("minimal polynomial must be monic of degree >= 1")

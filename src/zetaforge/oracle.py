@@ -8,13 +8,14 @@ here is computed from a table by `_bracket`.  The subrings are enumerated
 with closure pruning, for every presentation: the basis is built from its
 last row up, and each bracket [row_i, row_j] is tested as soon as the rows
 that span the subring on the columns the bracket can reach are placed; a
-branch is cut at the first bracket outside that span.  The decision is exact
-for abelian and Heisenberg-type lattices.  Every subring of an abelian
-lattice is pro-isomorphic to it, so abelian counts make no verdict call.  A
-subring of the Heisenberg lattice of rank 2m+1 is decided by valuations: its
-non-central rows bracket to an alternating Gram matrix G on the z axis, with
-entry gcd g, and the answer is True iff g != 0, v_p(g) = v_p(z_gen) and
-v_p(Pf(G)) = m v_p(g) with Pf(G) != 0 (G/g invertible mod p).
+branch is cut at the first bracket outside that span.  On upper-triangular
+bases only the pairs in `LieLattice._pairs` can bracket to nonzero, and the
+walk, `_structure_constants` and the Heisenberg verdict bracket only those.
+The decision is exact for abelian and Heisenberg-type lattices.  Every
+subring of an abelian lattice is pro-isomorphic to it, so abelian counts
+make no verdict call.  A subring of H_m (rank 2m+1) with last row z_gen z
+is decided by one Pfaffian: True iff the Gram matrix G' of its non-central
+rows, [row_a, row_b] = G'[a][b] z_gen z, is invertible mod p.
 
 For anything else (rank at most 4) the verdict is level-limited.  It is
 pre-filtered by abelianization: when M/[M,M] and L/[L,L] differ modulo
@@ -36,7 +37,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import gcd
 
 from .laurent import InputError, ResourceGuardError, _divide_geometric
 
@@ -103,6 +103,20 @@ class LieLattice:
             return None
         m = (n - 1) // 2
         return m if self.brackets == _heisenberg_brackets(m) else None
+
+    @cached_property
+    def _pairs(self):
+        """(i, j, terms) for each i < j with `terms`, the table entries
+        (a, b, vec) with a >= i and b >= j, not empty: on an upper-triangular
+        basis only these can make [row_i, row_j] nonzero."""
+        n = self.rank
+        pairs = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                terms = tuple(t for t in self.brackets if t[0] >= i and t[1] >= j)
+                if terms:
+                    pairs.append((i, j, terms))
+        return tuple(pairs)
 
 
 def _bracket(table, u, w):
@@ -283,14 +297,9 @@ def _span_coefficients(basis, vec):
 
 
 def is_subring(lattice, basis):
-    """True iff the row span is closed under the lattice bracket."""
-    n = lattice.rank
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = lattice.bracket(basis[a], basis[b])
-            if _span_coefficients(basis, w) is None:
-                return False
-    return True
+    """True iff the row span of the upper-triangular `basis` is closed under
+    the lattice bracket."""
+    return _structure_constants(lattice, basis) is not None
 
 
 def enumerate_subrings(lattice, p, k):
@@ -299,24 +308,20 @@ def enumerate_subrings(lattice, p, k):
     The basis is built bottom-up, row n-1 first and row 0 last, each row
     running through its pivot p^e and its entries reduced modulo the pivots
     below.  The basis spans a subring iff each bracket [row_i, row_j] (i < j)
-    lies in the span.  That bracket lives on the columns >= l, the least
-    column the bracket table reaches from rows i and j, and the subring's
-    part on the columns >= s = min(i, l) is the span of rows s..n-1.  So the
-    bracket is tested as soon as row s is placed, and a branch that fails is
-    cut there; pairs whose bracket is identically zero are never tested.
+    in `LieLattice._pairs` lies in the span; the other pairs bracket to zero
+    and are never tested.  That bracket lives on the columns >= l, the least
+    column its terms reach, and the subring's part on the columns
+    >= s = min(i, l) is the span of rows s..n-1.  So the bracket is tested
+    as soon as row s is placed, and a branch that fails is cut there.
     When every tail span(e_i, ...) of the lattice is a subring, s = i.
     `enumerate_sublattices` filtered by `is_subring` is the reference.
     """
     n = lattice.rank
     _check_enum_guards(n, p, k)
     checks = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            # row_i lives on columns >= i and row_j on columns >= j
-            terms = [(a, b, vec) for a, b, vec in lattice.brackets if a >= i and b >= j]
-            if terms:
-                s = min([i] + [l for _, _, vec in terms for l, _ in vec])
-                checks[s].append((i, j, terms))
+    for i, j, terms in lattice._pairs:
+        s = min([i] + [l for _, _, vec in terms for l, _ in vec])
+        checks[s].append((i, j, terms))
     rows = [None] * n
 
     def closed(s):
@@ -369,62 +374,37 @@ def _pfaffian(upper, idx=None):
 
 
 def _heisenberg_verdict(lattice, basis, p, m):
-    """Exact verdict for a subring of the standard Heisenberg lattice of rank
-    2m+1.  The brackets of the 2m non-central rows land on the z axis and
-    form an alternating Gram matrix G with entry gcd g.  The completion is
-    Heisenberg iff g != 0, v_p(g) = v_p(z_gen) (derived sublattice and
-    centre agree over Z_p) and G/g is invertible mod p, i.e. p does not
-    divide det(G/g) = Pf(G)^2 / g^(2m): Pf(G) != 0 and v_p(Pf(G)) = m v_p(g).
+    """Exact verdict for the subring of the standard Heisenberg lattice of
+    rank 2m+1 spanned by the upper-triangular `basis`, with last row z_gen z.
+    Its non-central rows bracket to c z, so it is a subring iff z_gen
+    divides every c (else ValueError), and then [row_a, row_b] =
+    G'[a][b] z_gen z in its own basis.  The completion is Heisenberg iff the
+    alternating Gram matrix G' is invertible mod p: p does not divide Pf(G').
     """
-    n = 2 * m + 1
-    z_gen = basis[n - 1][n - 1]
     gram = [[0] * (2 * m) for _ in range(2 * m)]
-    g = 0
-    for a in range(2 * m):
-        for b in range(a + 1, 2 * m):
-            w = lattice.bracket(basis[a], basis[b])
-            # brackets land on the z axis only
-            assert not any(w[:-1])
-            gram[a][b] = w[-1]
-            g = gcd(g, w[-1])
-    if g == 0:
-        return False
-    # derived sublattice = (g z); central intersection = (z_gen z); they must
-    # agree over Z_p, i.e. have the same p-valuation
-    vg = _vp(g, p)
-    if vg != _vp(z_gen, p):
-        return False
-    pf = _pfaffian(gram)
-    return pf != 0 and _vp(pf, p) == m * vg
+    z_gen = basis[-1][-1]
+    for a, b, terms in lattice._pairs:
+        q, r = divmod(_bracket(terms, basis[a], basis[b])[-1], z_gen)
+        if r:
+            raise ValueError("basis does not span a subring")
+        gram[a][b] = q
+    return _pfaffian(gram) % p != 0
 
 
 def _structure_constants(lattice, basis):
-    """The bracket table (see `LieLattice`) of the subring spanned by
-    `basis`, in that basis: the nonzero coordinates of [basis[a], basis[b]],
-    a < b."""
-    n = lattice.rank
+    """The bracket table (see `LieLattice`) of the subring spanned by the
+    upper-triangular `basis`, in that basis: the nonzero coordinates of
+    [basis[a], basis[b]], a < b.  None if the basis does not span a
+    subring."""
     table = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            coeffs = _span_coefficients(basis, lattice.bracket(basis[a], basis[b]))
-            if coeffs is None:
-                raise ValueError("basis does not span a subring")
-            vec = tuple((l, c) for l, c in enumerate(coeffs) if c)
-            if vec:
-                table.append((a, b, vec))
+    for a, b, terms in lattice._pairs:
+        coeffs = _span_coefficients(basis, _bracket(terms, basis[a], basis[b]))
+        if coeffs is None:
+            return None
+        vec = tuple((l, c) for l, c in enumerate(coeffs) if c)
+        if vec:
+            table.append((a, b, vec))
     return tuple(table)
-
-
-class _Budget:
-    def __init__(self, limit):
-        self.left = limit
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise ResourceGuardError(
-                f"level-limited isomorphism search exceeded {NODE_BUDGET} nodes"
-            )
 
 
 def _bracket_residual(cl, t, i, j, mij, modulus):
@@ -475,9 +455,8 @@ def _isomorphism_search(lattice, cm, p, target):
     it; at level L + 1 over T_L e_c + p^L s for s in F_p^n, where T_L is the
     map placed at level L.  Each pair is checked modulo p^level as soon as
     the columns it reads are placed.  True once all n columns are placed at
-    level `target`; False only after the whole search has failed.  Each node
-    spends one unit of a `_Budget`, which refuses a search past NODE_BUDGET,
-    never truncates it.
+    level `target`; False only after the whole search has failed.  A search
+    past NODE_BUDGET nodes is refused, never truncated.
     """
     n = lattice.rank
     cl = lattice.brackets
@@ -489,10 +468,15 @@ def _isomorphism_search(lattice, cm, p, target):
             mij = _bracket(cm, unit[i], unit[j])
             needed[max([j] + [l for l, c in enumerate(mij) if c])].append((i, j, mij))
     vectors = [tuple((v // p**r) % p for r in range(n)) for v in range(p**n)]
-    budget = _Budget(NODE_BUDGET)
+    nodes = 0
 
     def place(level, below, cols):
-        budget.spend()
+        nonlocal nodes
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            raise ResourceGuardError(
+                f"level-limited isomorphism search exceeded {NODE_BUDGET} nodes"
+            )
         col = len(cols)
         if col == n:
             return level == target or place(level + 1, cols, [])
@@ -530,6 +514,8 @@ def _generic_verdict(lattice, basis, p, k):
             "of the search (k + C_SAFETY)"
         )
     cm = _structure_constants(lattice, basis)
+    if cm is None:
+        raise ValueError("basis does not span a subring")
     # an isomorphism modulo p^target carries one abelianization onto the
     # other, so unequal types answer False without a search
     if _abelianization_type(lattice.brackets, n, p, target) != (
@@ -552,7 +538,7 @@ def is_proisomorphic(lattice, basis, p):
     p^(k + C_SAFETY), False only after the whole search.  A search that
     exceeds NODE_BUDGET nodes raises ResourceGuardError, and a lattice with a
     bracket constant divisible by p^(k + C_SAFETY) raises InputError: both
-    are refused, never truncated.
+    are refused, never truncated.  A non-subring basis raises ValueError.
     """
     if lattice.is_abelian():
         return True

@@ -320,6 +320,12 @@ def test_degree_mismatch():
         global_coefficients(heisenberg(1), 2, rationals(), 10)
 
 
+def test_non_integer_degree_is_refused():
+    # 2.0 == GAUSS.degree, so only the type check stands between it and floats
+    with pytest.raises(InputError, match="must be an integer"):
+        global_coefficients(heisenberg(1), 2.0, GAUSS, 12)
+
+
 def test_global_coefficients_over_gauss_field():
     coeffs = global_coefficients(heisenberg(1), 2, GAUSS, 20)
     expected = [0] * 20

@@ -25,7 +25,7 @@ from zetaforge import (
 )
 from zetaforge import families, signed_perms
 from zetaforge.families import descent_form, free_alpha_beta, lmn_monomials, witt_rank
-from zetaforge.laurent import LaurentPoly, ResourceGuardError
+from zetaforge.laurent import InputError, LaurentPoly, ResourceGuardError
 from zetaforge.signed_perms import descent_sum
 
 
@@ -51,6 +51,15 @@ def test_constructor_domain_checks():
                 lambda: maxclass(1)):
         with pytest.raises(ValueError):
             bad()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: abelian(3.0), lambda: free(2, "2"), lambda: heisenberg(2.0),
+    lambda: heisenberg(True), lambda: lmn(1, 2.5), lambda: maxclass(None),
+])
+def test_constructors_refuse_non_integer_parameters(make):
+    with pytest.raises(InputError, match="must be integers"):
+        make()
 
 
 def test_resource_guards():
@@ -195,6 +204,12 @@ def test_make_W_rejects_bad_degree():
         make_W(heisenberg(1), 0)
 
 
+@pytest.mark.parametrize("d", [1.5, 2.0, True, "2"])
+def test_make_W_refuses_non_integer_degree(d):
+    with pytest.raises(InputError, match="must be an integer"):
+        make_W(heisenberg(1), d)
+
+
 def test_weights():
     assert weight(heisenberg(3)) == 8
     assert weight(free(2, 2)) == 4
@@ -225,3 +240,9 @@ def test_abscissa_refuses_formal_lmn():
 def test_abscissa_rejects_bad_degree():
     with pytest.raises(ValueError):
         abscissa(q5(), 0)
+
+
+@pytest.mark.parametrize("d", [1.5, 2.0, True, "2"])
+def test_abscissa_refuses_non_integer_degree(d):
+    with pytest.raises(InputError, match="must be an integer"):
+        abscissa(heisenberg(1), d)

@@ -56,6 +56,13 @@ def test_field_validation():
         NumberField((1, -1, -1, 1))  # (x - 1)^2 (x + 1)
 
 
+@pytest.mark.parametrize("coeffs", [(1, 0, 1.5), ("1", "0", "1"), (1, 0, True), (1.0, 0, 1)])
+def test_non_integer_coefficients_are_refused(coeffs):
+    # before any other check: a truncated (1, 0, 1.5) would be Q(i)
+    with pytest.raises(InputError, match="must be integers"):
+        NumberField(coeffs)
+
+
 def test_integer_roots_are_found_without_divisors():
     assert NumberField((10**12, 0, 1)).degree == 2
     with pytest.raises(ValueError, match="integer root 1000000$"):

@@ -353,20 +353,32 @@ def test_heisenberg_verdict_matches_elimination_on_every_subring(m, p, kmax):
 @st.composite
 def heisenberg_bases(draw):
     """(m, p, basis): an upper-triangular basis with positive diagonal.
-    Pivots are mostly 1 and small prime powers, so that every test of the
-    verdict (valuations of g, then of the Pfaffian) decides some draws."""
+    Pivots are mostly 1 and small prime powers.  The z pivot is usually a
+    divisor of the gcd of the z-brackets of the non-central rows, so that
+    the basis spans a subring and every test of the reference verdict
+    (valuations of g, then the determinant) decides some draws; otherwise
+    it is drawn like the other pivots and may not span a subring."""
     m = draw(st.integers(1, 3))
     p = draw(st.sampled_from([2, 3, 5]))
     n = 2 * m + 1
     pivots = st.sampled_from([1, 1, 1, 2, 3, 4, 5, 8, 9, 25])
-    basis = tuple(
+    rows = [
         tuple(
             draw(pivots) if i == j else draw(st.integers(-12, 12)) if j > i else 0
             for j in range(n)
         )
-        for i in range(n)
-    )
-    return m, p, basis
+        for i in range(2 * m)
+    ]
+    lat = heisenberg_lattice(m)
+    g = 0
+    for a in range(2 * m):
+        for b in range(a + 1, 2 * m):
+            g = gcd(g, lat.bracket(rows[a], rows[b])[-1])
+    if g and draw(st.integers(0, 3)):
+        z_gen = draw(st.sampled_from([d for d in range(1, g + 1) if g % d == 0]))
+    else:
+        z_gen = draw(pivots)
+    return m, p, tuple(rows) + ((0,) * (n - 1) + (z_gen,),)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -374,25 +386,36 @@ def heisenberg_bases(draw):
 def test_heisenberg_verdict_matches_elimination_on_random_bases(drawn):
     m, p, basis = drawn
     lat = heisenberg_lattice(m)
-    assert oracle._heisenberg_verdict(lat, basis, p, m) == (
-        _reference_heisenberg_verdict(lat, basis, p, m)
+    closed = all(
+        oracle._span_coefficients(basis, lat.bracket(u, w)) is not None
+        for u in basis for w in basis
     )
+    if closed:
+        assert oracle._heisenberg_verdict(lat, basis, p, m) == (
+            _reference_heisenberg_verdict(lat, basis, p, m)
+        )
+    else:
+        with pytest.raises(ValueError, match="not span a subring"):
+            is_proisomorphic(lat, basis, p)
 
 
+# Of the m(2m - 1) pairs of non-central rows, the m(m - 1)/2 pairs of two
+# y-rows never bracket to nonzero on a triangular basis: 1, 5 and 12 remain.
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_heisenberg_verdict_brackets_each_pair_once(m, monkeypatch):
+    lat = heisenberg_lattice(m)
     calls = []
-    bracket = LieLattice.bracket
+    bracket = oracle._bracket
 
-    def counted(self, u, w):
+    def counted(table, u, w):
         calls.append((u, w))
-        return bracket(self, u, w)
+        return bracket(table, u, w)
 
-    monkeypatch.setattr(LieLattice, "bracket", counted)
+    monkeypatch.setattr(oracle, "_bracket", counted)
     n = 2 * m + 1
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    assert oracle._heisenberg_verdict(heisenberg_lattice(m), identity, 2, m)
-    assert len(calls) == m * (2 * m - 1)
+    assert oracle._heisenberg_verdict(lat, identity, 2, m)
+    assert len(calls) == {1: 1, 2: 5, 3: 12}[m]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -418,8 +441,28 @@ def test_structure_constants_match_all_ordered_pairs(lat, p, kmax):
             assert _dense(lat.rank, oracle._structure_constants(lat, basis)) == full
     # [e1, e2] = e3 is not in span(e1, e2, 2 e3, e4)
     basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1))
+    assert oracle._structure_constants(M3, basis) is None
+    assert not is_subring(M3, basis)
     with pytest.raises(ValueError, match="not span a subring"):
-        oracle._structure_constants(M3, basis)
+        is_proisomorphic(M3, basis, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(presentations(), st.data())
+def test_pairs_left_out_bracket_to_zero_on_triangular_rows(lat, data):
+    n = lat.rank
+    rows = [
+        [data.draw(st.integers(-5, 5)) if j >= i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    kept = {(i, j): terms for i, j, terms in lat._pairs}
+    for i in range(n):
+        for j in range(i + 1, n):
+            full = lat.bracket(rows[i], rows[j])
+            if (i, j) in kept:
+                assert oracle._bracket(kept[i, j], rows[i], rows[j]) == full
+            else:
+                assert full == [0] * n
 
 
 def test_abelian_counts_are_all_sublattices():
