@@ -297,9 +297,28 @@ def _span_coefficients(basis, vec):
 
 
 def is_subring(lattice, basis):
-    """True iff the row span of the upper-triangular `basis` is closed under
-    the lattice bracket."""
-    return _structure_constants(lattice, basis) is not None
+    """True iff the row span of `basis` is closed under the lattice bracket.
+
+    `basis` must be n rows of n ints (n the rank), upper triangular with
+    nonzero pivots, the shape the span and bracket routines assume; any other
+    basis is refused with InputError.
+    """
+    n = lattice.rank
+    shape = f"basis must be {n} rows of {n} integers"
+    try:
+        rows = tuple(tuple(row) for row in basis)
+    except TypeError as exc:
+        raise InputError(shape) from exc
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise InputError(shape)
+    for i, row in enumerate(rows):
+        if any(type(x) is not int for x in row):
+            raise InputError(shape)
+        if any(row[:i]) or not row[i]:
+            raise InputError(
+                f"basis must be upper triangular with nonzero pivots: row {i + 1}"
+            )
+    return _structure_constants(lattice, rows) is not None
 
 
 def enumerate_subrings(lattice, p, k):

@@ -7,12 +7,16 @@ group S_m sits inside B_m as the all-positive windows and shares its
 statistics.  `descent_sum(m, monomials, signed)` turns a whole B_m (or S_m)
 and a per-descent monomial table into a polynomial: one depth-first walk over
 the group tallies the windows by (length, descent set), extending each prefix
-by one entry, and the table is applied once per distinct tally key.  `stats`
-is the per-window definition of the same statistics.  The walk still visits
-every window, so the two exhaustive verifiers at the bottom remain brute-force
-checks of the polynomial identity that collapses a B_m descent sum to an S_m
-descent sum times a product of binomial-exponent factors, and of the
-involution bookkeeping it rests on.
+by one entry (the last entry adds its one or two windows straight to the
+tally), and the table is applied once per distinct tally key.  `stats` is
+the per-window definition of the same statistics, read in one pass over the
+pairs of positions.  The walk still visits every window, so the two
+exhaustive verifiers at the bottom remain brute-force checks of the
+polynomial identity that collapses a B_m descent sum to an S_m descent sum
+times a product of binomial-exponent factors, and of the involution
+bookkeeping it rests on.  `verify_sublemma` checks every window against
+every eta_j, calling eta once per distinct head w[:j] and reading each
+partner from one table over B_m per j.
 """
 
 from __future__ import annotations
@@ -70,21 +74,29 @@ class BStats:
 
 
 def stats(w):
-    """Type-B statistics of a window: inv, npr, length, descents, eps1, sigma_C."""
+    """Type-B statistics of a window: inv, npr, length, descents, eps1, sigma_C.
+
+    One loop over the pairs i <= j: a pair counts towards inv when
+    w(i) > w(j), towards npr when w(i) + w(j) < 0 (i = j included), and an
+    adjacent pair j = i + 1 with w(i) > w(j) is a descent at position j.
+    """
     m = len(w)
-    inv = sum(1 for i in range(m) for j in range(i + 1, m) if w[i] > w[j])
-    npr = sum(1 for i in range(m) for j in range(i, m) if w[i] + w[j] < 0)
-    des_mask = 0
-    if w[0] < 0:
-        des_mask |= 1
-    for i in range(1, m):  # descent at position i iff w(i) > w(i+1)
-        if w[i - 1] > w[i]:
-            des_mask |= 1 << i
     eps1 = 1 if w[0] < 0 else 0
+    inv = npr = 0
+    des_mask = eps1
     sigma_c = comb(m + 1, 2) * eps1
-    for i in range(1, m):
-        if des_mask >> i & 1:
-            sigma_c += (m - i) * (m + i + 1)
+    for i, a in enumerate(w):
+        if a < 0:
+            npr += 1
+        for j in range(i + 1, m):
+            b = w[j]
+            if a > b:
+                inv += 1
+                if j == i + 1:
+                    des_mask |= 1 << j
+                    sigma_c += (m - j) * (m + j + 1)
+            if a + b < 0:
+                npr += 1
     return BStats(
         inv=inv,
         npr=npr,
@@ -141,7 +153,8 @@ def descent_tally(m, signed):
     that is (m - a) - (unused values above a); -a adds every prefix entry
     once, those of absolute value below a once more, and itself, that is
     k + (a - 1 - i) + 1.  Bit k is set when the previous entry (0 before
-    position 0) exceeds v.
+    position 0) exceeds v.  At the last position one value is left, and its
+    one or two windows are added to the tally without a further call.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -150,8 +163,11 @@ def descent_tally(m, signed):
     tally = Counter()
 
     def extend(k, unused, last, length, mask):
-        if k == m:
-            tally[length, mask] += 1
+        if k == m - 1:
+            (a,) = unused
+            tally[length + m - a, mask | (last > a) << k] += 1
+            if signed:
+                tally[length + k + a, mask | (last > -a) << k] += 1
             return
         others = m - k - 1  # unused values besides a; others - i lie above it
         for i, a in enumerate(unused):
@@ -238,26 +254,42 @@ def verify_sublemma(m):
     satisfies (P_j), and that when w does, the monomial of eta_j w is the
     monomial of w shifted by X^{C(m+1,2)-C(j+1,2)} Y.
 
-    Each window's monomial is computed once.  For each (w, j) the partners
-    v = eta_j(w) and u = eta_j(v) are computed once each: (P_j) of w reads v,
-    (P_j) of v reads u, and the pair checked is (w, v) or (v, u).
+    The windows are walked in lexicographic order, so those that share a
+    head w[:j] are adjacent and eta is called once per distinct head (eta_j
+    fixes the rest of the window).  For each j in turn this gives a table
+    over the whole of B_m sending each window to the position of its partner
+    v = eta_j(w); a partner that is not a window fails the check.  The
+    partner of v is read from the same table.  Each window's monomial and
+    each (P_j) is computed once, and every window is checked both for
+    exclusivity and, when it satisfies (P_j), for the monomial shift.
     """
     if m > MAX_SUBLEMMA_M:
         raise ResourceGuardError(
             f"sublemma verification capped at m={MAX_SUBLEMMA_M}, got {m}"
         )
     table = b_monomials(m)
-    monomial = {w: _descent_monomial(w, table) for w in enumerate_B(m)}
+    windows = sorted(enumerate_B(m))
+    position = {w: i for i, w in enumerate(windows)}
+    monomial = [_descent_monomial(w, table) for w in windows]
     top = comb(m + 1, 2)
-    for w in monomial:
-        for j in range(1, m + 1):
-            v = eta(j, w)
-            u = eta(j, v)
-            pw, pv = _property_p(j, w, v), _property_p(j, v, u)
-            if pw == pv:
+    for j in range(1, m + 1):
+        partner = []
+        head = None
+        for w in windows:
+            if w[:j] != head:
+                head = w[:j]
+                image = eta(j, head)
+            i = position.get(image + w[j:])
+            if i is None:
                 return False
-            gx, gy = monomial[w] if pw else monomial[v]
-            ox, oy = monomial[v] if pw else monomial[u]
-            if (ox - gx, oy - gy) != (top - comb(j + 1, 2), 1):
+            partner.append(i)
+        holds = [_property_p(j, w, windows[i]) for w, i in zip(windows, partner)]
+        shift = (top - comb(j + 1, 2), 1)
+        for (gx, gy), i, pw in zip(monomial, partner, holds):
+            if pw == holds[i]:
                 return False
+            if pw:
+                ox, oy = monomial[i]
+                if (ox - gx, oy - gy) != shift:
+                    return False
     return True

@@ -25,7 +25,7 @@ from zetaforge import (
     make_W,
     maxclass,
 )
-from zetaforge.laurent import ResourceGuardError
+from zetaforge.laurent import InputError, ResourceGuardError
 from zetaforge import oracle
 from zetaforge.oracle import lattice_from_dict
 
@@ -221,6 +221,29 @@ def test_is_subring():
     assert is_subring(H1, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert not is_subring(H1, ((1, 0, 0), (0, 1, 0), (0, 0, 2)))
     assert is_subring(abelian_lattice(2), ((4, 1), (0, 2)))
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        # not upper triangular: [x, x + y] = z is outside this span
+        ((0, 0, 2), (1, 1, 0), (1, 0, 0)),
+        ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
+        # a zero pivot
+        ((1, 0, 0), (0, 1, 0), (0, 0, 0)),
+        # wrong shape: two rows, or short rows, for a rank-3 lattice
+        ((1, 0), (0, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
+        # entries that are not ints, and a basis that is not rows at all
+        ((1, 0, 0), (0, 1.0, 0), (0, 0, 1)),
+        ((True, 0, 0), (0, 1, 0), (0, 0, 1)),
+        (1, 2, 3),
+    ],
+)
+def test_is_subring_refuses_a_basis_of_the_wrong_shape(basis):
+    with pytest.raises(InputError):
+        is_subring(H1, basis)
 
 
 SUBRING_CASES = [

@@ -18,6 +18,7 @@ from zetaforge import (
 from zetaforge import bruhat_gsp_sum, signed_perms
 from zetaforge.laurent import LaurentPoly, ResourceGuardError
 from zetaforge.signed_perms import (
+    BStats,
     _descent_monomial,
     b_descent_sum,
     b_monomials,
@@ -80,10 +81,27 @@ def test_perm_stats_by_hand():
 
 
 def test_length_decomposes():
-    for m in (1, 2, 3, 4):
+    for m in (1, 2, 3, 4, 5):
         for w in enumerate_B(m):
             st = stats(w)
             assert st.length == st.inv + st.npr
+
+
+def _reference_stats(w):
+    """The statistics straight from their definitions, one count at a time."""
+    m = len(w)
+    inv = sum(1 for i in range(m) for j in range(i + 1, m) if w[i] > w[j])
+    npr = sum(1 for i in range(m) for j in range(i, m) if w[i] + w[j] < 0)
+    des = [0] * (w[0] < 0) + [i for i in range(1, m) if w[i - 1] > w[i]]
+    eps1 = 1 if w[0] < 0 else 0
+    sigma_c = comb(m + 1, 2) * eps1 + sum((m - i) * (m + i + 1) for i in des if i)
+    return BStats(inv, npr, inv + npr, sum(1 << i for i in des), len(des), eps1, sigma_c)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_one_pass_stats_match_the_definitions(m):
+    for w in enumerate_B(m):
+        assert stats(w) == _reference_stats(w), w
 
 
 def test_eta_window_example():
@@ -120,6 +138,14 @@ def test_orbits_have_full_size_with_one_positive_window():
         assert len(orbit) == 2**m
         assert sum(1 for u in orbit if all(x > 0 for x in u)) == 1
         seen |= orbit
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_eta_acts_on_the_head_only(m):
+    # verify_sublemma calls eta once per head w[:j] and appends the tail
+    for w in enumerate_B(m):
+        for j in range(1, m + 1):
+            assert eta(j, w) == eta(j, w[:j]) + w[j:]
 
 
 def test_property_p_splits_eta_pairs():
@@ -160,7 +186,7 @@ def test_descent_sum_with_trivial_monomials_is_the_poincare_polynomial(n):
     assert descent_sum(n, zeros, signed=True) == b_side
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_monomial_tables_give_the_paper_statistics(m):
     for w in enumerate_B(m):
         st = stats(w)
@@ -193,9 +219,11 @@ def test_sublemma(m):
     assert verify_sublemma(m)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("signed", [True, False])
-def test_walk_tally_matches_per_window_stats(m, signed):
+@pytest.mark.parametrize(
+    "signed, m",
+    [(signed, m) for signed in (True, False) for m in range(1, 7)] + [(False, 7)],
+)
+def test_walk_tally_matches_per_window_stats(signed, m):
     windows = enumerate_B(m) if signed else enumerate_S(m)
     want = Counter((st.length, st.des_mask) for st in map(stats, windows))
     got = descent_tally(m, signed)
@@ -275,6 +303,67 @@ def test_sublemma_fails_when_eta_is_the_identity(monkeypatch, m):
 def test_sublemma_fails_on_a_shifted_b_table(monkeypatch, m, index):
     monkeypatch.setattr(signed_perms, "b_monomials", _shift_entry(b_monomials, index))
     assert not verify_sublemma(m)
+
+
+def _reference_sublemma(m):
+    """The verifier as one loop over (w, j): eta_j is called on the whole
+    window w and again on its partner v, and u = eta_j(v) closes the pair."""
+    table = signed_perms.b_monomials(m)
+    monomial = {w: _descent_monomial(w, table) for w in enumerate_B(m)}
+    top = comb(m + 1, 2)
+    for w in monomial:
+        for j in range(1, m + 1):
+            v = signed_perms.eta(j, w)
+            u = signed_perms.eta(j, v)
+            pw = signed_perms._property_p(j, w, v)
+            pv = signed_perms._property_p(j, v, u)
+            if pw == pv:
+                return False
+            gx, gy = monomial[w] if pw else monomial[v]
+            ox, oy = monomial[v] if pw else monomial[u]
+            if (ox - gx, oy - gy) != (top - comb(j + 1, 2), 1):
+                return False
+    return True
+
+
+def _eta_first_entry_negative(j, w):
+    """eta_j with the sign of its first entry then forced negative: each image
+    is a window, but the map is no longer an involution."""
+    v = eta(j, w)
+    return (-abs(v[0]),) + v[1:]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sublemma_agrees_with_the_per_window_loop(m):
+    assert verify_sublemma(m) is _reference_sublemma(m) is True
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "mutant",
+    [lambda j, w: tuple(w), _eta_first_entry_negative],
+    ids=["identity", "not-involutive"],
+)
+def test_sublemma_agrees_with_the_per_window_loop_on_a_broken_eta(
+    monkeypatch, m, mutant
+):
+    monkeypatch.setattr(signed_perms, "eta", mutant)
+    assert verify_sublemma(m) is _reference_sublemma(m) is False
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sublemma_agrees_with_the_per_window_loop_on_each_shifted_b_entry(
+    monkeypatch, m
+):
+    for index in range(m + 1):
+        monkeypatch.setattr(signed_perms, "b_monomials", _shift_entry(b_monomials, index))
+        # entry m is never a descent, so its shift changes no monomial
+        assert verify_sublemma(m) is _reference_sublemma(m) is (index == m)
+
+
+def test_sublemma_fails_when_a_partner_is_not_a_window(monkeypatch):
+    monkeypatch.setattr(signed_perms, "eta", lambda j, w: (0,) * len(w))
+    assert not verify_sublemma(3)
 
 
 def test_resource_guards():
