@@ -131,7 +131,7 @@ def local_factor(family, d, field, p, pairs=None):
             if not (
                 isinstance(pair, (tuple, list))
                 and len(pair) == 2
-                and all(isinstance(x, int) and x >= 1 for x in pair)
+                and all(type(x) is int and x >= 1 for x in pair)
             ):
                 raise InputError(
                     f"decomposition type wants pairs of integers e, f >= 1, got {pair!r}"
@@ -157,6 +157,8 @@ def global_coefficients(family, d, field, limit):
     Every prime up to the limit must admit a decomposition type; a refused
     ramified prime aborts the whole computation with a clear message.
     """
+    if type(limit) is not int:
+        raise InputError(f"limit must be an integer, got {limit!r}")
     if limit < 1:
         raise InputError("limit must be >= 1")
     if limit > MAX_PRIME:

@@ -39,6 +39,8 @@ class UnsupportedRamifiedPrimeError(InputError):
 
 
 def _check_prime(p):
+    if type(p) is not int:
+        raise InputError(f"p must be an integer, got {p!r}")
     if p > MAX_PRIME:
         raise ResourceGuardError(f"primes capped at {MAX_PRIME}, got {p}")
     if not is_prime(p):

@@ -1,34 +1,35 @@
 """Brute-force subring counts for small Lie lattices over the integers.
 
-Everything here is ground truth by enumeration: list the finite-index
-subrings of Z^n in Hermite normal form, and decide whether each is
-pro-isomorphic to the ambient lattice at p.  A lattice is its sparse bracket
-table, the nonzero [e_a, e_b] for a < b (see `LieLattice`), and every bracket
-here is computed from a table by `_bracket`.  The subrings are enumerated
-with closure pruning, for every presentation: the basis is built from its
-last row up, and each bracket [row_i, row_j] is tested as soon as the rows
-that span the subring on the columns the bracket can reach are placed; a
-branch is cut at the first bracket outside that span.  On upper-triangular
-bases only the pairs in `LieLattice._pairs` can bracket to nonzero, and the
-walk, `_structure_constants` and the Heisenberg verdict bracket only those.
-The decision is exact for abelian and Heisenberg-type lattices.  Every
-subring of an abelian lattice is pro-isomorphic to it, so abelian counts
-make no verdict call.  A subring of H_m (rank 2m+1) with last row z_gen z
-is decided by one Pfaffian: True iff the Gram matrix G' of its non-central
-rows, [row_a, row_b] = G'[a][b] z_gen z, is invertible mod p.
+Everything here is ground truth by enumeration.  A lattice is its sparse
+bracket table, the nonzero [e_a, e_b] for a < b (see `LieLattice`), and every
+bracket is computed from a table by `_bracket`.  `enumerate_subrings` lists
+the subrings of index p^k in Hermite normal form, built from the last row
+up: each bracket [row_i, row_j] is tested as soon as the rows that span the
+subring on the columns it can reach are placed, and a branch is cut at the
+first bracket outside that span.  On upper-triangular bases only the pairs
+in `LieLattice._pairs` can bracket to nonzero, and only those are bracketed.
 
-For anything else (rank at most 4) the verdict is level-limited.  It is
-pre-filtered by abelianization: when M/[M,M] and L/[L,L] differ modulo
-p^(k + C_SAFETY) the answer is False without a search.  Otherwise a
-bracket-preserving map is searched depth first, one column at a time and
-one level p, p^2, ... at a time: a column extends the map of the level below
-by p^(level - 1) times a vector mod p, and each bracket is checked modulo
-p^level as soon as the columns it reads are placed.  True is returned as
-soon as all columns are placed at level p^(k + C_SAFETY); False only after
-the whole search has failed.  A search that exceeds NODE_BUDGET nodes is
-refused with ResourceGuardError, never truncated into a verdict, and a
-lattice with a bracket constant divisible by p^(k + C_SAFETY), which the
-search would read as zero, is refused with InputError.
+`count_proisomorphic` sets the verdict up once per lattice (`_verdict`) and
+applies it to each subring the walk yields:
+- abelian: every subring is pro-isomorphic, and the count makes no call;
+- standard Heisenberg H_m, exact: a subring with last row z_gen z has
+  [row_a, row_b] = G'[a][b] z_gen z, and is pro-isomorphic iff p does not
+  divide the Pfaffian of G';
+- anything else of rank <= MAX_GENERIC_RANK, level-limited: a subring whose
+  abelianization differs from L's (computed once) modulo p^(k + C_SAFETY)
+  is False without a search.  Otherwise a bracket-preserving map is searched
+  depth first, one column and one level p, p^2, ... at a time: a column
+  extends the map of the level below by p^(level - 1) times a vector mod p,
+  and each bracket is checked modulo p^level as soon as its columns are
+  placed.  True once every column is placed at level p^(k + C_SAFETY), a
+  heuristic answer; False only after the whole search, a certain one.
+
+Refused, never truncated: an enumeration past the guards, before any verdict
+refusal, and a search past NODE_BUDGET nodes (ResourceGuardError); a
+searched lattice of rank above MAX_GENERIC_RANK, or with a bracket constant
+divisible by p^(k + C_SAFETY), which the search would read as zero
+(InputError).  `is_proisomorphic` is the checked entry for one basis: it
+refuses a bad p or basis, then applies the same verdict.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ class LieLattice:
 
     def __post_init__(self):
         n = self.rank
+        if type(n) is not int:
+            raise InputError(f"rank must be an integer, got {n!r}")
         if n < 1:
             raise InputError(f"rank must be at least 1, got {n}")
         pairs = [(a, b) for a, b, _ in self.brackets]
@@ -93,11 +96,6 @@ class LieLattice:
 
     def heisenberg_m(self):
         """m if this is the standard Heisenberg table of rank 2m+1, else None."""
-        return self._heisenberg_m
-
-    # Every verdict asks, so it is answered once per instance.
-    @cached_property
-    def _heisenberg_m(self):
         n = self.rank
         if n % 2 == 0 or n < 3:
             return None
@@ -165,6 +163,8 @@ def _heisenberg_brackets(m):
 
 def heisenberg_lattice(m):
     """Rank 2m+1 with [x_i, y_i] = z; basis order x_1..x_m, y_1..y_m, z."""
+    if type(m) is not int:
+        raise InputError(f"heisenberg index must be an integer, got {m!r}")
     if m < 1:
         raise InputError("heisenberg index must be >= 1")
     return LieLattice(2 * m + 1, _heisenberg_brackets(m))
@@ -218,11 +218,20 @@ def lattice_from_json(text):
     return lattice_from_dict(data)
 
 
-def _check_enum_guards(n, p, k):
-    if n > MAX_ENUM_RANK:
-        raise ResourceGuardError(f"sublattice enumeration capped at rank {MAX_ENUM_RANK}")
+def _check_enum_prime(p):
+    if type(p) is not int:
+        raise InputError(f"p must be an integer, got {p!r}")
     if p not in ENUM_PRIMES:
         raise ResourceGuardError(f"enumeration primes restricted to {ENUM_PRIMES}")
+
+
+def _check_enum_guards(n, p, k):
+    for name, x in (("rank", n), ("index exponent", k)):
+        if type(x) is not int:
+            raise InputError(f"{name} must be an integer, got {x!r}")
+    if n > MAX_ENUM_RANK:
+        raise ResourceGuardError(f"sublattice enumeration capped at rank {MAX_ENUM_RANK}")
+    _check_enum_prime(p)
     if k > MAX_ENUM_K:
         raise ResourceGuardError(f"enumeration index exponent capped at {MAX_ENUM_K}")
     if k < 0:
@@ -238,21 +247,6 @@ def _check_enum_guards(n, p, k):
         )
 
 
-def _compositions_colex(total, parts):
-    out = []
-
-    def rec(remaining, slots, acc):
-        if slots == 1:
-            out.append(acc + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(remaining - v, slots - 1, acc + [v])
-
-    rec(total, parts, [])
-    out.sort(key=lambda c: tuple(reversed(c)))
-    return out
-
-
 def enumerate_sublattices(n, p, k):
     """All row-HNF bases of sublattices of Z^n of index p^k, each once.
 
@@ -263,7 +257,8 @@ def enumerate_sublattices(n, p, k):
     """
     _check_enum_guards(n, p, k)
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for comp in _compositions_colex(k, n):
+    compositions = (c for c in product(range(k + 1), repeat=n) if sum(c) == k)
+    for comp in sorted(compositions, key=lambda c: c[::-1]):
         diag = [p**e for e in comp]
         for entries in product(*(range(diag[j]) for _, j in positions)):
             m = [[0] * n for _ in range(n)]
@@ -296,13 +291,10 @@ def _span_coefficients(basis, vec):
     return coeffs
 
 
-def is_subring(lattice, basis):
-    """True iff the row span of `basis` is closed under the lattice bracket.
-
-    `basis` must be n rows of n ints (n the rank), upper triangular with
-    nonzero pivots, the shape the span and bracket routines assume; any other
-    basis is refused with InputError.
-    """
+def _checked_basis(lattice, basis):
+    """`basis` as a tuple of rows, refused with InputError unless it is n
+    rows of n ints (n the rank), upper triangular with nonzero pivots: the
+    shape the span and bracket routines assume."""
     n = lattice.rank
     shape = f"basis must be {n} rows of {n} integers"
     try:
@@ -318,7 +310,13 @@ def is_subring(lattice, basis):
             raise InputError(
                 f"basis must be upper triangular with nonzero pivots: row {i + 1}"
             )
-    return _structure_constants(lattice, rows) is not None
+    return rows
+
+
+def is_subring(lattice, basis):
+    """True iff the row span of `basis` is closed under the lattice bracket;
+    a basis of another shape (see `_checked_basis`) is refused."""
+    return _structure_constants(lattice, _checked_basis(lattice, basis)) is not None
 
 
 def enumerate_subrings(lattice, p, k):
@@ -366,8 +364,6 @@ def enumerate_subrings(lattice, p, k):
 
 
 def _vp(x, p):
-    if x == 0:
-        raise ValueError("infinite valuation")
     v = 0
     while x % p == 0:
         x //= p
@@ -395,18 +391,15 @@ def _pfaffian(upper, idx=None):
 def _heisenberg_verdict(lattice, basis, p, m):
     """Exact verdict for the subring of the standard Heisenberg lattice of
     rank 2m+1 spanned by the upper-triangular `basis`, with last row z_gen z.
-    Its non-central rows bracket to c z, so it is a subring iff z_gen
-    divides every c (else ValueError), and then [row_a, row_b] =
-    G'[a][b] z_gen z in its own basis.  The completion is Heisenberg iff the
-    alternating Gram matrix G' is invertible mod p: p does not divide Pf(G').
+    Its non-central rows bracket to c z, and z_gen divides every c since the
+    basis spans a subring, so [row_a, row_b] = G'[a][b] z_gen z in its own
+    basis.  The completion is Heisenberg iff the alternating Gram matrix G'
+    is invertible mod p: p does not divide Pf(G').
     """
     gram = [[0] * (2 * m) for _ in range(2 * m)]
     z_gen = basis[-1][-1]
     for a, b, terms in lattice._pairs:
-        q, r = divmod(_bracket(terms, basis[a], basis[b])[-1], z_gen)
-        if r:
-            raise ValueError("basis does not span a subring")
-        gram[a][b] = q
+        gram[a][b] = _bracket(terms, basis[a], basis[b])[-1] // z_gen
     return _pfaffian(gram) % p != 0
 
 
@@ -518,7 +511,16 @@ def _isomorphism_search(lattice, cm, p, target):
     return place(1, [(0,) * n] * n, [])
 
 
-def _generic_verdict(lattice, basis, p, k):
+def _verdict(lattice, p, k):
+    """The verdict on the subrings of `lattice` of index p^k, its lattice
+    work done once: None for an abelian lattice, else a function of an
+    upper-triangular basis that spans a subring.  A searched lattice is
+    refused here (see the module docstring)."""
+    if lattice.is_abelian():
+        return None
+    m = lattice.heisenberg_m()
+    if m is not None:
+        return lambda basis: _heisenberg_verdict(lattice, basis, p, m)
     n = lattice.rank
     if n > MAX_GENERIC_RANK:
         raise InputError(
@@ -532,52 +534,47 @@ def _generic_verdict(lattice, basis, p, k):
             f"bracket constant {deep[0]} vanishes modulo {p}^{target}, the level "
             "of the search (k + C_SAFETY)"
         )
-    cm = _structure_constants(lattice, basis)
-    if cm is None:
-        raise ValueError("basis does not span a subring")
-    # an isomorphism modulo p^target carries one abelianization onto the
-    # other, so unequal types answer False without a search
-    if _abelianization_type(lattice.brackets, n, p, target) != (
-        _abelianization_type(cm, n, p, target)
-    ):
-        return False
-    return _isomorphism_search(lattice, cm, p, target)
+    ambient = _abelianization_type(lattice.brackets, n, p, target)
+
+    def searched(basis):
+        cm = _structure_constants(lattice, basis)
+        # an isomorphism modulo p^target carries one abelianization onto the
+        # other, so unequal types answer False without a search
+        same = _abelianization_type(cm, n, p, target) == ambient
+        return same and _isomorphism_search(lattice, cm, p, target)
+
+    return searched
 
 
 def is_proisomorphic(lattice, basis, p):
     """Is the subring spanned by `basis`, p-adically completed, isomorphic to
     the completed ambient lattice?
 
-    Exact for abelian and standard Heisenberg tables.  Otherwise (rank <= 4)
-    the verdict means "isomorphic at level p^(k + C_SAFETY)" where p^k is the
-    index: a False is certain, a True is heuristic.  False is returned
-    without a search when the abelianizations differ modulo p^(k + C_SAFETY).
-    Otherwise a bracket-preserving map is searched column by column and level
-    by level; True is returned as soon as one is complete modulo
-    p^(k + C_SAFETY), False only after the whole search.  A search that
-    exceeds NODE_BUDGET nodes raises ResourceGuardError, and a lattice with a
-    bracket constant divisible by p^(k + C_SAFETY) raises InputError: both
-    are refused, never truncated.  A non-subring basis raises ValueError.
+    The checked entry for one basis.  It refuses a p outside ENUM_PRIMES
+    (ResourceGuardError), then a basis of the wrong shape (see
+    `_checked_basis`) or one that spans no subring (InputError).  It reads k,
+    the valuation of the index at p, off the pivots and applies the verdict
+    `count_proisomorphic` applies to each subring: exact, or level-limited for a searched lattice
+    (a False is certain, a True heuristic); see the module docstring.
     """
-    if lattice.is_abelian():
-        return True
-    m = lattice.heisenberg_m()
-    if m is not None:
-        return _heisenberg_verdict(lattice, basis, p, m)
-    det = 1
-    for i in range(lattice.rank):
-        det *= basis[i][i]
-    return _generic_verdict(lattice, basis, p, _vp(det, p))
+    _check_enum_prime(p)
+    rows = _checked_basis(lattice, basis)
+    if _structure_constants(lattice, rows) is None:
+        raise InputError("basis does not span a subring")
+    verdict = _verdict(lattice, p, sum(_vp(row[i], p) for i, row in enumerate(rows)))
+    return verdict is None or verdict(rows)
 
 
 def count_proisomorphic(lattice, p, k):
     """Number of index-p^k subrings whose completion at p is isomorphic to
     the ambient lattice's.
 
-    Every subring of an abelian lattice is pro-isomorphic to it, so an
-    abelian count is the number of subrings and makes no verdict call.
+    The enumeration guards refuse before the verdict is set up, once, and
+    applied to each subring the walk yields; an abelian count makes no call.
     """
+    _check_enum_guards(lattice.rank, p, k)
+    verdict = _verdict(lattice, p, k)
     subrings = enumerate_subrings(lattice, p, k)
-    if lattice.is_abelian():
+    if verdict is None:
         return sum(1 for _ in subrings)
-    return sum(1 for basis in subrings if is_proisomorphic(lattice, basis, p))
+    return sum(1 for basis in subrings if verdict(basis))

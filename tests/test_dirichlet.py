@@ -280,6 +280,11 @@ def test_pairs_override_checks_the_prime():
         local_factor(heisenberg(1), 2, GAUSS, 4, pairs=[(1, 2)])
     with pytest.raises(InputError, match="e, f >= 1"):
         local_factor(heisenberg(1), 2, GAUSS, 5, pairs=[5])
+    # bools are not integers here, as everywhere else: (True, True) is not (1, 1)
+    with pytest.raises(InputError, match="e, f >= 1"):
+        local_factor(heisenberg(1), 1, rationals(), 5, pairs=[(True, True)])
+    with pytest.raises(InputError, match="p must be an integer"):
+        local_factor(heisenberg(1), 2, GAUSS, 5.0, pairs=[(1, 2)])
 
 
 def test_inert_prime_local_factor():
@@ -404,3 +409,6 @@ def test_abscissa_from_shape_refusals():
 def test_global_limit_validation():
     with pytest.raises(ValueError):
         global_coefficients(heisenberg(1), 1, rationals(), 0)
+    for limit in (10.5, 10.0, "10", True):
+        with pytest.raises(InputError, match="limit must be an integer"):
+            global_coefficients(heisenberg(1), 1, rationals(), limit)

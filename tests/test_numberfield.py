@@ -301,6 +301,9 @@ def test_prime_guards():
         decomposition_type(GAUSS, 6)
     with pytest.raises(ResourceGuardError):
         decomposition_type(GAUSS, 1000003)
+    for p in (5.0, "5", True):
+        with pytest.raises(InputError, match="p must be an integer"):
+            decomposition_type(GAUSS, p)
 
 
 coefficients = st.one_of(st.integers(-30, 30), st.integers(-(10**30), 10**30))

@@ -124,6 +124,19 @@ def test_tensor_validation():
         LieLattice(0, ())
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LieLattice(True, ()),
+    lambda: LieLattice(3.0, ((0, 1, ((2, 1),)),)),
+    lambda: LieLattice("3", ()),
+    lambda: abelian_lattice(2.0),
+    lambda: heisenberg_lattice(1.5),
+    lambda: heisenberg_lattice(True),
+])
+def test_a_rank_that_is_not_an_int_is_refused(build):
+    with pytest.raises(InputError, match="must be an integer"):
+        build()
+
+
 @st.composite
 def bracket_tables(draw):
     """(rank, table): a well-formed bracket table with small coefficients,
@@ -205,6 +218,17 @@ def test_enumeration_guards():
         list(enumerate_sublattices(3, 2, -1))
 
 
+@pytest.mark.parametrize("n,p,k", [(3.0, 2, 1), (3, 2.0, 1), (3, 2, 1.0), (3, True, 1)])
+def test_enumeration_refuses_numbers_that_are_not_ints(n, p, k):
+    with pytest.raises(InputError, match="must be an integer"):
+        list(enumerate_sublattices(n, p, k))
+    # a lattice's rank is an int by construction
+    if type(n) is int:
+        for lat in (abelian_lattice(n), H1, _permuted(H1, (0, 2, 1))):
+            with pytest.raises(InputError, match="must be an integer"):
+                count_proisomorphic(lat, p, k)
+
+
 def test_sublattice_count_guard():
     # S(5, 3, 4) = 75,913,222 is the largest count the caps leave
     oracle._check_enum_guards(5, 3, 4)
@@ -223,24 +247,25 @@ def test_is_subring():
     assert is_subring(abelian_lattice(2), ((4, 1), (0, 2)))
 
 
-@pytest.mark.parametrize(
-    "basis",
-    [
-        # not upper triangular: [x, x + y] = z is outside this span
-        ((0, 0, 2), (1, 1, 0), (1, 0, 0)),
-        ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
-        # a zero pivot
-        ((1, 0, 0), (0, 1, 0), (0, 0, 0)),
-        # wrong shape: two rows, or short rows, for a rank-3 lattice
-        ((1, 0), (0, 1)),
-        ((1, 0, 0), (0, 1, 0), (0, 1)),
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
-        # entries that are not ints, and a basis that is not rows at all
-        ((1, 0, 0), (0, 1.0, 0), (0, 0, 1)),
-        ((True, 0, 0), (0, 1, 0), (0, 0, 1)),
-        (1, 2, 3),
-    ],
-)
+# Bases a rank-3 lattice refuses
+BAD_BASES = [
+    # not upper triangular: [x, x + y] = z is outside this span
+    ((0, 0, 2), (1, 1, 0), (1, 0, 0)),
+    ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
+    # a zero pivot
+    ((1, 0, 0), (0, 1, 0), (0, 0, 0)),
+    # wrong shape: two rows, or short rows, for a rank-3 lattice
+    ((1, 0), (0, 1)),
+    ((1, 0, 0), (0, 1, 0), (0, 1)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
+    # entries that are not ints, and a basis that is not rows at all
+    ((1, 0, 0), (0, 1.0, 0), (0, 0, 1)),
+    ((True, 0, 0), (0, 1, 0), (0, 0, 1)),
+    (1, 2, 3),
+]
+
+
+@pytest.mark.parametrize("basis", BAD_BASES)
 def test_is_subring_refuses_a_basis_of_the_wrong_shape(basis):
     with pytest.raises(InputError):
         is_subring(H1, basis)
@@ -651,11 +676,112 @@ def test_generic_verdicts_match_pin():
     assert hashlib.sha256(text.encode()).hexdigest() == GENERIC_VERDICTS_SHA256
 
 
+# The checks of `is_proisomorphic`, on an abelian, a standard and a permuted H1
+CHECKED_LATTICES = [
+    pytest.param(abelian_lattice(3), id="Z3"),
+    pytest.param(H1, id="H1"),
+    pytest.param(_permuted(H1, (0, 2, 1)), id="perm021"),
+]
+GOOD_BASIS = ((2, 0, 0), (0, 2, 0), (0, 0, 4))
+
+
+@pytest.mark.parametrize("lat", CHECKED_LATTICES)
+@pytest.mark.parametrize("p,error", [
+    (0, ResourceGuardError), (4, ResourceGuardError), (7, ResourceGuardError),
+    (2.0, InputError), (True, InputError),
+])
+def test_is_proisomorphic_refuses_a_bad_prime(lat, p, error):
+    assert is_subring(lat, GOOD_BASIS)
+    with pytest.raises(error):
+        is_proisomorphic(lat, GOOD_BASIS, p)
+    # the prime is checked before the basis
+    with pytest.raises(error):
+        is_proisomorphic(lat, ((1, 0), (0, 1)), p)
+
+
+@pytest.mark.parametrize("lat", CHECKED_LATTICES)
+@pytest.mark.parametrize("basis", BAD_BASES)
+def test_is_proisomorphic_refuses_a_basis_of_the_wrong_shape(lat, basis):
+    with pytest.raises(InputError):
+        is_proisomorphic(lat, basis, 2)
+
+
+@pytest.mark.parametrize("lat,basis", [
+    # Z^3 has no non-subring: each sublattice is one
+    pytest.param(H1, ((1, 0, 0), (0, 1, 0), (0, 0, 2)), id="H1"),
+    pytest.param(_permuted(H1, (0, 2, 1)), ((1, 0, 0), (0, 2, 0), (0, 0, 1)), id="perm021"),
+])
+def test_is_proisomorphic_refuses_a_basis_that_spans_no_subring(lat, basis):
+    assert not is_subring(lat, basis)
+    with pytest.raises(InputError, match="does not span a subring"):
+        is_proisomorphic(lat, basis, 2)
+
+
+# After the other refusal tests: p = 1 made the searched verdict's valuation
+# loop forever, so a regression hangs here, in one named test.
+@pytest.mark.parametrize("lat", CHECKED_LATTICES)
+def test_is_proisomorphic_refuses_p_1(lat):
+    with pytest.raises(ResourceGuardError):
+        is_proisomorphic(lat, GOOD_BASIS, 1)
+
+
+COUNT_CASES = [
+    pytest.param(lat, p, kmax, id=f"{label}-p{p}")
+    for label, lat, sizes in GENERIC_CASES
+    for p, kmax in sizes
+] + [
+    pytest.param(heisenberg_lattice(m), p, kmax, id=f"H{m}-p{p}")
+    for m, p, kmax in HEISENBERG_SIZES
+]
+
+
+@pytest.mark.parametrize("lat,p,kmax", COUNT_CASES)
+def test_counts_are_the_sum_of_checked_verdicts(lat, p, kmax):
+    for k in range(kmax + 1):
+        assert count_proisomorphic(lat, p, k) == sum(
+            is_proisomorphic(lat, basis, p) for basis in enumerate_subrings(lat, p, k)
+        )
+
+
+@pytest.mark.parametrize("lat,p,k,count", [
+    pytest.param(abelian_lattice(3), 2, 2, 35, id="Z3"),
+    pytest.param(H1, 2, 2, 12, id="H1"),
+    pytest.param(_permuted(H1, (0, 2, 1)), 2, 2, 12, id="perm021"),
+])
+def test_a_count_sets_its_verdict_up_once(lat, p, k, count, monkeypatch):
+    calls = []
+    verdict = oracle._verdict
+
+    def counted(*args):
+        calls.append(args)
+        return verdict(*args)
+
+    def no_entry(*args):
+        raise AssertionError("a count called is_proisomorphic")
+
+    monkeypatch.setattr(oracle, "_verdict", counted)
+    monkeypatch.setattr(oracle, "is_proisomorphic", no_entry)
+    assert count_proisomorphic(lat, p, k) == count
+    assert calls == [(lat, p, k)]
+
+
+def test_enumeration_guards_refuse_before_the_verdict():
+    rank5 = lattice_from_dict(
+        {"rank": 5, "brackets": [[1, 2, [0, 0, 0, 1, 0]], [1, 3, [0, 0, 0, 0, 1]]]}
+    )
+    with pytest.raises(InputError, match="no exact criterion"):
+        count_proisomorphic(rank5, 2, 1)
+    with pytest.raises(ResourceGuardError, match="primes restricted"):
+        count_proisomorphic(rank5, 7, 1)
+    with pytest.raises(ResourceGuardError, match="exponent capped"):
+        count_proisomorphic(_scaled(H1, 2**30), 2, 5)
+
+
 def test_generic_rank_guard():
     # rank 5, neither abelian nor a standard Heisenberg tensor
     lat = lattice_from_dict(
         {"rank": 5, "brackets": [[1, 2, [0, 0, 0, 1, 0]], [1, 3, [0, 0, 0, 0, 1]]]}
     )
-    basis = tuple(tuple(2 if i == j == 0 else (i == j) for j in range(5)) for i in range(5))
+    basis = tuple(tuple(2 if i == j == 0 else int(i == j) for j in range(5)) for i in range(5))
     with pytest.raises(ValueError, match="no exact criterion"):
         is_proisomorphic(lat, basis, 2)
