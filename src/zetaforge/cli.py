@@ -1,10 +1,12 @@
-"""Command-line surface: JSON emitters over the library plus a verify command.
+"""Command-line surface: JSON payloads over the library plus a verify command.
 
-Every command is pure input -> output.  Emission is byte-deterministic:
-sorted keys, compact separators, canonical term order, big integers as
-decimal strings.  Exit codes: 0 success, 1 refused input (an `InputError`,
-which every domain error derives from, or a resource guard), 2 any other
-exception, which is a fault of the program.
+Every command is pure input -> output and returns its payload; the `main`
+group alone prints it and maps errors to exit codes.  A dict prints as one
+byte-deterministic JSON line with the schema added (sorted keys, compact
+separators, canonical term order, big integers as decimal strings), a string
+as is.  Exit codes: 0 success, 1 refused input (an `InputError`, which every
+domain error derives from, a resource guard, or a usage error such as a
+missing option), 2 any other exception, which is a fault of the program.
 
 `verify` is the acceptance gate: `SUITES` holds one suite per acceptance
 criterion, each over the criterion's full range, and tests/test_acceptance.py
@@ -17,7 +19,6 @@ import json
 import sys
 import traceback
 from fractions import Fraction
-from functools import wraps
 from math import gcd
 
 import click
@@ -47,30 +48,35 @@ from .symmetry import (
 
 SCHEMA = "zetaforge/1"
 
-_REFUSALS = (InputError, ResourceGuardError)
 
+class _Boundary(click.Group):
+    """The one emitter and error boundary of every command."""
 
-def _emit(payload):
-    click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    def invoke(self, ctx):
+        payload = super().invoke(ctx)
+        if isinstance(payload, dict):
+            payload = json.dumps({"schema": SCHEMA, **payload}, sort_keys=True,
+                                 separators=(",", ":"))
+        if payload is not None:
+            click.echo(payload)
 
-
-def _guarded(fn):
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
+    def main(self, *args, **kwargs):
         try:
-            return fn(*args, **kwargs)
-        except _REFUSALS as exc:
-            click.echo(f"refused: {exc}", err=True)
-            sys.exit(1)
+            # click returns the code of an early exit such as --help
+            sys.exit(super().main(*args, **kwargs, standalone_mode=False))
+        except click.UsageError as exc:
+            code, message = 1, f"refused: {exc.format_message()}"
+        except (InputError, ResourceGuardError) as exc:
+            code, message = 1, f"refused: {exc}"
+        except click.Abort:
+            code, message = 1, "Aborted!"
         except AssertionError as exc:
-            click.echo(f"internal assertion failure: {exc}", err=True)
-            sys.exit(2)
+            code, message = 2, f"internal assertion failure: {exc}"
         except Exception as exc:
-            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
-            click.echo(traceback.format_exc(), err=True, nl=False)
-            sys.exit(2)
-
-    return wrapper
+            trace = traceback.format_exc().removesuffix("\n")
+            code, message = 2, f"internal error: {type(exc).__name__}: {exc}\n{trace}"
+        click.echo(message, err=True)
+        sys.exit(code)
 
 
 def _parse_family(text, d):
@@ -138,7 +144,8 @@ def _frac_str(q):
     return f"{q.numerator}/{q.denominator}"
 
 
-@click.group()
+# A bare `zetaforge` is a usage error ("Missing command."), not a help page.
+@click.group(cls=_Boundary, no_args_is_help=False)
 def main():
     """Exact local factors of pro-isomorphic zeta functions under base extension."""
     # exact coefficients can exceed the 4300-digit int-to-str limit that newer
@@ -151,21 +158,18 @@ def main():
 @click.option("--family", "family_id", required=True, help="e.g. heisenberg:2, free:3:2, q5")
 @click.option("--d", type=int, default=1, show_default=True, help="base-extension degree")
 @click.option("--latex", is_flag=True, help="emit LaTeX instead of JSON")
-@_guarded
 def families_cmd(family_id, d, latex):
     """Print W_{L,d}(X, Y) for a family."""
     family = _parse_family(family_id, d)
     w = make_W(family, d)
     if latex:
-        click.echo(w.latex())
-        return
-    _emit({"schema": SCHEMA, "family": str(family), "d": d, **w.to_json_dict()})
+        return w.latex()
+    return {"family": str(family), "d": d, **w.to_json_dict()}
 
 
 @main.command("funceq")
 @click.option("--family", "family_id", required=True)
 @click.option("--d", type=int, default=1, show_default=True)
-@_guarded
 def funceq_cmd(family_id, d):
     """Extract the functional equation W(1/X, 1/Y) = sign X^a Y^b W(X, Y)."""
     family = parse_family(family_id)
@@ -176,48 +180,27 @@ def funceq_cmd(family_id, d):
     w = make_W(family, d)
     factor = extract_functional_equation(w)
     if factor is None:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "exists": False,
-                "sign": None,
-                "a": None,
-                "b": None,
-                "weight": None,
-                "conjecture_holds": None,
-            }
-        )
-        return
+        none = dict.fromkeys(("sign", "a", "b", "weight", "conjecture_holds"))
+        return {"exists": False, **none}
     assert verify_functional_equation(w, factor)
     wt = weight(family)
-    _emit(
-        {
-            "schema": SCHEMA,
-            "exists": True,
-            "sign": factor.sign,
-            "a": factor.a,
-            "b": factor.b,
-            "weight": wt,
-            "conjecture_holds": factor.b == wt,
-        }
-    )
+    return {
+        "exists": True,
+        "sign": factor.sign,
+        "a": factor.a,
+        "b": factor.b,
+        "weight": wt,
+        "conjecture_holds": factor.b == wt,
+    }
 
 
 @main.command("decompose")
 @click.option("--minpoly", required=True, help="integer coefficients, constant term first")
 @click.option("--p", type=int, required=True)
-@_guarded
 def decompose_cmd(minpoly, p):
     """Decomposition type (e_i, f_i) of p in the field, with residue sizes."""
-    field = _parse_field(minpoly)
-    pairs = decomposition_type(field, p)
-    _emit(
-        {
-            "schema": SCHEMA,
-            "pairs": [[e, f] for e, f in pairs],
-            "qp": [str(p**f) for _, f in pairs],
-        }
-    )
+    pairs = decomposition_type(_parse_field(minpoly), p)
+    return {"pairs": [[e, f] for e, f in pairs], "qp": [str(p**f) for _, f in pairs]}
 
 
 @main.command("euler")
@@ -227,21 +210,17 @@ def decompose_cmd(minpoly, p):
 @click.option("--p", type=int, required=True)
 @click.option("--type", "type_override", default=None,
               help="semicolon-separated e,f pairs overriding the computed type")
-@_guarded
 def euler_cmd(family_id, d, minpoly, p, type_override):
     """Local Euler factor at p of the base-extended zeta function, in t = p^-s."""
     family = _parse_family(family_id, d)
     field = _parse_field(minpoly)
     pairs = None if type_override is None else _parse_type(type_override)
     lf = local_factor(family, d, field, p, pairs=pairs)
-    _emit(
-        {
-            "schema": SCHEMA,
-            "p": str(lf.p),
-            "numerator": [[str(c), j] for j, c in lf.numerator],
-            "denominator": [[str(c), b] for c, b in lf.denominator],
-        }
-    )
+    return {
+        "p": str(lf.p),
+        "numerator": [[str(c), j] for j, c in lf.numerator],
+        "denominator": [[str(c), b] for c, b in lf.denominator],
+    }
 
 
 @main.command("dirichlet")
@@ -249,32 +228,23 @@ def euler_cmd(family_id, d, minpoly, p, type_override):
 @click.option("--d", type=int, default=1, show_default=True)
 @click.option("--minpoly", required=True)
 @click.option("--n", "--N", "limit", type=int, required=True, help="expand b_1..b_N")
-@_guarded
 def dirichlet_cmd(family_id, d, minpoly, limit):
     """Global Dirichlet coefficients b_1..b_N, exactly."""
     family = _parse_family(family_id, d)
     field = _parse_field(minpoly)
-    coeffs = global_coefficients(family, d, field, limit)
-    _emit({"schema": SCHEMA, "coefficients": [str(c) for c in coeffs]})
+    return {"coefficients": [str(c) for c in global_coefficients(family, d, field, limit)]}
 
 
 @main.command("abscissa")
 @click.option("--family", "family_id", required=True)
 @click.option("--d", type=int, default=1, show_default=True)
-@_guarded
 def abscissa_cmd(family_id, d):
     """Abscissa of convergence as an exact rational "num/den"."""
     family = _parse_family(family_id, d)
     value = fam.abscissa(family, d)
     shape = abscissa_from_shape(make_W(family, d))
     assert value == shape.value
-    _emit(
-        {
-            "schema": SCHEMA,
-            "abscissa": _frac_str(value),
-            "shape_verified": shape.shape_verified,
-        }
-    )
+    return {"abscissa": _frac_str(value), "shape_verified": shape.shape_verified}
 
 
 @main.command("oracle")
@@ -282,11 +252,9 @@ def abscissa_cmd(family_id, d):
               help="heisenberg:m, abelian:n, or file:<path> with a JSON bracket list")
 @click.option("--p", type=int, required=True)
 @click.option("--k", type=int, required=True)
-@_guarded
 def oracle_cmd(lattice_id, p, k):
     """Count index-p^k subrings pro-isomorphic to the lattice, by brute force."""
-    lattice = _parse_lattice(lattice_id, p, k)
-    _emit({"schema": SCHEMA, "count": count_proisomorphic(lattice, p, k)})
+    return {"count": count_proisomorphic(_parse_lattice(lattice_id, p, k), p, k)}
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +463,6 @@ SUITES = {
 @main.command("verify")
 @click.option("--suite", default="all", show_default=True,
               type=click.Choice(sorted(SUITES) + ["all"]))
-@_guarded
 def verify_cmd(suite):
     """Run the acceptance suites, each over its criterion's full range;
     exit 0 iff everything matches."""

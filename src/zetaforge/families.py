@@ -252,12 +252,17 @@ def lmn_monomials(m, n, d):
 # The W constructors
 
 
-def make_W(family, d):
-    """The exact local factor W(X, Y) of the given family at extension degree d."""
+def _check_degree(d):
+    """Refuse an extension degree that is not an integer >= 1."""
     if type(d) is not int:
         raise InputError(f"extension degree d must be an integer, got {d!r}")
     if d < 1:
         raise InputError("extension degree d must be >= 1")
+
+
+def make_W(family, d):
+    """The exact local factor W(X, Y) of the given family at extension degree d."""
+    _check_degree(d)
     kind, p = family.kind, family.params
     if kind == "abelian":
         n = p[0]
@@ -321,6 +326,7 @@ def heisenberg_from_bruhat(m, d):
     This sends Xt_0 to Z_0 and Xt_i to Z_i^2, so the result should equal
     make_W(heisenberg(m), d) as a rational function (the B_m sum collapses).
     """
+    _check_degree(d)
     form = bruhat_gsp_sum(m)
     shift, ypow = 2 * m * d, m + 1
     num = form.numerator.substitute_y_monomial(shift, ypow)
@@ -353,10 +359,7 @@ def weight(family):
 
 def abscissa(family, d):
     """Abscissa of convergence of the global zeta function, as an exact rational."""
-    if type(d) is not int:
-        raise InputError(f"extension degree d must be an integer, got {d!r}")
-    if d < 1:
-        raise InputError("extension degree d must be >= 1")
+    _check_degree(d)
     kind, p = family.kind, family.params
     if kind == "abelian":
         return Fraction(p[0])

@@ -26,6 +26,15 @@ class DegenerateSpecializationError(InputError):
     """Raised when a specialization (e.g. X=1) kills a numerator."""
 
 
+def _json_int(x, decimal_str=False):
+    # an int or, with decimal_str, a decimal string as to_json_dict writes a
+    # coefficient; int() alone would also take 0.5, True, " 7" and "1_0"
+    digits = x.removeprefix("-") if decimal_str and type(x) is str else ""
+    if type(x) is int or (digits.isascii() and digits.isdigit()):
+        return int(x)
+    raise InputError(f"Euler form entries must be integers, got {x!r}")
+
+
 def _prune(terms):
     return {k: c for k, c in terms.items() if c != 0}
 
@@ -333,12 +342,13 @@ class EulerForm:
 
     @classmethod
     def from_json_dict(cls, data, formal=False):
+        """The inverse of `to_json_dict`, refusing any non-integer entry."""
         num = LaurentPoly(
-            {(int(xe), int(ye)): int(c) for c, xe, ye in data["numerator"]}
+            {(_json_int(xe), _json_int(ye)): _json_int(c, decimal_str=True)
+             for c, xe, ye in data["numerator"]}
         )
-        return cls(
-            num, [(int(a), int(b)) for a, b in data["denominator"]], formal=formal
-        )
+        return cls(num, [(_json_int(a), _json_int(b)) for a, b in data["denominator"]],
+                   formal=formal)
 
     def latex(self):
         num = self.numerator.latex()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import comb
 
-from .laurent import LaurentPoly, ResourceGuardError
+from .laurent import InputError, LaurentPoly, ResourceGuardError
 
 MAX_ENUM_M = 8
 MAX_IDENTITY_M = 6
@@ -35,14 +35,18 @@ MAX_SUBLEMMA_M = 5
 
 def signed_permutation(values):
     """Validate window notation: nonzero entries, |values| a permutation of 1..m."""
-    w = tuple(int(v) for v in values)
+    w = tuple(values)
+    # integers only: a bool, float or string is refused, never truncated
+    for v in w:
+        if type(v) is not int:
+            raise InputError(f"window entries must be integers, got {v!r}")
     m = len(w)
     if m < 1:
-        raise ValueError("empty window")
+        raise InputError("empty window")
     if any(v == 0 for v in w):
-        raise ValueError("window entries must be nonzero")
+        raise InputError("window entries must be nonzero")
     if sorted(abs(v) for v in w) != list(range(1, m + 1)):
-        raise ValueError(f"|window| must be a permutation of 1..{m}: {w}")
+        raise InputError(f"|window| must be a permutation of 1..{m}: {w}")
     return w
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .families import UnsupportedFamilyError, free_alpha_beta, make_W, weight
+from .families import UnsupportedFamilyError, _check_degree, free_alpha_beta, make_W, weight
 from .laurent import DegenerateSpecializationError, LaurentPoly
 
 
@@ -67,6 +67,7 @@ def verify_functional_equation(w, factor):
 def predicted_symmetry(family, d):
     """The closed-form symmetry factor each family is known to satisfy,
     or None for the one family without a functional equation."""
+    _check_degree(d)
     kind, p = family.kind, family.params
     if kind == "abelian":
         raise UnsupportedFamilyError("no closed symmetry form for abelian lattices")

@@ -341,6 +341,16 @@ def test_internal_value_error_is_not_a_refusal(monkeypatch):
     assert "refused" not in result.output
 
 
+def test_interrupt_prints_aborted(monkeypatch):
+    def interrupted(f, p):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(numberfield, "_factor_type", interrupted)
+    result = run("decompose", "--minpoly", "1,0,1", "--p", "5")
+    assert result.exit_code == 1
+    assert result.stdout == "" and result.stderr.endswith("Aborted!\n")
+
+
 REFUSED_INPUT = [
     (["families", "--family", "heisenberg:x"], "invalid literal for int()"),
     (["families", "--family", "heisenberg:2", "--d", "0"], "extension degree d must be >= 1"),
@@ -363,6 +373,57 @@ def test_validators_refuse_with_exit_1(command, message):
     assert result.exit_code == 1
     assert result.output.startswith("refused:")
     assert message in result.output
+
+
+COMMANDS = ["families", "funceq", "decompose", "euler", "dirichlet", "abscissa", "oracle", "verify"]
+
+USAGE_ERRORS = [
+    # a missing required option, or a missing option value
+    ["families"],
+    ["families", "--family"],
+    ["funceq", "--d", "2"],
+    ["decompose", "--minpoly", "1,0,1"],
+    ["decompose", "--p", "5"],
+    ["euler", "--family", "heisenberg:1", "--minpoly", "1,0,1"],
+    ["euler", "--family", "heisenberg:1", "--p", "5"],
+    ["dirichlet", "--family", "heisenberg:1", "--minpoly", "0,1"],
+    ["dirichlet", "--family", "heisenberg:1", "--n", "5"],
+    ["abscissa", "--d", "2"],
+    ["oracle", "--lattice", "heisenberg:1", "--p", "2"],
+    ["oracle", "--p", "2", "--k", "1"],
+    # a non-integer --p, --k, --d or --n
+    ["decompose", "--minpoly", "1,0,1", "--p", "x"],
+    ["euler", "--family", "heisenberg:1", "--minpoly", "1,0,1", "--p", "2.5"],
+    ["oracle", "--lattice", "heisenberg:1", "--p", "two", "--k", "1"],
+    ["oracle", "--lattice", "heisenberg:1", "--p", "2", "--k", "x"],
+    ["families", "--family", "q5", "--d", "x"],
+    ["funceq", "--family", "q5", "--d", "1.5"],
+    ["euler", "--family", "heisenberg:1", "--d", "x", "--minpoly", "1,0,1", "--p", "5"],
+    ["dirichlet", "--family", "heisenberg:1", "--d", "x", "--minpoly", "0,1", "--n", "5"],
+    ["abscissa", "--family", "q5", "--d", ""],
+    ["dirichlet", "--family", "heisenberg:1", "--minpoly", "0,1", "--n", "ten"],
+    # an unknown suite, option or command, and no command at all
+    ["verify", "--suite", "bogus"],
+    *([command, "--bogus"] for command in COMMANDS),
+    ["bogus"],
+    [],
+]
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_are_refusals(command):
+    result = run(*command)
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("refused:")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [[], *([c] for c in COMMANDS)], ids=" ".join)
+def test_help_exits_0(command):
+    result = run(*command, "--help")
+    assert result.exit_code == 0
+    assert result.stdout.startswith("Usage:") and result.stderr == ""
 
 
 # The last six hold a rank, index or coefficient that is not a JSON integer;

@@ -20,6 +20,7 @@ from zetaforge import (
     make_W,
     maxclass,
     parse_family,
+    predicted_symmetry,
     q5,
     weight,
 )
@@ -208,6 +209,19 @@ def test_make_W_rejects_bad_degree():
 def test_make_W_refuses_non_integer_degree(d):
     with pytest.raises(InputError, match="must be an integer"):
         make_W(heisenberg(1), d)
+
+
+# Both used to answer: predicted_symmetry(heisenberg(1), 1.5) gave a = 7.0
+# and heisenberg_from_bruhat(1, 1.5) float denominator exponents.
+@pytest.mark.parametrize("build", [heisenberg_from_bruhat, predicted_symmetry],
+                         ids=lambda build: build.__name__)
+@pytest.mark.parametrize("d, message", [
+    (0, "must be >= 1"), (-1, "must be >= 1"), (1.5, "must be an integer"),
+    (2.0, "must be an integer"), (True, "must be an integer"), ("2", "must be an integer"),
+])
+def test_degree_checks_match_make_W(build, d, message):
+    with pytest.raises(InputError, match=message):
+        build(1 if build is heisenberg_from_bruhat else heisenberg(1), d)
 
 
 def test_weights():

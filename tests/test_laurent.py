@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaforge import EulerForm, LaurentPoly, TruncatedSeries
+from zetaforge.laurent import InputError
 
 
 def P(terms):
@@ -277,6 +278,29 @@ def test_json_round_trip():
     assert again == formal
     with pytest.raises(ValueError):
         EulerForm.from_json_dict(formal.to_json_dict())
+    assert EulerForm.from_json_dict(
+        {"numerator": [["-12", 1, 0], [3, 0, 0]], "denominator": [[1, 1]]}
+    ) == EulerForm(P({(1, 0): -12, (0, 0): 3}), [(1, 1)])
+
+
+@pytest.mark.parametrize("data", [
+    {"numerator": [["1", 0.5, 0]], "denominator": [[1.9, 1]]},
+    {"numerator": [["1", 0.5, 0]], "denominator": []},
+    {"numerator": [["1", 0, 0]], "denominator": [[1.9, 1]]},
+    {"numerator": [["1", 0, 0]], "denominator": [[1, True]]},
+    {"numerator": [["1", "0", 0]], "denominator": []},
+    {"numerator": [[1.5, 0, 0]], "denominator": []},
+    {"numerator": [[True, 0, 0]], "denominator": []},
+    {"numerator": [[" 7", 0, 0]], "denominator": []},
+    {"numerator": [["1_0", 0, 0]], "denominator": []},
+    {"numerator": [["\u0661", 0, 0]], "denominator": []},
+    {"numerator": [["-", 0, 0]], "denominator": []},
+    {"numerator": [["", 0, 0]], "denominator": []},
+])
+def test_json_refuses_non_integer_entries(data):
+    # truncated by int(), the first would be read as (1) / (1 - X Y)
+    with pytest.raises(InputError):
+        EulerForm.from_json_dict(data)
 
 
 def test_truncated_series_is_immutable_prefix():

@@ -16,7 +16,7 @@ from zetaforge import (
     verify_sublemma,
 )
 from zetaforge import bruhat_gsp_sum, signed_perms
-from zetaforge.laurent import LaurentPoly, ResourceGuardError
+from zetaforge.laurent import InputError, LaurentPoly, ResourceGuardError
 from zetaforge.signed_perms import (
     BStats,
     _descent_monomial,
@@ -38,6 +38,13 @@ def test_window_validation():
         signed_permutation([1, 3])
     with pytest.raises(ValueError):
         signed_permutation([1, 1])
+
+
+@pytest.mark.parametrize("window", [[1.5, -2], [1.0, -2], [True, -2], ["1", -2], [2, -1.0]])
+def test_window_refuses_non_integer_entries(window):
+    # int() would truncate [1.5, -2] to the valid window (1, -2)
+    with pytest.raises(InputError, match="window entries must be integers"):
+        signed_permutation(window)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
