@@ -22,7 +22,7 @@ from math import comb
 
 from .laurent import EulerForm, InputError, LaurentPoly, ResourceGuardError
 from .primes import mobius
-from .signed_perms import b_monomials, descent_sum
+from .signed_perms import _check_m, b_monomials, descent_sum
 
 MAX_HEISENBERG_M = 8
 MAX_FREE_C = 6
@@ -312,8 +312,7 @@ def bruhat_gsp_sum(m):
     `signed_perms.b_monomials` table, summed by `signed_perms.descent_sum`.
     Descents live in {0, ..., m-1}, so Xt_m appears only in the denominator.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_m(m)
     if m > MAX_BRUHAT_M:
         raise ResourceGuardError(f"bruhat sum capped at m <= {MAX_BRUHAT_M}")
     monos = b_monomials(m)

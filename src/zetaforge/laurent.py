@@ -35,6 +35,17 @@ def _json_int(x, decimal_str=False):
     raise InputError(f"Euler form entries must be integers, got {x!r}")
 
 
+def _json_rows(data, key, width):
+    # data[key] as rows of `width` entries, the shape to_json_dict writes
+    try:
+        rows = [tuple(row) for row in data[key]]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"Euler form needs a {key!r} list of rows, got {exc!r}") from exc
+    if any(len(row) != width for row in rows):
+        raise InputError(f"Euler form {key} rows must have {width} entries")
+    return rows
+
+
 def _prune(terms):
     return {k: c for k, c in terms.items() if c != 0}
 
@@ -342,13 +353,14 @@ class EulerForm:
 
     @classmethod
     def from_json_dict(cls, data, formal=False):
-        """The inverse of `to_json_dict`, refusing any non-integer entry."""
+        """The inverse of `to_json_dict`, refusing any non-integer entry and
+        any other shape."""
         num = LaurentPoly(
             {(_json_int(xe), _json_int(ye)): _json_int(c, decimal_str=True)
-             for c, xe, ye in data["numerator"]}
+             for c, xe, ye in _json_rows(data, "numerator", 3)}
         )
-        return cls(num, [(_json_int(a), _json_int(b)) for a, b in data["denominator"]],
-                   formal=formal)
+        den = [(_json_int(a), _json_int(b)) for a, b in _json_rows(data, "denominator", 2)]
+        return cls(num, den, formal=formal)
 
     def latex(self):
         num = self.numerator.latex()

@@ -2,27 +2,22 @@
 
 Everything here is ground truth by enumeration.  A lattice is its sparse
 bracket table, the nonzero [e_a, e_b] for a < b (see `LieLattice`), and every
-bracket is computed from a table by `_bracket`.  `enumerate_subrings` lists
-the subrings of index p^k in Hermite normal form, built from the last row
-up: each bracket [row_i, row_j] is tested as soon as the rows that span the
-subring on the columns it can reach are placed, and a branch is cut at the
-first bracket outside that span.  On upper-triangular bases only the pairs
-in `LieLattice._pairs` can bracket to nonzero, and only those are bracketed.
+bracket is computed from a table by `_bracket`.  `_walk` lists the subrings
+of index p^k in Hermite normal form from the last row up, rows n-1..1 depth
+first and row 0 as a flat loop, and cuts a branch at the first bracket
+outside the span.  It brackets only the pairs in `LieLattice._pairs`, the
+ones that can be nonzero on upper-triangular bases, each once, and keeps
+their span coefficients: the subring's structure constants.
 
 `count_proisomorphic` sets the verdict up once per lattice (`_verdict`) and
-applies it to each subring the walk yields:
-- abelian: every subring is pro-isomorphic, and the count makes no call;
-- standard Heisenberg H_m, exact: a subring with last row z_gen z has
-  [row_a, row_b] = G'[a][b] z_gen z, and is pro-isomorphic iff p does not
-  divide the Pfaffian of G';
-- anything else of rank <= MAX_GENERIC_RANK, level-limited: a subring whose
-  abelianization differs from L's (computed once) modulo p^(k + C_SAFETY)
-  is False without a search.  Otherwise a bracket-preserving map is searched
-  depth first, one column and one level p, p^2, ... at a time: a column
-  extends the map of the level below by p^(level - 1) times a vector mod p,
-  and each bracket is checked modulo p^level as soon as its columns are
-  placed.  True once every column is placed at level p^(k + C_SAFETY), a
-  heuristic answer; False only after the whole search, a certain one.
+applies it to each subring's structure constants:
+- abelian: every subring is pro-isomorphic; the count adds up numbers of tails;
+- standard Heisenberg H_m, exact: [row_a, row_b] = G'[a][b] row_2m, and the
+  subring is pro-isomorphic iff p does not divide the Pfaffian of G';
+- anything else of rank <= MAX_GENERIC_RANK, level-limited: False without a
+  search if the abelianization differs from L's modulo p^(k + C_SAFETY),
+  else a bracket-preserving map is searched up to that level
+  (`_isomorphism_search`).  A True is heuristic, a False certain.
 
 Refused, never truncated: an enumeration past the guards, before any verdict
 refusal, and a search past NODE_BUDGET nodes (ResourceGuardError); a
@@ -108,13 +103,11 @@ class LieLattice:
         (a, b, vec) with a >= i and b >= j, not empty: on an upper-triangular
         basis only these can make [row_i, row_j] nonzero."""
         n = self.rank
-        pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                terms = tuple(t for t in self.brackets if t[0] >= i and t[1] >= j)
-                if terms:
-                    pairs.append((i, j, terms))
-        return tuple(pairs)
+        pairs = (
+            (i, j, tuple(t for t in self.brackets if t[0] >= i and t[1] >= j))
+            for i in range(n) for j in range(i + 1, n)
+        )
+        return tuple(pair for pair in pairs if pair[2])
 
 
 def _bracket(table, u, w):
@@ -319,48 +312,61 @@ def is_subring(lattice, basis):
     return _structure_constants(lattice, _checked_basis(lattice, basis)) is not None
 
 
-def enumerate_subrings(lattice, p, k):
-    """All row-HNF bases of subrings of index p^k, each once.
-
-    The basis is built bottom-up, row n-1 first and row 0 last, each row
-    running through its pivot p^e and its entries reduced modulo the pivots
-    below.  The basis spans a subring iff each bracket [row_i, row_j] (i < j)
-    in `LieLattice._pairs` lies in the span; the other pairs bracket to zero
-    and are never tested.  That bracket lives on the columns >= l, the least
-    column its terms reach, and the subring's part on the columns
-    >= s = min(i, l) is the span of rows s..n-1.  So the bracket is tested
-    as soon as row s is placed, and a branch that fails is cut there.
-    When every tail span(e_i, ...) of the lattice is a subring, s = i.
-    `enumerate_sublattices` filtered by `is_subring` is the reference.
+def _walk(lattice, p, k):
+    """The subring walk, unguarded, as (prefixes, subrings).  `prefixes`
+    places rows n-1..1 depth first and yields (left, tails) per prefix that
+    passes: row 0 has pivot p^left and `tails` choices of entries.
+    `subrings(left)` loops over them and yields (rows, table) per subring,
+    `table` as `_structure_constants` gives it; read the shared `rows` at
+    once.  [row_i, row_j] lives on the columns >= l, the least its terms
+    reach, where the subring is the span of rows s..n-1, s = min(i, l): it
+    is tested, and its span coefficients kept, once row s is placed.
     """
     n = lattice.rank
-    _check_enum_guards(n, p, k)
     checks = [[] for _ in range(n)]
-    for i, j, terms in lattice._pairs:
-        s = min([i] + [l for _, _, vec in terms for l, _ in vec])
-        checks[s].append((i, j, terms))
+    for x, (i, j, terms) in enumerate(lattice._pairs):
+        checks[min([i] + [l for _, _, vec in terms for l, _ in vec])].append((x, i, j, terms))
     rows = [None] * n
+    entries = [None] * len(lattice._pairs)
 
     def closed(s):
-        for i, j, terms in checks[s]:
-            if _span_coefficients(rows, _bracket(terms, rows[i], rows[j])) is None:
+        for x, i, j, terms in checks[s]:
+            coeffs = _span_coefficients(rows, _bracket(terms, rows[i], rows[j]))
+            if coeffs is None:
                 return False
+            vec = tuple((l, c) for l, c in enumerate(coeffs) if c)
+            entries[x] = (i, j, vec) if vec else None
         return True
 
-    def place(i, left):
-        tested = bool(checks[i])
-        for e in (left,) if i == 0 else range(left + 1):
+    def place(i, left, tails):
+        if i == 0:
+            yield left, tails
+            return
+        for e in range(left + 1):
             head = (0,) * i + (p**e,)
             for tail in product(*(range(rows[j][j]) for j in range(i + 1, n))):
                 rows[i] = head + tail
-                if tested and not closed(i):
-                    continue
-                if i == 0:
-                    yield tuple(rows)
-                else:
-                    yield from place(i - 1, left - e)
+                if not checks[i] or closed(i):
+                    yield from place(i - 1, left - e, tails * p**e)
 
-    yield from place(n - 1, k)
+    def subrings(left):
+        head = (p**left,)
+        for tail in product(*(range(rows[j][j]) for j in range(1, n))):
+            rows[0] = head + tail
+            if closed(0):
+                yield rows, tuple(filter(None, entries))
+
+    return place(n - 1, k, 1), subrings
+
+
+def enumerate_subrings(lattice, p, k):
+    """All row-HNF bases of subrings of index p^k, each once, in `_walk`'s
+    order; `enumerate_sublattices` filtered by `is_subring` is the reference."""
+    _check_enum_guards(lattice.rank, p, k)
+    prefixes, subrings = _walk(lattice, p, k)
+    for left, _ in prefixes:
+        for rows, _ in subrings(left):
+            yield tuple(rows)
 
 
 def _vp(x, p):
@@ -388,18 +394,15 @@ def _pfaffian(upper, idx=None):
     return total
 
 
-def _heisenberg_verdict(lattice, basis, p, m):
-    """Exact verdict for the subring of the standard Heisenberg lattice of
-    rank 2m+1 spanned by the upper-triangular `basis`, with last row z_gen z.
-    Its non-central rows bracket to c z, and z_gen divides every c since the
-    basis spans a subring, so [row_a, row_b] = G'[a][b] z_gen z in its own
-    basis.  The completion is Heisenberg iff the alternating Gram matrix G'
-    is invertible mod p: p does not divide Pf(G').
-    """
+def _heisenberg_verdict(table, p, m):
+    """Exact verdict for a subring of the standard Heisenberg lattice of
+    rank 2m+1 from its bracket `table` (see `_structure_constants`): with
+    last row z_gen z, rows bracket to c z = (c / z_gen) row_2m, so each
+    entry's one term is G'[a][b] = c / z_gen.  The completion is Heisenberg
+    iff G' is invertible mod p: p does not divide its Pfaffian."""
     gram = [[0] * (2 * m) for _ in range(2 * m)]
-    z_gen = basis[-1][-1]
-    for a, b, terms in lattice._pairs:
-        gram[a][b] = _bracket(terms, basis[a], basis[b])[-1] // z_gen
+    for a, b, ((_, c),) in table:
+        gram[a][b] = c
     return _pfaffian(gram) % p != 0
 
 
@@ -438,10 +441,7 @@ def _abelianization_type(table, n, p, cap):
     q = p**cap
     rows = [[dict(vec).get(l, 0) % q for l in range(n)] for _, _, vec in table]
     exps = []
-    while True:
-        rows = [row for row in rows if any(row)]
-        if not rows:
-            break
+    while rows := [row for row in rows if any(row)]:
         v, r, c = min(
             (_vp(x, p), r, c)
             for r, row in enumerate(rows) for c, x in enumerate(row) if x
@@ -513,14 +513,14 @@ def _isomorphism_search(lattice, cm, p, target):
 
 def _verdict(lattice, p, k):
     """The verdict on the subrings of `lattice` of index p^k, its lattice
-    work done once: None for an abelian lattice, else a function of an
-    upper-triangular basis that spans a subring.  A searched lattice is
-    refused here (see the module docstring)."""
+    work done once: None for an abelian lattice, else a function of a
+    subring's bracket table as `_structure_constants` gives it.  A searched
+    lattice is refused here (see the module docstring)."""
     if lattice.is_abelian():
         return None
     m = lattice.heisenberg_m()
     if m is not None:
-        return lambda basis: _heisenberg_verdict(lattice, basis, p, m)
+        return lambda table: _heisenberg_verdict(table, p, m)
     n = lattice.rank
     if n > MAX_GENERIC_RANK:
         raise InputError(
@@ -536,8 +536,7 @@ def _verdict(lattice, p, k):
         )
     ambient = _abelianization_type(lattice.brackets, n, p, target)
 
-    def searched(basis):
-        cm = _structure_constants(lattice, basis)
+    def searched(cm):
         # an isomorphism modulo p^target carries one abelianization onto the
         # other, so unequal types answer False without a search
         same = _abelianization_type(cm, n, p, target) == ambient
@@ -552,29 +551,30 @@ def is_proisomorphic(lattice, basis, p):
 
     The checked entry for one basis.  It refuses a p outside ENUM_PRIMES
     (ResourceGuardError), then a basis of the wrong shape (see
-    `_checked_basis`) or one that spans no subring (InputError).  It reads k,
-    the valuation of the index at p, off the pivots and applies the verdict
-    `count_proisomorphic` applies to each subring: exact, or level-limited for a searched lattice
-    (a False is certain, a True heuristic); see the module docstring.
+    `_checked_basis`) or one that spans no subring (InputError).  The
+    structure constants of that subring check go to the verdict of
+    `count_proisomorphic`, set up with k read off the pivots.
     """
     _check_enum_prime(p)
     rows = _checked_basis(lattice, basis)
-    if _structure_constants(lattice, rows) is None:
+    table = _structure_constants(lattice, rows)
+    if table is None:
         raise InputError("basis does not span a subring")
     verdict = _verdict(lattice, p, sum(_vp(row[i], p) for i, row in enumerate(rows)))
-    return verdict is None or verdict(rows)
+    return verdict is None or verdict(table)
 
 
 def count_proisomorphic(lattice, p, k):
     """Number of index-p^k subrings whose completion at p is isomorphic to
     the ambient lattice's.
 
-    The enumeration guards refuse before the verdict is set up, once, and
-    applied to each subring the walk yields; an abelian count makes no call.
+    The guards refuse before the verdict is set up, once, and applied to
+    each subring's bracket table from `_walk`.  An abelian count makes no
+    call and skips row 0's loop: each prefix adds its number of tails.
     """
     _check_enum_guards(lattice.rank, p, k)
     verdict = _verdict(lattice, p, k)
-    subrings = enumerate_subrings(lattice, p, k)
+    prefixes, subrings = _walk(lattice, p, k)
     if verdict is None:
-        return sum(1 for _ in subrings)
-    return sum(1 for basis in subrings if verdict(basis))
+        return sum(tails for _, tails in prefixes)
+    return sum(verdict(table) for left, _ in prefixes for _, table in subrings(left))

@@ -50,19 +50,30 @@ def signed_permutation(values):
     return w
 
 
-def enumerate_B(m):
-    """Yield all 2^m * m! windows of B_m, sign-major, windows in lex order."""
+def _check_m(m):
+    # an int m >= 1: a bool or float is refused, never truncated
+    if type(m) is not int:
+        raise InputError(f"m must be an integer, got {m!r}")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InputError("m must be >= 1")
+
+
+def enumerate_B(m):
+    """All 2^m * m! windows of B_m, sign-major, windows in lex order; m is
+    checked at the call, before the first window."""
+    _check_m(m)
     if m > MAX_ENUM_M:
         raise ResourceGuardError(f"B_m enumeration capped at m={MAX_ENUM_M}, got {m}")
-    for signs in product((1, -1), repeat=m):
-        for perm in permutations(range(1, m + 1)):
-            yield tuple(s * v for s, v in zip(signs, perm))
+    return (
+        tuple(s * v for s, v in zip(signs, perm))
+        for signs in product((1, -1), repeat=m)
+        for perm in permutations(range(1, m + 1))
+    )
 
 
 def enumerate_S(m):
     """The all-positive windows: a copy of the symmetric group S_m."""
+    _check_m(m)
     return permutations(range(1, m + 1))
 
 
@@ -160,8 +171,7 @@ def descent_tally(m, signed):
     position 0) exceeds v.  At the last position one value is left, and its
     one or two windows are added to the tally without a further call.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_m(m)
     if m > MAX_ENUM_M:
         raise ResourceGuardError(f"B_m enumeration capped at m={MAX_ENUM_M}, got {m}")
     tally = Counter()
@@ -241,6 +251,7 @@ def verify_bm_identity(m):
           = prod_{j=1}^{m} (1 + X^{C(m+1,2)-C(j+1,2)} Y)
             * sum_{sigma in S_m} X^{(sigma_A-l+rbin)(sigma)} Y^{des(sigma)}
     """
+    _check_m(m)
     if m > MAX_IDENTITY_M:
         raise ResourceGuardError(
             f"identity verification capped at m={MAX_IDENTITY_M}, got {m}"
@@ -267,6 +278,7 @@ def verify_sublemma(m):
     each (P_j) is computed once, and every window is checked both for
     exclusivity and, when it satisfies (P_j), for the monomial shift.
     """
+    _check_m(m)
     if m > MAX_SUBLEMMA_M:
         raise ResourceGuardError(
             f"sublemma verification capped at m={MAX_SUBLEMMA_M}, got {m}"

@@ -283,6 +283,16 @@ def test_oracle_lattice_from_file(tmp_path):
     assert json.loads(result.output)["count"] == 12
 
 
+def test_oracle_counts_one_subring_of_rank_one(tmp_path):
+    path = tmp_path / "rank1.json"
+    path.write_text('{"rank": 1}')
+    for lattice in ("abelian:1", f"file:{path}"):
+        for k in ("0", "2", "4"):
+            result = run("oracle", "--lattice", lattice, "--p", "3", "--k", k)
+            assert result.exit_code == 0
+            assert result.output == '{"count":1,"schema":"zetaforge/1"}\n'
+
+
 def test_oracle_refuses_rank_zero_lattice(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"rank": 0}')

@@ -303,6 +303,22 @@ def test_json_refuses_non_integer_entries(data):
         EulerForm.from_json_dict(data)
 
 
+@pytest.mark.parametrize("data,message", [
+    ({"numerator": [["1", 0]], "denominator": []}, "numerator rows must have 3 entries"),
+    ({"numerator": [["1", 0, 0, 0]], "denominator": []}, "numerator rows must have 3 entries"),
+    ({"numerator": [["1", 0, 0]], "denominator": [[1]]}, "denominator rows must have 2 entries"),
+    ({"numerator": [["1", 0, 0]], "denominator": [[1, 1, 1]]}, "denominator rows must have 2"),
+    ({"denominator": []}, "needs a 'numerator' list"),
+    ({"numerator": [["1", 0, 0]]}, "needs a 'denominator' list"),
+    ({"numerator": 5, "denominator": []}, "needs a 'numerator' list"),
+    ({"numerator": [5], "denominator": []}, "needs a 'numerator' list"),
+    ([], "needs a 'numerator' list"),
+])
+def test_json_refuses_other_shapes(data, message):
+    with pytest.raises(InputError, match=message):
+        EulerForm.from_json_dict(data)
+
+
 def test_truncated_series_is_immutable_prefix():
     s = TruncatedSeries([1, 2, 3])
     assert s.order == 2 and s[2] == 3

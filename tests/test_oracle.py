@@ -291,6 +291,30 @@ def test_subring_walk_matches_filtered_sublattices(lat, p, kmax):
         }
 
 
+def _handed_tables(lat, p, k):
+    """The bracket tables `count_proisomorphic` hands to its verdict, in
+    order, with a verdict that records them (and answers False) put in for
+    every lattice, the abelian ones included."""
+    handed = []
+
+    def record(table):
+        handed.append(table)
+        return False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_verdict", lambda *args: record)
+        assert count_proisomorphic(lat, p, k) == 0
+    return handed
+
+
+@pytest.mark.parametrize("lat,p,kmax", SUBRING_CASES)
+def test_walk_hands_the_verdict_the_structure_constants(lat, p, kmax):
+    for k in range(kmax + 1):
+        assert _handed_tables(lat, p, k) == [
+            oracle._structure_constants(lat, b) for b in enumerate_subrings(lat, p, k)
+        ]
+
+
 @st.composite
 def presentations(draw):
     """Rank <= 4: H1, M3 or H1+Z under a basis permutation and a nonzero
@@ -318,6 +342,14 @@ def test_subring_walk_matches_filtered_sublattices_on_random_presentations(lat, 
     assert set(walked) == {
         b for b in enumerate_sublattices(lat.rank, p, k) if is_subring(lat, b)
     }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(presentations(), st.sampled_from([2, 3]), st.integers(0, 2))
+def test_walk_hands_the_structure_constants_on_random_presentations(lat, p, k):
+    assert _handed_tables(lat, p, k) == [
+        oracle._structure_constants(lat, b) for b in enumerate_subrings(lat, p, k)
+    ]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -392,7 +424,7 @@ def test_heisenberg_verdict_matches_elimination_on_every_subring(m, p, kmax):
     verdicts = set()
     for k in range(kmax + 1):
         for basis in enumerate_subrings(lat, p, k):
-            got = oracle._heisenberg_verdict(lat, basis, p, m)
+            got = oracle._heisenberg_verdict(oracle._structure_constants(lat, basis), p, m)
             assert got == _reference_heisenberg_verdict(lat, basis, p, m), basis
             verdicts.add(got)
     assert verdicts == {True, False}
@@ -439,7 +471,7 @@ def test_heisenberg_verdict_matches_elimination_on_random_bases(drawn):
         for u in basis for w in basis
     )
     if closed:
-        assert oracle._heisenberg_verdict(lat, basis, p, m) == (
+        assert oracle._heisenberg_verdict(oracle._structure_constants(lat, basis), p, m) == (
             _reference_heisenberg_verdict(lat, basis, p, m)
         )
     else:
@@ -449,21 +481,32 @@ def test_heisenberg_verdict_matches_elimination_on_random_bases(drawn):
 
 # Of the m(2m - 1) pairs of non-central rows, the m(m - 1)/2 pairs of two
 # y-rows never bracket to nonzero on a triangular basis: 1, 5 and 12 remain.
+# The walk brackets each of them once, and the verdict reads its table.
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_heisenberg_verdict_brackets_each_pair_once(m, monkeypatch):
+def test_heisenberg_count_brackets_each_pair_once(m, monkeypatch):
     lat = heisenberg_lattice(m)
     calls = []
+    in_verdict = []
     bracket = oracle._bracket
+    verdict = oracle._heisenberg_verdict
 
     def counted(table, u, w):
         calls.append((u, w))
         return bracket(table, u, w)
 
+    def watched(*args):
+        before = len(calls)
+        got = verdict(*args)
+        in_verdict.append(len(calls) - before)
+        return got
+
     monkeypatch.setattr(oracle, "_bracket", counted)
-    n = 2 * m + 1
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    assert oracle._heisenberg_verdict(lat, identity, 2, m)
+    monkeypatch.setattr(oracle, "_heisenberg_verdict", watched)
+    # H_3 has rank 7, one above the rank cap; at k = 0 there is one subring
+    monkeypatch.setattr(oracle, "MAX_ENUM_RANK", 7)
+    assert count_proisomorphic(lat, 2, 0) == 1
     assert len(calls) == {1: 1, 2: 5, 3: 12}[m]
+    assert in_verdict == [0]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -517,6 +560,41 @@ def test_abelian_counts_are_all_sublattices():
     assert [count_proisomorphic(abelian_lattice(3), 2, k) for k in range(3)] == [
         1, 7, 35,
     ]
+
+
+def _admissible(n, p, k):
+    try:
+        oracle._check_enum_guards(n, p, k)
+    except ResourceGuardError:
+        return False
+    return True
+
+
+# An abelian count adds the number of row-0 tails of each prefix, without
+# walking them; the reference is the series and, where it is small enough
+# to list, enumerate_sublattices.  Z^5 at 3^4 is the largest admissible count.
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_abelian_counts_are_the_last_row_counts(n):
+    for p in oracle.ENUM_PRIMES:
+        series = make_W(abelian(n), 1).expand_series(p, oracle.MAX_ENUM_K)
+        for k in range(oracle.MAX_ENUM_K + 1):
+            if not _admissible(n, p, k):
+                continue
+            count = count_proisomorphic(abelian_lattice(n), p, k)
+            assert count == series[k]
+            if count <= 20000:
+                assert count == sum(1 for _ in enumerate_sublattices(n, p, k))
+
+
+@pytest.mark.parametrize("lat", [
+    pytest.param(abelian_lattice(1), id="abelian1"),
+    pytest.param(lattice_from_dict({"rank": 1}), id="rank1-dict"),
+])
+def test_rank_one_counts_one_at_every_k(lat):
+    for p in oracle.ENUM_PRIMES:
+        for k in range(oracle.MAX_ENUM_K + 1):
+            assert count_proisomorphic(lat, p, k) == 1
+            assert list(enumerate_subrings(lat, p, k)) == [((p**k,),)]
 
 
 @pytest.mark.parametrize("n,p,kmax", [(4, 3, 3), (5, 2, 3)])

@@ -373,6 +373,33 @@ def test_sublemma_fails_when_a_partner_is_not_a_window(monkeypatch):
     assert not verify_sublemma(3)
 
 
+# Each entry that takes a size m refuses a non-int (bool included) or an
+# m < 1 at the call, before any window is made.
+SIZED = [
+    pytest.param(enumerate_B, id="enumerate_B"),
+    pytest.param(enumerate_S, id="enumerate_S"),
+    pytest.param(lambda m: descent_tally(m, True), id="descent_tally"),
+    pytest.param(verify_bm_identity, id="verify_bm_identity"),
+    pytest.param(verify_sublemma, id="verify_sublemma"),
+    pytest.param(bruhat_gsp_sum, id="bruhat_gsp_sum"),
+]
+
+
+@pytest.mark.parametrize("sized", SIZED)
+@pytest.mark.parametrize("m,message", [
+    (0, "m must be >= 1"),
+    (-1, "m must be >= 1"),
+    (1.5, "m must be an integer, got 1.5"),
+    (2.0, "m must be an integer, got 2.0"),
+    (True, "m must be an integer, got True"),
+    ("2", "m must be an integer, got '2'"),
+])
+def test_sizes_are_refused_at_the_call(sized, m, message):
+    with pytest.raises(InputError) as refused:
+        sized(m)
+    assert str(refused.value) == message
+
+
 def test_resource_guards():
     with pytest.raises(ResourceGuardError):
         list(enumerate_B(9))
