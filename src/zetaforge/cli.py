@@ -1,11 +1,11 @@
 """Command-line surface: JSON payloads over the library plus a verify command.
 
-Every command is pure input -> output and returns its payload; the `main`
-group alone prints it and maps errors to exit codes.  A dict prints as one
-byte-deterministic JSON line with the schema added (sorted keys, compact
-separators, canonical term order, big integers as decimal strings), a string
-as is.  Exit codes: 0 success, 1 refused input (an `InputError`, which every
-domain error derives from, a resource guard, or a usage error such as a
+Every command is pure input -> output and returns its payload; `main` alone
+parses the arguments, prints the payload and maps errors to exit codes.  A dict
+prints as one byte-deterministic JSON line with the schema added (sorted keys,
+compact separators, canonical term order, big integers as decimal strings), a
+string as is.  Exit codes: 0 success, 1 refused input (an `InputError`, which
+every domain error derives from, a resource guard, or a usage error such as a
 missing option), 2 any other exception, which is a fault of the program.
 
 `verify` is the acceptance gate: `SUITES` holds one suite per acceptance
@@ -15,13 +15,13 @@ calls those same suites.
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import sys
 import traceback
 from fractions import Fraction
 from math import gcd
-
-import click
 
 from . import families as fam
 from .dirichlet import abscissa_from_shape, global_coefficients, local_factor
@@ -49,34 +49,85 @@ from .symmetry import (
 SCHEMA = "zetaforge/1"
 
 
-class _Boundary(click.Group):
-    """The one emitter and error boundary of every command."""
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a refusal, only `--help` asks for help, and option
+    names are never abbreviated."""
 
-    def invoke(self, ctx):
-        payload = super().invoke(ctx)
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        # a token such as -2,0,0,1 is the value of --minpoly, not an option
+        self._negative_number_matcher = re.compile(r"-\d")
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise InputError(message)
+
+    def format_help(self):
+        return super().format_help().replace("usage:", "Usage:", 1)
+
+
+_COMMANDS = {}
+
+
+def _command(name, *options):
+    """Register a command; each option is the (flags, settings) of an `add_argument`."""
+
+    def register(func):
+        _COMMANDS[name] = func, options
+        return func
+
+    return register
+
+
+def _option(*flags, **settings):
+    return flags, settings
+
+
+_FAMILY = _option("--family", dest="family_id", required=True,
+                  help="e.g. heisenberg:2, free:3:2, q5")
+_D = _option("--d", type=int, default=1, help="base-extension degree (default: 1)")
+_MINPOLY = _option("--minpoly", required=True, help="integer coefficients, constant term first")
+_P = _option("--p", type=int, required=True)
+
+
+def _parser():
+    parser = _Parser(prog="zetaforge", description=main.__doc__)
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+    for name, (func, options) in _COMMANDS.items():
+        command = commands.add_parser(name, help=func.__doc__, description=func.__doc__)
+        command.set_defaults(run=func)
+        for flags, settings in options:
+            command.add_argument(*flags, **settings)
+    return parser
+
+
+def main(argv=None):
+    """Exact local factors of pro-isomorphic zeta functions under base extension."""
+    # exact coefficients can exceed the 4300-digit int-to-str limit that newer
+    # Pythons set by default; the output is decimal strings, so lift it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    try:
+        args = vars(_parser().parse_args(argv))
+        payload = args.pop("run")(**args)
         if isinstance(payload, dict):
             payload = json.dumps({"schema": SCHEMA, **payload}, sort_keys=True,
                                  separators=(",", ":"))
         if payload is not None:
-            click.echo(payload)
-
-    def main(self, *args, **kwargs):
-        try:
-            # click returns the code of an early exit such as --help
-            sys.exit(super().main(*args, **kwargs, standalone_mode=False))
-        except click.UsageError as exc:
-            code, message = 1, f"refused: {exc.format_message()}"
-        except (InputError, ResourceGuardError) as exc:
-            code, message = 1, f"refused: {exc}"
-        except click.Abort:
-            code, message = 1, "Aborted!"
-        except AssertionError as exc:
-            code, message = 2, f"internal assertion failure: {exc}"
-        except Exception as exc:
-            trace = traceback.format_exc().removesuffix("\n")
-            code, message = 2, f"internal error: {type(exc).__name__}: {exc}\n{trace}"
-        click.echo(message, err=True)
-        sys.exit(code)
+            print(payload)
+        return
+    except (InputError, ResourceGuardError) as exc:
+        code, message = 1, f"refused: {exc}"
+    except KeyboardInterrupt:
+        # the blank line ends the ^C that the terminal echoed
+        code, message = 1, "\nAborted!"
+    except AssertionError as exc:
+        code, message = 2, f"internal assertion failure: {exc}"
+    except Exception as exc:
+        trace = traceback.format_exc().removesuffix("\n")
+        code, message = 2, f"internal error: {type(exc).__name__}: {exc}\n{trace}"
+    print(message, file=sys.stderr)
+    sys.exit(code)
 
 
 def _parse_family(text, d):
@@ -144,20 +195,8 @@ def _frac_str(q):
     return f"{q.numerator}/{q.denominator}"
 
 
-# A bare `zetaforge` is a usage error ("Missing command."), not a help page.
-@click.group(cls=_Boundary, no_args_is_help=False)
-def main():
-    """Exact local factors of pro-isomorphic zeta functions under base extension."""
-    # exact coefficients can exceed the 4300-digit int-to-str limit that newer
-    # Pythons set by default; the output is decimal strings, so lift it
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-
-
-@main.command("families")
-@click.option("--family", "family_id", required=True, help="e.g. heisenberg:2, free:3:2, q5")
-@click.option("--d", type=int, default=1, show_default=True, help="base-extension degree")
-@click.option("--latex", is_flag=True, help="emit LaTeX instead of JSON")
+@_command("families", _FAMILY, _D,
+          _option("--latex", action="store_true", help="emit LaTeX instead of JSON"))
 def families_cmd(family_id, d, latex):
     """Print W_{L,d}(X, Y) for a family."""
     family = _parse_family(family_id, d)
@@ -167,9 +206,7 @@ def families_cmd(family_id, d, latex):
     return {"family": str(family), "d": d, **w.to_json_dict()}
 
 
-@main.command("funceq")
-@click.option("--family", "family_id", required=True)
-@click.option("--d", type=int, default=1, show_default=True)
+@_command("funceq", _FAMILY, _D)
 def funceq_cmd(family_id, d):
     """Extract the functional equation W(1/X, 1/Y) = sign X^a Y^b W(X, Y)."""
     family = parse_family(family_id)
@@ -194,22 +231,16 @@ def funceq_cmd(family_id, d):
     }
 
 
-@main.command("decompose")
-@click.option("--minpoly", required=True, help="integer coefficients, constant term first")
-@click.option("--p", type=int, required=True)
+@_command("decompose", _MINPOLY, _P)
 def decompose_cmd(minpoly, p):
     """Decomposition type (e_i, f_i) of p in the field, with residue sizes."""
     pairs = decomposition_type(_parse_field(minpoly), p)
     return {"pairs": [[e, f] for e, f in pairs], "qp": [str(p**f) for _, f in pairs]}
 
 
-@main.command("euler")
-@click.option("--family", "family_id", required=True)
-@click.option("--d", type=int, default=1, show_default=True)
-@click.option("--minpoly", required=True)
-@click.option("--p", type=int, required=True)
-@click.option("--type", "type_override", default=None,
-              help="semicolon-separated e,f pairs overriding the computed type")
+@_command("euler", _FAMILY, _D, _MINPOLY, _P,
+          _option("--type", dest="type_override",
+                  help="semicolon-separated e,f pairs overriding the computed type"))
 def euler_cmd(family_id, d, minpoly, p, type_override):
     """Local Euler factor at p of the base-extended zeta function, in t = p^-s."""
     family = _parse_family(family_id, d)
@@ -223,11 +254,8 @@ def euler_cmd(family_id, d, minpoly, p, type_override):
     }
 
 
-@main.command("dirichlet")
-@click.option("--family", "family_id", required=True)
-@click.option("--d", type=int, default=1, show_default=True)
-@click.option("--minpoly", required=True)
-@click.option("--n", "--N", "limit", type=int, required=True, help="expand b_1..b_N")
+@_command("dirichlet", _FAMILY, _D, _MINPOLY,
+          _option("--n", "--N", dest="limit", type=int, required=True, help="expand b_1..b_N"))
 def dirichlet_cmd(family_id, d, minpoly, limit):
     """Global Dirichlet coefficients b_1..b_N, exactly."""
     family = _parse_family(family_id, d)
@@ -235,9 +263,7 @@ def dirichlet_cmd(family_id, d, minpoly, limit):
     return {"coefficients": [str(c) for c in global_coefficients(family, d, field, limit)]}
 
 
-@main.command("abscissa")
-@click.option("--family", "family_id", required=True)
-@click.option("--d", type=int, default=1, show_default=True)
+@_command("abscissa", _FAMILY, _D)
 def abscissa_cmd(family_id, d):
     """Abscissa of convergence as an exact rational "num/den"."""
     family = _parse_family(family_id, d)
@@ -247,11 +273,10 @@ def abscissa_cmd(family_id, d):
     return {"abscissa": _frac_str(value), "shape_verified": shape.shape_verified}
 
 
-@main.command("oracle")
-@click.option("--lattice", "lattice_id", required=True,
-              help="heisenberg:m, abelian:n, or file:<path> with a JSON bracket list")
-@click.option("--p", type=int, required=True)
-@click.option("--k", type=int, required=True)
+@_command("oracle",
+          _option("--lattice", dest="lattice_id", required=True,
+                  help="heisenberg:m, abelian:n, or file:<path> with a JSON bracket list"),
+          _P, _option("--k", type=int, required=True))
 def oracle_cmd(lattice_id, p, k):
     """Count index-p^k subrings pro-isomorphic to the lattice, by brute force."""
     return {"count": count_proisomorphic(_parse_lattice(lattice_id, p, k), p, k)}
@@ -261,36 +286,35 @@ def oracle_cmd(lattice_id, p, k):
 # verify suites
 
 
+def _mismatch(what):
+    print(f"MISMATCH {what}")
+    return False
+
+
 def _fe_table_families():
-    out = []
-    for c in range(2, 5):
-        for g in range(1, 5):
-            out.append(fam.free(c, g))
-    out += [fam.heisenberg(m) for m in range(1, 7)]
-    for m in range(1, 7):
-        for n in range(2, 9):
-            if m + n <= 8:
-                out.append(fam.lmn(m, n))
-    out += [fam.maxclass(c) for c in range(2, 6)]
-    out += [fam.f4(), fam.q5()]
-    return out
+    return [
+        *(fam.free(c, g) for c in range(2, 5) for g in range(1, 5)),
+        *(fam.heisenberg(m) for m in range(1, 7)),
+        *(fam.lmn(m, n) for m in range(1, 7) for n in range(2, 9) if m + n <= 8),
+        *(fam.maxclass(c) for c in range(2, 6)),
+        fam.f4(),
+        fam.q5(),
+    ]
 
 
 def _suite_bm_identity():
     for m in range(1, 7):
         if not verify_bm_identity(m):
-            click.echo(f"MISMATCH bm-identity m={m}")
-            return False
-        click.echo(f"ok bm-identity m={m}")
+            return _mismatch(f"bm-identity m={m}")
+        print(f"ok bm-identity m={m}")
     return True
 
 
 def _suite_sublemma():
     for m in range(1, 6):
         if not verify_sublemma(m):
-            click.echo(f"MISMATCH sublemma m={m}")
-            return False
-        click.echo(f"ok sublemma m={m}")
+            return _mismatch(f"sublemma m={m}")
+        print(f"ok sublemma m={m}")
     return True
 
 
@@ -300,9 +324,8 @@ def _suite_bruhat():
             collapsed = fam.heisenberg_from_bruhat(m, d)
             direct = make_W(fam.heisenberg(m), d)
             if not collapsed.ratfunc_equal(direct):
-                click.echo(f"MISMATCH bruhat m={m} d={d}")
-                return False
-        click.echo(f"ok bruhat m={m} d=1..3")
+                return _mismatch(f"bruhat m={m} d={d}")
+        print(f"ok bruhat m={m} d=1..3")
     return True
 
 
@@ -313,14 +336,12 @@ def _suite_funceq():
             got = extract_functional_equation(w)
             want = predicted_symmetry(family, d)
             if got != want or not verify_functional_equation(w, got):
-                click.echo(f"MISMATCH funceq {family} d={d}: {got} != {want}")
-                return False
-        click.echo(f"ok funceq {family}")
+                return _mismatch(f"funceq {family} d={d}: {got} != {want}")
+        print(f"ok funceq {family}")
     for d in range(1, 5):
         if extract_functional_equation(make_W(fam.bk(), d)) is not None:
-            click.echo(f"MISMATCH funceq bk d={d}: unexpected symmetry")
-            return False
-    click.echo("ok funceq bk (none exists)")
+            return _mismatch(f"funceq bk d={d}: unexpected symmetry")
+    print("ok funceq bk (none exists)")
     return True
 
 
@@ -328,9 +349,8 @@ def _suite_weights():
     for family in _fe_table_families():
         for d in range(1, 5):
             if not check_weight_conjecture(family, d):
-                click.echo(f"MISMATCH weight {family} d={d}")
-                return False
-        click.echo(f"ok weight {family}")
+                return _mismatch(f"weight {family} d={d}")
+        print(f"ok weight {family}")
     return True
 
 
@@ -338,9 +358,8 @@ def _suite_bk_ratio():
     for d in range(1, 5):
         got = reduced_leading_ratio(make_W(fam.bk(), d))
         if got != (102, Fraction(1, 2)):
-            click.echo(f"MISMATCH bk-ratio d={d}: {got}")
-            return False
-    click.echo("ok bk-ratio d=1..4 -> (102, 1/2)")
+            return _mismatch(f"bk-ratio d={d}: {got}")
+    print("ok bk-ratio d=1..4 -> (102, 1/2)")
     return True
 
 
@@ -349,9 +368,8 @@ def _suite_cross_family():
         h = make_W(fam.heisenberg(1), d)
         for other in (fam.free(2, 2), fam.maxclass(2)):
             if not make_W(other, d).ratfunc_equal(h):
-                click.echo(f"MISMATCH cross-family {other} d={d}")
-                return False
-    click.echo("ok cross-family free:2:2 = heisenberg:1 = maxclass:2, d=1..4")
+                return _mismatch(f"cross-family {other} d={d}")
+    print("ok cross-family free:2:2 = heisenberg:1 = maxclass:2, d=1..4")
     return True
 
 
@@ -362,53 +380,43 @@ def _series_int(form, p, k):
 
 
 def _suite_oracle():
-    count = count_proisomorphic
     for n in (2, 3):
         w = make_W(fam.abelian(n), 1)
         for p in (2, 3):
             for k in range(0, 4):
-                got = count(abelian_lattice(n), p, k)
+                got = count_proisomorphic(abelian_lattice(n), p, k)
                 want = _series_int(w, p, k)
                 if got != want:
-                    click.echo(f"MISMATCH oracle Z^{n} p={p} k={k}: {got} != {want}")
-                    return False
-        click.echo(f"ok oracle Z^{n} p=2,3 k<=3")
+                    return _mismatch(f"oracle Z^{n} p={p} k={k}: {got} != {want}")
+        print(f"ok oracle Z^{n} p=2,3 k<=3")
     w1 = make_W(fam.heisenberg(1), 1)
     for p in (2, 3):
         for k in range(0, 5):
-            got = count(heisenberg_lattice(1), p, k)
+            got = count_proisomorphic(heisenberg_lattice(1), p, k)
             want = _series_int(w1, p, k)
             if got != want or ((p, k) == (2, 2) and got != 12):
-                click.echo(f"MISMATCH oracle H1 p={p} k={k}: {got} != {want}")
-                return False
-    click.echo("ok oracle H1 p=2,3 k<=4")
+                return _mismatch(f"oracle H1 p={p} k={k}: {got} != {want}")
+    print("ok oracle H1 p=2,3 k<=4")
     w2 = make_W(fam.heisenberg(2), 1)
-    got = count(heisenberg_lattice(2), 2, 3)
+    got = count_proisomorphic(heisenberg_lattice(2), 2, 3)
     want = _series_int(w2, 2, 3)
     if got != want or got != 240:
-        click.echo(f"MISMATCH oracle H2 p=2 k=3: {got} != {want} (expect 240)")
-        return False
-    click.echo("ok oracle H2 p=2 k=3 -> 240")
+        return _mismatch(f"oracle H2 p=2 k=3: {got} != {want} (expect 240)")
+    print("ok oracle H2 p=2 k=3 -> 240")
     return True
 
 
 def _suite_abscissa():
-    cases = [
-        (family, d)
-        for family in _fe_table_families()
-        if family.kind != "lmn"
-        for d in range(1, 5)
-    ]
+    families = [family for family in _fe_table_families() if family.kind != "lmn"]
+    cases = [(family, d) for family in families for d in range(1, 5)]
     for family, d in cases:
         closed = fam.abscissa(family, d)
         shape = abscissa_from_shape(make_W(family, d))
         if closed != shape.value:
-            click.echo(f"MISMATCH abscissa {family} d={d}: {closed} != {shape.value}")
-            return False
+            return _mismatch(f"abscissa {family} d={d}: {closed} != {shape.value}")
         if family.kind == "maxclass" and d == 1 and closed != 2:
-            click.echo(f"MISMATCH abscissa {family} d=1 should be 2, got {closed}")
-            return False
-    click.echo(f"ok abscissa on {len(cases)} family/d pairs")
+            return _mismatch(f"abscissa {family} d=1 should be 2, got {closed}")
+    print(f"ok abscissa on {len(cases)} family/d pairs")
     return True
 
 
@@ -418,31 +426,24 @@ def _suite_numberfield():
     for p, want in expected.items():
         got = decomposition_type(gaussian, p)
         if got != want:
-            click.echo(f"MISMATCH decomposition p={p}: {got} != {want}")
-            return False
-    click.echo("ok gaussian decomposition types p=2,3,5")
+            return _mismatch(f"decomposition p={p}: {got} != {want}")
+    print("ok gaussian decomposition types p=2,3,5")
     family = fam.heisenberg(1)
     for p in primes_upto(50):
         lf = local_factor(family, 2, gaussian, p)
-        want = []
-        for _, f in decomposition_type(gaussian, p):
-            want.append((p ** (4 * f), 2 * f))
-            want.append((p ** (5 * f), 2 * f))
+        want = [(p ** (e * f), 2 * f)
+                for _, f in decomposition_type(gaussian, p) for e in (4, 5)]
         if lf.numerator != ((0, 1),) or sorted(lf.denominator) != sorted(want):
-            click.echo(f"MISMATCH local factor at p={p}")
-            return False
-    click.echo("ok H1 x gaussian local factors match shifted zeta products, p<=50")
+            return _mismatch(f"local factor at p={p}")
+    print("ok H1 x gaussian local factors match shifted zeta products, p<=50")
     coeffs = global_coefficients(family, 2, gaussian, 200)
     if coeffs[0] != 1 or any(not isinstance(c, int) or c < 0 for c in coeffs):
-        click.echo("MISMATCH global coefficients: b_1 != 1, or negative or non-int")
-        return False
+        return _mismatch("global coefficients: b_1 != 1, or negative or non-int")
     for a in range(1, 201):
-        for b in range(1, 201 // a + 1):
-            if a * b <= 200 and gcd(a, b) == 1:
-                if coeffs[a * b - 1] != coeffs[a - 1] * coeffs[b - 1]:
-                    click.echo(f"MISMATCH multiplicativity at {a}*{b}")
-                    return False
-    click.echo("ok global coefficients to 200: nonnegative, multiplicative")
+        for b in range(1, 200 // a + 1):
+            if gcd(a, b) == 1 and coeffs[a * b - 1] != coeffs[a - 1] * coeffs[b - 1]:
+                return _mismatch(f"multiplicativity at {a}*{b}")
+    print("ok global coefficients to 200: nonnegative, multiplicative")
     return True
 
 
@@ -460,18 +461,17 @@ SUITES = {
 }
 
 
-@main.command("verify")
-@click.option("--suite", default="all", show_default=True,
-              type=click.Choice(sorted(SUITES) + ["all"]))
+@_command("verify", _option("--suite", default="all", choices=sorted(SUITES) + ["all"],
+                             help="one suite, or all (default: all)"))
 def verify_cmd(suite):
     """Run the acceptance suites, each over its criterion's full range;
     exit 0 iff everything matches."""
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
         if not SUITES[name]():
-            click.echo(f"FAIL {name}")
+            print(f"FAIL {name}")
             sys.exit(1)
-        click.echo(f"PASS {name}")
+        print(f"PASS {name}")
 
 
 if __name__ == "__main__":

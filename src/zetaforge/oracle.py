@@ -246,9 +246,14 @@ def enumerate_sublattices(n, p, k):
     Diagonals run through the exponent compositions of k in colexicographic
     order; for each diagonal the above-pivot entries run through
     `itertools.product` (last position fastest), every entry reduced modulo
-    the pivot below it.
+    the pivot below it.  The guards are checked at the call, before the
+    first basis.
     """
     _check_enum_guards(n, p, k)
+    return _sublattices(n, p, k)
+
+
+def _sublattices(n, p, k):
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     compositions = (c for c in product(range(k + 1), repeat=n) if sum(c) == k)
     for comp in sorted(compositions, key=lambda c: c[::-1]):
@@ -361,12 +366,11 @@ def _walk(lattice, p, k):
 
 def enumerate_subrings(lattice, p, k):
     """All row-HNF bases of subrings of index p^k, each once, in `_walk`'s
-    order; `enumerate_sublattices` filtered by `is_subring` is the reference."""
+    order; `enumerate_sublattices` filtered by `is_subring` is the reference.
+    The guards are checked at the call, before the first basis."""
     _check_enum_guards(lattice.rank, p, k)
     prefixes, subrings = _walk(lattice, p, k)
-    for left, _ in prefixes:
-        for rows, _ in subrings(left):
-            yield tuple(rows)
+    return (tuple(rows) for left, _ in prefixes for rows, _ in subrings(left))
 
 
 def _vp(x, p):

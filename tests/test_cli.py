@@ -9,19 +9,13 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import run
 from zetaforge import cli, numberfield
-from zetaforge.cli import SUITES, main
+from zetaforge.cli import SUITES
 from zetaforge.laurent import InputError
-
-runner = CliRunner()
-
-
-def run(*args):
-    return runner.invoke(main, list(args))
 
 
 def test_families_json_is_byte_deterministic():
@@ -130,6 +124,7 @@ NO_SYMPY_SCRIPT = textwrap.dedent("""
         global_coefficients(families.heisenberg(1), field.degree, field, 30)
         decomposition_type(field, 7)
     assert "sympy" not in sys.modules, "sympy was imported"
+    assert "click" not in sys.modules, "click was imported"
 """)
 
 
@@ -414,6 +409,9 @@ USAGE_ERRORS = [
     ["dirichlet", "--family", "heisenberg:1", "--minpoly", "0,1", "--n", "ten"],
     # an unknown suite, option or command, and no command at all
     ["verify", "--suite", "bogus"],
+    # an abbreviated option, and -h: only --help asks for help
+    ["families", "--fam", "q5"],
+    ["families", "-h"],
     *([command, "--bogus"] for command in COMMANDS),
     ["bogus"],
     [],

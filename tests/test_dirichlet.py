@@ -4,10 +4,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import run
 from zetaforge import (
     DegreeMismatchError,
     GlobalExpansionError,
@@ -25,7 +25,6 @@ from zetaforge import (
     rationals,
 )
 from zetaforge import dirichlet, families
-from zetaforge.cli import main
 from zetaforge.dirichlet import _specialise
 from zetaforge.laurent import EulerForm, InputError, LaurentPoly, ResourceGuardError
 from zetaforge.numberfield import decomposition_type
@@ -393,7 +392,7 @@ def test_abscissa_builds_the_descent_sum_once(monkeypatch):
         return original(monomials)
 
     monkeypatch.setattr(families, "descent_form", counting_descent_form)
-    result = CliRunner().invoke(main, ["abscissa", "--family", "heisenberg:3"])
+    result = run("abscissa", "--family", "heisenberg:3")
     assert result.exit_code == 0, result.output
     assert '"shape_verified":true' in result.output
     assert len(calls) == 1

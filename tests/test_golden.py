@@ -23,9 +23,8 @@ it, so cutting the factors at the expanded order must not move a digit.
 import hashlib
 
 import pytest
-from click.testing import CliRunner
 
-from zetaforge.cli import main
+from cli_runner import run
 
 DIGESTS = {
     ("heisenberg:1", 1): "abcc8c9d6100f2cb223f8e8dfa7c0042fd1a22ae2dea7202d476e13d9d58b844",
@@ -155,18 +154,15 @@ COMMANDS = [
     ("abscissa --family abelian:3", 0, "240f73c40ea331a5e66d3f4d717d41327ab322c110224613c60d0319a151c107"),
 ]
 
-runner = CliRunner()
-
-
 @pytest.mark.parametrize("family_id, d", sorted(DIGESTS))
 def test_families_json_digest(family_id, d):
-    result = runner.invoke(main, ["families", "--family", family_id, "--d", str(d)])
+    result = run("families", "--family", family_id, "--d", str(d))
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == DIGESTS[family_id, d]
 
 
 @pytest.mark.parametrize("command, code, digest", COMMANDS, ids=[c[0] for c in COMMANDS])
 def test_command_output_digest(command, code, digest):
-    result = runner.invoke(main, command.split())
+    result = run(*command.split())
     assert result.exit_code == code, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest

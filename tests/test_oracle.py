@@ -390,6 +390,16 @@ def test_subring_walk_guards():
         assert str(walked.value) == str(reference.value)
 
 
+@pytest.mark.parametrize("lat, p, k", [(H1, 7, 1), (abelian_lattice(7), 2, 1), (H1, 2, -1)],
+                         ids=["H1 p=7", "Z^7", "H1 k=-1"])
+def test_enumerators_refuse_at_the_call(lat, p, k):
+    # no basis is drawn: the guards run before a generator is handed out
+    with pytest.raises((InputError, ResourceGuardError)):
+        enumerate_subrings(lat, p, k)
+    with pytest.raises((InputError, ResourceGuardError)):
+        enumerate_sublattices(lat.rank, p, k)
+
+
 def test_heisenberg_verdicts_by_hand():
     # index p: the derived subring shrinks but the center does not
     assert not is_proisomorphic(H1, ((2, 0, 0), (0, 1, 0), (0, 0, 1)), 2)
