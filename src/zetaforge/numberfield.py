@@ -14,13 +14,17 @@ the type from the gcds of f with x^(p^i) - x, one degree i at a time, and
 needs neither the complete factors nor a squarefree split.  For a run of
 primes, `_frobenius_images` hands it x^p mod f stepped over Z instead of
 powered at each p.  The same types, at the primes l < 100 where f mod l is
-squarefree, certify that f is squarefree and irreducible over Q.  sympy is
-imported only by `_factor_over_q`, for polynomials they cannot certify.
+squarefree, certify that f is squarefree and irreducible over Q; the answer
+is kept per polynomial (`_certified`), since a run builds the same fields
+again and again.  sympy is imported only by `_factor_over_q`, for
+polynomials they cannot certify, and a refusal is raised at every
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .laurent import EulerForm, InputError, ResourceGuardError
 from .primes import is_prime, primes_upto
@@ -239,6 +243,13 @@ def _certified_irreducible(f):
     return False
 
 
+@lru_cache(maxsize=32)
+def _certified(minpoly):
+    """`_certified_irreducible` of a minimal polynomial, constant term first,
+    kept for the fields a run builds again and again."""
+    return _certified_irreducible(list(reversed(minpoly)))
+
+
 def _factor_over_q(coeffs):
     """The irreducible factors over Q of the monic polynomial with their
     multiplicities: pairs (factor, e), each factor monic and constant term
@@ -274,7 +285,7 @@ class NumberField:
         if self.degree > 1:
             if coeffs[0] == 0:
                 raise InputError("reducible: x divides the polynomial")
-            if not _certified_irreducible(list(reversed(coeffs))):
+            if not _certified(coeffs):
                 factored = _factor_over_q(coeffs)
                 if any(e > 1 for _, e in factored):
                     raise InputError("not squarefree")

@@ -9,15 +9,25 @@ outside the span.  It brackets only the pairs in `LieLattice._pairs`, the
 ones that can be nonzero on upper-triangular bases, each once, and keeps
 their span coefficients: the subring's structure constants.
 
+A count walks one subring per class.  When the last coordinates
+e_t..e_{n-1} are central and span every bracket (`LieLattice.t`, the
+class-2 decomposition of Grunewald-Segal-Smith), the entries of rows
+0..t-1 in columns t..n-1 change neither the closure tests nor the
+structure constants.  The walk pins them to 0 and gives the subring it
+places the weight prod_{j >= t} pivot_j^t, the number of subrings they
+range over.  `enumerate_subrings` pins nothing and lists every basis.
+
 `count_proisomorphic` sets the verdict up once per lattice (`_verdict`) and
-applies it to each subring's structure constants:
+adds up weight * verdict(structure constants) over the classes:
 - abelian: every subring is pro-isomorphic; the count adds up numbers of tails;
 - standard Heisenberg H_m, exact: [row_a, row_b] = G'[a][b] row_2m, and the
   subring is pro-isomorphic iff p does not divide the Pfaffian of G';
 - anything else of rank <= MAX_GENERIC_RANK, level-limited: False without a
   search if the abelianization differs from L's modulo p^(k + C_SAFETY),
   else a bracket-preserving map is searched up to that level
-  (`_isomorphism_search`).  A True is heuristic, a False certain.
+  (`_isomorphism_search`).  A True is heuristic, a False certain, and a
+  weighted class shares its one searched verdict: a count that rests on a
+  True is level-limited too, never exact.
 
 Refused, never truncated: an enumeration past the guards, before any verdict
 refusal, and a search past NODE_BUDGET nodes (ResourceGuardError); a
@@ -102,12 +112,28 @@ class LieLattice:
         """(i, j, terms) for each i < j with `terms`, the table entries
         (a, b, vec) with a >= i and b >= j, not empty: on an upper-triangular
         basis only these can make [row_i, row_j] nonzero."""
-        n = self.rank
+        table = self.brackets
+        if not table:
+            return ()
+        # i <= a and j <= b for some entry: a is largest in the last entry
+        top = max(b for _, b, _ in table)
         pairs = (
-            (i, j, tuple(t for t in self.brackets if t[0] >= i and t[1] >= j))
-            for i in range(n) for j in range(i + 1, n)
+            (i, j, tuple(t for t in table if t[0] >= i and t[1] >= j))
+            for i in range(table[-1][0] + 1) for j in range(i + 1, top + 1)
         )
         return tuple(pair for pair in pairs if pair[2])
+
+    @cached_property
+    def t(self):
+        """Where the central tail starts: the least coordinate any bracket
+        reaches, when every table entry (a, b, vec) has b below it, so that
+        e_t..e_{n-1} are central and span every bracket; else the rank (no
+        tail).  An abelian lattice has none: t is the rank."""
+        top, low = 0, self.rank
+        for _, b, vec in self.brackets:
+            top = max(top, b)
+            low = min(low, vec[0][0])
+        return low if top < low else self.rank
 
 
 def _bracket(table, u, w):
@@ -126,8 +152,11 @@ def _jacobi_failure(n, table):
     """The first triple i < j < k, in lexicographic order, whose Jacobiator
     [[e_i, e_j], e_k] + [[e_j, e_k], e_i] - [[e_i, e_k], e_j] is nonzero, or
     None.  Only the pairs in the table have nonzero brackets, so only the
-    triples that touch one are tried, and only those pairs' terms summed."""
-    if not table:
+    triples that touch one are tried, and only those pairs' terms summed.
+    When no bracket lands on a coordinate of a pair in the table, every
+    double bracket is zero and nothing is tried."""
+    touched = {x for a, b, _ in table for x in (a, b)}
+    if touched.isdisjoint(l for _, _, vec in table for l, _ in vec):
         return None
     unit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
     inner = {(a, b): _bracket(table, unit[a], unit[b]) for a, b, _ in table}
@@ -317,15 +346,24 @@ def is_subring(lattice, basis):
     return _structure_constants(lattice, _checked_basis(lattice, basis)) is not None
 
 
-def _walk(lattice, p, k):
-    """The subring walk, unguarded, as (prefixes, subrings).  `prefixes`
-    places rows n-1..1 depth first and yields (left, tails) per prefix that
-    passes: row 0 has pivot p^left and `tails` choices of entries.
-    `subrings(left)` loops over them and yields (rows, table) per subring,
-    `table` as `_structure_constants` gives it; read the shared `rows` at
-    once.  [row_i, row_j] lives on the columns >= l, the least its terms
-    reach, where the subring is the span of rows s..n-1, s = min(i, l): it
-    is tested, and its span coefficients kept, once row s is placed.
+def _walk(lattice, p, k, t):
+    """The subring walk, unguarded, as (prefixes, subrings), with the
+    entries of rows 0..t-1 in columns t..n-1 pinned to 0: e_t..e_{n-1} are a
+    central tail that spans every bracket (`LieLattice.t`), or t = n and
+    nothing is pinned.  A bracket of rows then reads only columns < t and
+    lands on columns >= t, where only rows t..n-1 have pivots, so the
+    pinned entries change no closure test and no table.  The subring placed
+    stands for the `weight` = prod_{j >= t} pivot_j^t subrings its pinned
+    entries range over, all with its table.
+
+    `prefixes` places rows n-1..1 depth first and yields (left, tails,
+    weight) per prefix that passes: row 0 has pivot p^left and `tails`
+    choices of unpinned entries.  `subrings(left)` loops over them and
+    yields (rows, table) per subring, `table` as `_structure_constants`
+    gives it; read the shared `rows` at once.  [row_i, row_j] lives on the
+    columns >= l, the least its terms reach, where the subring is the span
+    of rows s..n-1, s = min(i, l): it is tested, and its span coefficients
+    kept, once row s is placed.
     """
     n = lattice.rank
     checks = [[] for _ in range(n)]
@@ -343,25 +381,33 @@ def _walk(lattice, p, k):
             entries[x] = (i, j, vec) if vec else None
         return True
 
-    def place(i, left, tails):
+    pins = [(0,)] * (n - t)
+
+    def place(i, left, tails, weight):
         if i == 0:
-            yield left, tails
+            yield left, tails, weight
             return
+        # row i's entries, each reduced modulo the pivot below it; in a row
+        # above t, those in the tail columns are pinned
+        stop = t if i < t else n
+        ranges = [range(rows[j][j]) for j in range(i + 1, stop)] + pins[: n - stop]
         for e in range(left + 1):
-            head = (0,) * i + (p**e,)
-            for tail in product(*(range(rows[j][j]) for j in range(i + 1, n))):
+            q = p**e
+            head = (0,) * i + (q,)
+            below = (left - e, tails * q, weight) if i < t else (left - e, tails, weight * q**t)
+            for tail in product(*ranges):
                 rows[i] = head + tail
                 if not checks[i] or closed(i):
-                    yield from place(i - 1, left - e, tails * p**e)
+                    yield from place(i - 1, *below)
 
     def subrings(left):
         head = (p**left,)
-        for tail in product(*(range(rows[j][j]) for j in range(1, n))):
+        for tail in product(*(range(rows[j][j]) for j in range(1, t)), *pins):
             rows[0] = head + tail
             if closed(0):
                 yield rows, tuple(filter(None, entries))
 
-    return place(n - 1, k, 1), subrings
+    return place(n - 1, k, 1, 1), subrings
 
 
 def enumerate_subrings(lattice, p, k):
@@ -369,8 +415,8 @@ def enumerate_subrings(lattice, p, k):
     order; `enumerate_sublattices` filtered by `is_subring` is the reference.
     The guards are checked at the call, before the first basis."""
     _check_enum_guards(lattice.rank, p, k)
-    prefixes, subrings = _walk(lattice, p, k)
-    return (tuple(rows) for left, _ in prefixes for rows, _ in subrings(left))
+    prefixes, subrings = _walk(lattice, p, k, lattice.rank)
+    return (tuple(rows) for left, _, _ in prefixes for rows, _ in subrings(left))
 
 
 def _vp(x, p):
@@ -573,12 +619,16 @@ def count_proisomorphic(lattice, p, k):
     the ambient lattice's.
 
     The guards refuse before the verdict is set up, once, and applied to
-    each subring's bracket table from `_walk`.  An abelian count makes no
+    the bracket table of each class of subrings from `_walk`, weighted by
+    the size of the class (see `LieLattice.t`).  An abelian count makes no
     call and skips row 0's loop: each prefix adds its number of tails.
     """
     _check_enum_guards(lattice.rank, p, k)
     verdict = _verdict(lattice, p, k)
-    prefixes, subrings = _walk(lattice, p, k)
+    prefixes, subrings = _walk(lattice, p, k, lattice.t)
     if verdict is None:
-        return sum(tails for _, tails in prefixes)
-    return sum(verdict(table) for left, _ in prefixes for _, table in subrings(left))
+        return sum(tails for _, tails, _ in prefixes)
+    return sum(
+        weight * sum(verdict(table) for _, table in subrings(left))
+        for left, _, weight in prefixes
+    )

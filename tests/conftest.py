@@ -1,6 +1,11 @@
-"""Per-criterion summary lines for the acceptance gate."""
+"""Per-criterion summary lines for the acceptance gate, and a fresh field
+certificate cache for each test."""
 
 import re
+
+import pytest
+
+from zetaforge import numberfield
 
 CRITERIA = {
     1: "signed-permutation identity, m <= 6",
@@ -14,6 +19,13 @@ CRITERIA = {
     9: "abscissa closed forms match shape maxima",
     10: "number-field pipeline over the Gaussian field",
 }
+
+
+@pytest.fixture(autouse=True)
+def _fresh_field_certificates():
+    # a test that patches the factorization mod p sees every construction use it
+    numberfield._certified.cache_clear()
+
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 _results = {}

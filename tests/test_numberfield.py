@@ -131,6 +131,26 @@ def test_certificate_decides_the_small_fields():
         assert numberfield._certified_irreducible(f)
 
 
+def test_a_repeat_field_reuses_its_certificate(monkeypatch):
+    calls = []
+    factor_type = numberfield._factor_type
+
+    def counted(*args):
+        calls.append(args)
+        return factor_type(*args)
+
+    monkeypatch.setattr(numberfield, "_factor_type", counted)
+    assert NumberField((-2, 0, 0, 1)).degree == 3
+    assert calls
+    calls.clear()
+    assert NumberField((-2, 0, 0, 1)).degree == 3
+    assert not calls
+    # a refusal is raised at every construction
+    for _ in range(2):
+        with pytest.raises(InputError, match="integer root 2"):
+            NumberField((-6, 1, 1))
+
+
 def random_monic(rng, p, degree):
     return [1] + [rng.randrange(p) for _ in range(degree)]
 
