@@ -185,7 +185,8 @@ def _parse_lattice(text, p, k):
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         make = makers[parts[0]]
-        rank = 2 * data + 1 if parts[0] == "heisenberg" else data
+        # an index below 1 passes the guards as rank 1, for heisenberg_lattice to refuse
+        rank = 2 * max(data, 0) + 1 if parts[0] == "heisenberg" else data
     _check_enum_guards(rank, p, k)
     return make(data)
 

@@ -19,7 +19,8 @@ range over.  `enumerate_subrings` pins nothing and lists every basis.
 
 `count_proisomorphic` sets the verdict up once per lattice (`_verdict`) and
 adds up weight * verdict(structure constants) over the classes:
-- abelian: every subring is pro-isomorphic; the count adds up numbers of tails;
+- abelian: every subring is pro-isomorphic and every coordinate central, so
+  t = 1; the count adds up the weights, with no verdict and no row-0 loop;
 - standard Heisenberg H_m, exact: [row_a, row_b] = G'[a][b] row_2m, and the
   subring is pro-isomorphic iff p does not divide the Pfaffian of G';
 - anything else of rank <= MAX_GENERIC_RANK, level-limited: False without a
@@ -89,7 +90,7 @@ class LieLattice:
                 raise InputError(
                     "bracket terms must be nonzero integers on increasing coordinates < rank"
                 )
-        failing = _jacobi_failure(n, self.brackets)
+        failing = _jacobi_failure(self.brackets)
         if failing:
             raise InputError("Jacobi identity fails on ({},{},{})".format(*failing))
 
@@ -128,11 +129,12 @@ class LieLattice:
         """Where the central tail starts: the least coordinate any bracket
         reaches, when every table entry (a, b, vec) has b below it, so that
         e_t..e_{n-1} are central and span every bracket; else the rank (no
-        tail).  An abelian lattice has none: t is the rank."""
-        top, low = 0, self.rank
-        for _, b, vec in self.brackets:
-            top = max(top, b)
-            low = min(low, vec[0][0])
+        tail).  An abelian lattice has t = 1: e_1..e_{n-1} are central and
+        there is no bracket to span."""
+        if not self.brackets:
+            return 1
+        top = max(b for _, b, _ in self.brackets)
+        low = min(vec[0][0] for _, _, vec in self.brackets)
         return low if top < low else self.rank
 
 
@@ -148,28 +150,30 @@ def _bracket(table, u, w):
     return out
 
 
-def _jacobi_failure(n, table):
+def _jacobi_failure(table):
     """The first triple i < j < k, in lexicographic order, whose Jacobiator
     [[e_i, e_j], e_k] + [[e_j, e_k], e_i] - [[e_i, e_k], e_j] is nonzero, or
-    None.  Only the pairs in the table have nonzero brackets, so only the
-    triples that touch one are tried, and only those pairs' terms summed.
-    When no bracket lands on a coordinate of a pair in the table, every
-    double bracket is zero and nothing is tried."""
-    touched = {x for a, b, _ in table for x in (a, b)}
-    if touched.isdisjoint(l for _, _, vec in table for l, _ in vec):
+    None, read off the bracket `table` alone.  A coordinate in no pair of
+    the table is central, so the Jacobiators of a triple holding it vanish:
+    only a pair of the table with a third coordinate from some pair is
+    tried.  When no bracket lands on a coordinate of a pair in the table,
+    every double bracket is zero and nothing is tried."""
+    vecs = {(a, b): vec for a, b, vec in table}
+    touched = {x for pair in vecs for x in pair}
+    if touched.isdisjoint(l for vec in vecs.values() for l, _ in vec):
         return None
-    unit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
-    inner = {(a, b): _bracket(table, unit[a], unit[b]) for a, b, _ in table}
     triples = sorted({
-        tuple(sorted((a, b, c))) for a, b in inner for c in range(n) if c not in (a, b)
+        tuple(sorted((a, b, c))) for a, b in vecs for c in touched if c not in (a, b)
     })
     for i, j, k in triples:
-        jac = [0] * n
+        jac = {}
         for a, b, c, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
-            if (a, b) in inner:
-                for r, x in enumerate(_bracket(table, inner[a, b], unit[c])):
-                    jac[r] += sign * x
-        if any(jac):
+            for l, x in vecs.get((a, b), ()):
+                # [e_l, e_c] is the entry (l, c), or minus the entry (c, l)
+                s, pair = (sign * x, (l, c)) if l < c else (-sign * x, (c, l))
+                for r, y in vecs.get(pair, ()):
+                    jac[r] = jac.get(r, 0) + s * y
+        if any(jac.values()):
             return i, j, k
     return None
 
@@ -201,17 +205,20 @@ def _lattice_int(x):
 
 def _lattice_fields(data):
     """(rank, [(i, j, vec), ...]) read from lattice data, 0-indexed, without
-    building the lattice."""
-    try:
-        n = _lattice_int(data["rank"])
-        brackets = [
-            (_lattice_int(i) - 1, _lattice_int(j) - 1, [_lattice_int(c) for c in vec])
-            for i, j, vec in data.get("brackets", ())
-        ]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise InputError(f"malformed lattice data: {exc!r}") from exc
+    building the lattice.  Data of another shape is refused, and named."""
+    seq, shape = (list, tuple), "[i, j, [c_1, ..., c_rank]]"
+    if not isinstance(data, dict) or "rank" not in data:
+        raise InputError(f'lattice data must be {{"rank": n, "brackets": [...]}}, got {data!r}')
+    n = _lattice_int(data["rank"])
+    entries = data.get("brackets", [])
+    if not isinstance(entries, seq):
+        raise InputError(f"lattice brackets must be a list of {shape}, got {entries!r}")
+    brackets = []
+    for entry in entries:
+        if not (isinstance(entry, seq) and len(entry) == 3 and isinstance(entry[2], seq)):
+            raise InputError(f"bracket entries must be {shape}, got {entry!r}")
+        i, j, vec = entry
+        brackets.append((_lattice_int(i) - 1, _lattice_int(j) - 1, [_lattice_int(c) for c in vec]))
     return n, brackets
 
 
@@ -251,6 +258,8 @@ def _check_enum_guards(n, p, k):
     for name, x in (("rank", n), ("index exponent", k)):
         if type(x) is not int:
             raise InputError(f"{name} must be an integer, got {x!r}")
+    if n < 1:
+        raise InputError(f"rank must be at least 1, got {n}")
     if n > MAX_ENUM_RANK:
         raise ResourceGuardError(f"sublattice enumeration capped at rank {MAX_ENUM_RANK}")
     _check_enum_prime(p)
@@ -297,25 +306,24 @@ def _sublattices(n, p, k):
 
 
 def _span_coefficients(basis, vec):
-    """Integer coordinates of vec in the row span of an upper-triangular
-    basis, or None if vec is not in the span.  A row is read only where vec
-    has a nonzero coordinate on its pivot, so rows of a partial basis that
-    vec cannot involve may be None."""
+    """The integer coordinates of vec in the row span of an upper-triangular
+    basis as its nonzero terms ((l, c), ...), l increasing, the form of a
+    bracket table entry (see `LieLattice`); None if vec is not in the span.
+    A row is read only where vec has a nonzero coordinate on its pivot, so
+    rows of a partial basis that vec cannot involve may be None."""
     n = len(basis)
     v = list(vec)
-    coeffs = []
+    terms = []
     for j in range(n):
-        if not v[j]:
-            coeffs.append(0)
-            continue
-        row = basis[j]
-        q, r = divmod(v[j], row[j])
-        if r:
-            return None
-        coeffs.append(q)
-        for col in range(j, n):
-            v[col] -= q * row[col]
-    return coeffs
+        if v[j]:
+            row = basis[j]
+            q, r = divmod(v[j], row[j])
+            if r:
+                return None
+            terms.append((j, q))
+            for col in range(j, n):
+                v[col] -= q * row[col]
+    return tuple(terms)
 
 
 def _checked_basis(lattice, basis):
@@ -356,14 +364,13 @@ def _walk(lattice, p, k, t):
     stands for the `weight` = prod_{j >= t} pivot_j^t subrings its pinned
     entries range over, all with its table.
 
-    `prefixes` places rows n-1..1 depth first and yields (left, tails,
-    weight) per prefix that passes: row 0 has pivot p^left and `tails`
-    choices of unpinned entries.  `subrings(left)` loops over them and
-    yields (rows, table) per subring, `table` as `_structure_constants`
-    gives it; read the shared `rows` at once.  [row_i, row_j] lives on the
-    columns >= l, the least its terms reach, where the subring is the span
-    of rows s..n-1, s = min(i, l): it is tested, and its span coefficients
-    kept, once row s is placed.
+    `prefixes` places rows n-1..1 depth first and yields (left, weight) per
+    prefix that passes: row 0 has pivot p^left.  `subrings(left)` loops over
+    row 0's unpinned entries and yields (rows, table) per subring, `table`
+    as `_structure_constants` gives it; read the shared `rows` at once.
+    [row_i, row_j] lives on the columns >= l, the least its terms reach,
+    where the subring is the span of rows s..n-1, s = min(i, l): it is
+    tested, and its span coefficients kept, once row s is placed.
     """
     n = lattice.rank
     checks = [[] for _ in range(n)]
@@ -374,18 +381,17 @@ def _walk(lattice, p, k, t):
 
     def closed(s):
         for x, i, j, terms in checks[s]:
-            coeffs = _span_coefficients(rows, _bracket(terms, rows[i], rows[j]))
-            if coeffs is None:
+            vec = _span_coefficients(rows, _bracket(terms, rows[i], rows[j]))
+            if vec is None:
                 return False
-            vec = tuple((l, c) for l, c in enumerate(coeffs) if c)
             entries[x] = (i, j, vec) if vec else None
         return True
 
     pins = [(0,)] * (n - t)
 
-    def place(i, left, tails, weight):
+    def place(i, left, weight):
         if i == 0:
-            yield left, tails, weight
+            yield left, weight
             return
         # row i's entries, each reduced modulo the pivot below it; in a row
         # above t, those in the tail columns are pinned
@@ -394,11 +400,11 @@ def _walk(lattice, p, k, t):
         for e in range(left + 1):
             q = p**e
             head = (0,) * i + (q,)
-            below = (left - e, tails * q, weight) if i < t else (left - e, tails, weight * q**t)
+            below = weight if i < t else weight * q**t
             for tail in product(*ranges):
                 rows[i] = head + tail
                 if not checks[i] or closed(i):
-                    yield from place(i - 1, *below)
+                    yield from place(i - 1, left - e, below)
 
     def subrings(left):
         head = (p**left,)
@@ -407,7 +413,7 @@ def _walk(lattice, p, k, t):
             if closed(0):
                 yield rows, tuple(filter(None, entries))
 
-    return place(n - 1, k, 1, 1), subrings
+    return place(n - 1, k, 1), subrings
 
 
 def enumerate_subrings(lattice, p, k):
@@ -416,7 +422,7 @@ def enumerate_subrings(lattice, p, k):
     The guards are checked at the call, before the first basis."""
     _check_enum_guards(lattice.rank, p, k)
     prefixes, subrings = _walk(lattice, p, k, lattice.rank)
-    return (tuple(rows) for left, _, _ in prefixes for rows, _ in subrings(left))
+    return (tuple(rows) for left, _ in prefixes for rows, _ in subrings(left))
 
 
 def _vp(x, p):
@@ -463,10 +469,9 @@ def _structure_constants(lattice, basis):
     subring."""
     table = []
     for a, b, terms in lattice._pairs:
-        coeffs = _span_coefficients(basis, _bracket(terms, basis[a], basis[b]))
-        if coeffs is None:
+        vec = _span_coefficients(basis, _bracket(terms, basis[a], basis[b]))
+        if vec is None:
             return None
-        vec = tuple((l, c) for l, c in enumerate(coeffs) if c)
         if vec:
             table.append((a, b, vec))
     return tuple(table)
@@ -474,12 +479,12 @@ def _structure_constants(lattice, basis):
 
 def _bracket_residual(cl, t, i, j, mij, modulus):
     """Coordinates of [T e_i, T e_j] - T [e_i, e_j]_M mod modulus, where the
-    bracket is L's table `cl`, t[c] is the column T e_c and mij = [e_i, e_j]_M."""
+    bracket is L's table `cl`, t[c] is the column T e_c and mij, the terms
+    ((l, c), ...) of [e_i, e_j]_M, is an entry of M's table or empty."""
     out = _bracket(cl, t[i], t[j])
-    for l, c in enumerate(mij):
-        if c:
-            for r, x in enumerate(t[l]):
-                out[r] -= c * x
+    for l, c in mij:
+        for r, x in enumerate(t[l]):
+            out[r] -= c * x
     return [x % modulus for x in out]
 
 
@@ -522,13 +527,13 @@ def _isomorphism_search(lattice, cm, p, target):
     """
     n = lattice.rank
     cl = lattice.brackets
-    unit = [tuple(int(r == i) for r in range(n)) for i in range(n)]
+    entries = {(a, b): vec for a, b, vec in cm}
     # needed[c]: the pairs whose check reads no column after c
     needed = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            mij = _bracket(cm, unit[i], unit[j])
-            needed[max([j] + [l for l, c in enumerate(mij) if c])].append((i, j, mij))
+            mij = entries.get((i, j), ())
+            needed[max([j] + [l for l, _ in mij])].append((i, j, mij))
     vectors = [tuple((v // p**r) % p for r in range(n)) for v in range(p**n)]
     nodes = 0
 
@@ -621,14 +626,15 @@ def count_proisomorphic(lattice, p, k):
     The guards refuse before the verdict is set up, once, and applied to
     the bracket table of each class of subrings from `_walk`, weighted by
     the size of the class (see `LieLattice.t`).  An abelian count makes no
-    call and skips row 0's loop: each prefix adds its number of tails.
+    call and skips row 0's loop: with t = 1, each prefix stands for one
+    class and adds its weight.
     """
     _check_enum_guards(lattice.rank, p, k)
     verdict = _verdict(lattice, p, k)
     prefixes, subrings = _walk(lattice, p, k, lattice.t)
     if verdict is None:
-        return sum(tails for _, tails, _ in prefixes)
+        return sum(weight for _, weight in prefixes)
     return sum(
         weight * sum(verdict(table) for _, table in subrings(left))
-        for left, _, weight in prefixes
+        for left, weight in prefixes
     )

@@ -442,13 +442,40 @@ def test_help_exits_0(command):
                                      '{"rank": 2.7}', '{"rank": true}',
                                      '{"rank": 3, "brackets": [[1.9, 2, [0, 0, 1]]]}',
                                      '{"rank": 3, "brackets": [[1, 2, [0, 0, true]]]}',
-                                     '{"rank": 3, "brackets": [[1, "2", [0, 0, 1]]]}'])
+                                     '{"rank": 3, "brackets": [[1, "2", [0, 0, 1]]]}',
+                                     '{"rank": 3, "brackets": [[1, 2, [0, 0, 1], 4]]}',
+                                     '{"rank": 3, "brackets": [[1, 2, 5]]}',
+                                     '{"rank": 3, "brackets": {"a": 1}}'])
 def test_malformed_lattice_file_is_refused(tmp_path, content):
     path = tmp_path / "lattice.json"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
     result = run("oracle", "--lattice", f"file:{path}", "--p", "2", "--k", "1")
     assert result.exit_code == 1
     assert result.output.startswith("refused:")
+
+
+# data of the wrong shape is refused by naming the shape, not by a Python
+# error about unpacking or iterating it
+@pytest.mark.parametrize("content, message", [
+    ('[1, 2]', 'lattice data must be {"rank": n, "brackets": [...]}, got [1, 2]'),
+    ('{"brackets": []}',
+     'lattice data must be {"rank": n, "brackets": [...]}, got {\'brackets\': []}'),
+    ('{"rank": 3, "brackets": {"a": 1}}',
+     "lattice brackets must be a list of [i, j, [c_1, ..., c_rank]], got {'a': 1}"),
+    ('{"rank": 2, "brackets": [[1, 2]]}',
+     "bracket entries must be [i, j, [c_1, ..., c_rank]], got [1, 2]"),
+    ('{"rank": 3, "brackets": [[1, 2, [0, 0, 1], 4]]}',
+     "bracket entries must be [i, j, [c_1, ..., c_rank]], got [1, 2, [0, 0, 1], 4]"),
+    ('{"rank": 3, "brackets": [[1, 2, 5]]}',
+     "bracket entries must be [i, j, [c_1, ..., c_rank]], got [1, 2, 5]"),
+    ('{"rank": 3, "brackets": [[1, 2, [0, 0, 0.5]]]}', "lattice data must be integers, got 0.5"),
+])
+def test_malformed_lattice_file_names_the_shape(tmp_path, content, message):
+    path = tmp_path / "lattice.json"
+    path.write_text(content)
+    result = run("oracle", "--lattice", f"file:{path}", "--p", "2", "--k", "1")
+    assert result.exit_code == 1
+    assert result.output == f"refused: {message}\n"
 
 
 def test_missing_lattice_file_is_refused(tmp_path):

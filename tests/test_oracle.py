@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import time
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -50,6 +52,17 @@ def _dense(n, table):
             t[a][b][l] = c
             t[b][a][l] = -c
     return t
+
+
+def _expanded(n, terms):
+    """The dense coordinates of span terms ((l, c), ...), after checking that
+    they are in the table form: l increasing and every c nonzero."""
+    ls = [l for l, _ in terms]
+    assert ls == sorted(set(ls)) and all(c for _, c in terms)
+    out = [0] * n
+    for l, c in terms:
+        out[l] = c
+    return out
 
 
 def _from_dense(t):
@@ -123,6 +136,18 @@ def test_tensor_validation():
             LieLattice(3, table)
     with pytest.raises(ValueError, match="rank must be at least 1"):
         LieLattice(0, ())
+
+
+def test_jacobi_check_reads_only_the_table_at_large_rank():
+    # [e1, e2] = e3 and [e1, e3] = e4 in rank 3000: the check tries the one
+    # triple (e1, e2, e3) and builds no vector of the rank's length
+    table = ((0, 1, ((2, 1),)), (0, 2, ((3, 1),)))
+    start = time.perf_counter()
+    assert LieLattice(3000, table).brackets == table
+    assert time.perf_counter() - start < 0.1
+    # adding [e2, e4] = e4 gives [[e1, e3], e2] = -e4 on the triple (e1, e2, e3)
+    with pytest.raises(InputError, match=r"Jacobi identity fails on \(0,1,2\)$"):
+        LieLattice(3000, table + ((1, 3, ((3, 1),)),))
 
 
 @pytest.mark.parametrize("build", [
@@ -318,7 +343,7 @@ def _check_weighted_walk(lat, p, k):
     prefixes, subrings = oracle._walk(lat, p, k, lat.t)
     classes = [
         (weight, tuple(rows), table)
-        for left, _, weight in prefixes for rows, table in subrings(left)
+        for left, weight in prefixes for rows, table in subrings(left)
     ]
     handed = []
 
@@ -368,7 +393,9 @@ def test_walk_hands_the_verdict_the_structure_constants(lat, p, kmax):
     pytest.param(lattice_from_dict({
         "rank": 4, "brackets": [[1, 2, [0, 0, 0, 1]], [1, 3, [0, 0, 0, 2]]],
     }), 3, id="e3-brackets-into-the-centre"),
-    *(pytest.param(abelian_lattice(n), n, id=f"Z{n}") for n in (1, 3, 5)),
+    # every coordinate of an abelian lattice is central and no bracket needs
+    # spanning: the tail starts at e_1
+    *(pytest.param(abelian_lattice(n), 1, id=f"Z{n}") for n in (1, 3, 5)),
 ])
 def test_central_tail_start(lat, t):
     assert lat.t == t
@@ -455,6 +482,12 @@ def test_enumerators_refuse_at_the_call(lat, p, k):
         enumerate_subrings(lat, p, k)
     with pytest.raises((InputError, ResourceGuardError)):
         enumerate_sublattices(lat.rank, p, k)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumerate_sublattices_refuses_a_rank_below_one_at_the_call(n):
+    with pytest.raises(InputError, match=f"^rank must be at least 1, got {n}$"):
+        enumerate_sublattices(n, 2, 1)
 
 
 def test_heisenberg_verdicts_by_hand():
@@ -588,12 +621,50 @@ def test_pfaffian_squared_is_the_determinant(data):
     assert oracle._pfaffian(upper) ** 2 == full.det()
 
 
+@st.composite
+def triangular_bases_and_vectors(draw):
+    """(basis, vec): an upper-triangular integer basis of rank <= 5 with
+    nonzero pivots, and either an integer combination of its rows, in the
+    span, or a vector drawn freely, in the span or not."""
+    n = draw(st.integers(1, 5))
+    basis = tuple(
+        (0,) * i + (draw(st.integers(-6, 6).filter(bool)),)
+        + tuple(draw(st.integers(-6, 6)) for _ in range(i + 1, n))
+        for i in range(n)
+    )
+    if draw(st.booleans()):
+        coeffs = [draw(st.integers(-4, 4)) for _ in range(n)]
+        vec = [sum(c * row[col] for c, row in zip(coeffs, basis)) for col in range(n)]
+    else:
+        vec = [draw(st.integers(-20, 20)) for _ in range(n)]
+    return basis, vec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(triangular_bases_and_vectors())
+def test_span_coefficients_match_exact_back_substitution(drawn):
+    basis, vec = drawn
+    n = len(basis)
+    # x basis = vec over Q, solved column by column
+    x = []
+    for j in range(n):
+        x.append((vec[j] - sum(x[i] * basis[i][j] for i in range(j))) / Fraction(basis[j][j]))
+    terms = oracle._span_coefficients(basis, vec)
+    if any(c.denominator != 1 for c in x):
+        assert terms is None
+    else:
+        assert terms == tuple((l, int(c)) for l, c in enumerate(x) if c)
+        ls = [l for l, _ in terms]
+        assert ls == sorted(set(ls)) and all(c for _, c in terms)
+
+
 @pytest.mark.parametrize("lat,p,kmax", [(M3, 2, 2), (H1_PLUS_Z, 2, 2), (H2, 2, 2)])
 def test_structure_constants_match_all_ordered_pairs(lat, p, kmax):
     for k in range(kmax + 1):
         for basis in enumerate_subrings(lat, p, k):
             full = [
-                [oracle._span_coefficients(basis, lat.bracket(u, w)) for w in basis]
+                [_expanded(lat.rank, oracle._span_coefficients(basis, lat.bracket(u, w)))
+                 for w in basis]
                 for u in basis
             ]
             assert _dense(lat.rank, oracle._structure_constants(lat, basis)) == full
