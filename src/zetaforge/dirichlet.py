@@ -3,21 +3,29 @@
 A bivariate factor W(X, Y) becomes the local factor at a rational prime p of
 a base-extended zeta function by taking the product over the primes above p,
 one for each pair (e, f) of the decomposition type, of W(X^f, Y^f) at X = p
-and Y = t = p^{-s}.  Each factor is specialised on its own and the univariate
-results are multiplied.  Multiplying local expansions out to the needed prime
-powers yields the global coefficients, which stay exact all the way (integers
-in every case we generate, enforced loudly).  The coefficients up to N read
-the factor at p only through t^k with p^k <= N, so there only the terms
-through t^k are specialised; `euler` prints the whole factor.
+and Y = t = p^{-s}.  `LocalFactor.from_euler` specialises each factor on its
+own and multiplies the univariate results; `euler` prints the whole factor.
+
+The global coefficients use the uniformity of that product instead: before
+X = p is put in, it depends only on the residue degrees f.  So
+`global_coefficients` builds, once per decomposition type and t-order, the
+truncated series of prod_f W(X^f, t^f) with coefficients Laurent polynomials
+in X (`_type_series`), and each prime evaluates it at X = p.  The values stay
+exact all the way (integers in every case we generate, enforced loudly).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
 
-from .laurent import InputError, LaurentPoly, ResourceGuardError, _divide_geometric
+from .laurent import (
+    InputError,
+    LaurentPoly,
+    ResourceGuardError,
+    _check_order,
+    _divide_geometric,
+)
 from .families import make_W
 from .numberfield import (
     MAX_PRIME,
@@ -29,13 +37,21 @@ from .numberfield import (
 )
 from .primes import primes_upto
 
-
 class DegreeMismatchError(InputError):
     """The field degree does not match the base-extension parameter d."""
 
 
 class GlobalExpansionError(InputError):
     """A prime in range could not be handled; the whole expansion is refused."""
+
+
+def _refuse_formal(w):
+    """A formal W has no power series in t, so no local factor to expand."""
+    if w.is_formal:
+        raise InputError(
+            "local factor undefined: a denominator factor does not vanish "
+            "in positive Y-degree, so the form has no Dirichlet expansion"
+        )
 
 
 @dataclass(frozen=True)
@@ -51,13 +67,14 @@ class LocalFactor:
     denominator: tuple
 
     @classmethod
-    def from_euler(cls, w, p, pairs, order=None):
-        """The product over (e, f) in `pairs` of W(X^f, Y^f) at X = p, Y = t,
-        in full or, with `order`, through t^order (see `_specialise`)."""
-        return cls(p, *_specialise(w, p, pairs, order))
+    def from_euler(cls, w, p, pairs):
+        """The product over (e, f) in `pairs` of W(X^f, Y^f) at X = p, Y = t
+        (see `_specialise`)."""
+        return cls(p, *_specialise(w, p, pairs))
 
     def expand(self, order):
         """Coefficients of t^0 .. t^order of the full rational function."""
+        _check_order(order)
         series = [0] * (order + 1)
         for j, c in self.numerator:
             if j < 0:
@@ -68,48 +85,112 @@ class LocalFactor:
         return series
 
 
-def _specialise(w, p, pairs, order=None):
+def _specialise(w, p, pairs):
     """Numerator and denominator, as `LocalFactor` stores them, of the
     product over (e, f) in `pairs` of W(q, t^f) with q = p^f.
 
     The term c X^i Y^j becomes c q^i t^(f j), and (1 - X^a Y^b) becomes
-    (1 - q^a t^(f b)).  With `order` only what can reach t^0 .. t^order is
-    specialised: numerator terms and partial products past the cut are
-    dropped before q^i is formed, and so are the denominator factors with
-    f b > order, which cannot touch those coefficients.  The cut is `order`
-    widened by the negative t-exponents the factors can contribute, so the
-    result expands through t^order exactly as the full factor does.  Every
-    term with i < 0 is checked for integrality, dropped or not.
+    (1 - q^a t^(f b)).  The factor is built in full, with integers from the
+    start; the global expansion cuts its series once per decomposition type
+    instead (see `_type_series`).
     """
-    if w.is_formal:
-        raise InputError(
-            "local factor undefined: a denominator factor does not vanish "
-            "in positive Y-degree, so the form has no Dirichlet expansion"
-        )
-    limit = inf if order is None else order
-    low = min((j for _, j in w.numerator.terms), default=0)
-    cut = limit - sum(min(0, f * low) for _, f in pairs)
+    _refuse_formal(w)
     numerator = {0: 1}
     denominator = []
     for _, f in pairs:
         q = p**f
         factor = {}
         for (i, j), c in w.numerator.terms.items():
-            if i < 0 and c % q ** (-i):
-                raise ValueError("non-integral local numerator coefficient")
-            if f * j > cut:
-                continue
-            c = c // q ** (-i) if i < 0 else c * q**i
+            if i < 0:
+                if c % q ** (-i):
+                    raise ValueError("non-integral local numerator coefficient")
+                c //= q ** (-i)
+            else:
+                c *= q**i
             factor[f * j] = factor.get(f * j, 0) + c
         product = {}
         for j1, c1 in numerator.items():
             for j2, c2 in factor.items():
-                if j1 + j2 <= cut:
-                    product[j1 + j2] = product.get(j1 + j2, 0) + c1 * c2
+                product[j1 + j2] = product.get(j1 + j2, 0) + c1 * c2
         numerator = product
-        denominator += [(q**a, f * b) for a, b in w.denominator if f * b <= limit]
+        denominator += [(q**a, f * b) for a, b in w.denominator]
     numerator = tuple(sorted((j, c) for j, c in numerator.items() if c))
     return numerator, tuple(sorted(denominator))
+
+
+def _type_series(w, fs, order):
+    """prod over f in `fs` of W(X^f, t^f), through t^order, before X = p.
+
+    Returns (negative_x, tail, series).  series[k] is the t^k coefficient and
+    tail the t^j coefficients with j < 0, each a Laurent polynomial in X as a
+    tuple of (exponent, coefficient) pairs; negative_x lists (-i, c) for the
+    numerator terms c X^i Y^j of W with i < 0.  Only what can reach t^0 ..
+    t^order is formed: numerator terms and partial products past the cut are
+    dropped, and so are the denominator factors with f b > order.  The cut is
+    `order` widened by the negative t-exponents the factors can contribute,
+    so series and tail agree with the full product.  A prime p of this type
+    reads its local factor off by `_local_series`.
+    """
+    low = min((j for _, j in w.numerator.terms), default=0)
+    cut = order - sum(min(0, f * low) for f in fs)
+    numerator = {0: {0: 1}}  # t-exponent -> {X-exponent: coefficient}
+    for f in fs:
+        factor = {}
+        for (i, j), c in w.numerator.terms.items():
+            if f * j <= cut:
+                factor.setdefault(f * j, {})[f * i] = c
+        product = {}
+        for j1, poly1 in numerator.items():
+            for j2, poly2 in factor.items():
+                if j1 + j2 <= cut:
+                    out = product.setdefault(j1 + j2, {})
+                    for m1, c1 in poly1.items():
+                        for m2, c2 in poly2.items():
+                            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+        numerator = product
+    series = [numerator.get(k, {}) for k in range(order + 1)]
+    # divide by each (1 - X^(f a) t^(f b)) that reaches t^order, in place
+    for fa, fb in [(f * a, f * b) for f in fs for a, b in w.denominator if f * b <= order]:
+        for k in range(fb, order + 1):
+            out = series[k]
+            for m, c in series[k - fb].items():
+                out[m + fa] = out.get(m + fa, 0) + c
+
+    def terms(poly):
+        return tuple((m, c) for m, c in poly.items() if c)
+
+    negative_x = tuple((-i, c) for (i, _), c in w.numerator.terms.items() if i < 0)
+    tail = [terms(poly) for j, poly in numerator.items() if j < 0]
+    return negative_x, tail, [terms(poly) for poly in series]
+
+
+def _evaluate(terms, p):
+    """A Laurent polynomial in X, as (exponent, coefficient) pairs, at X = p.
+
+    A negative exponent is taken by exact division: once the integrality of
+    W's terms at p is checked, every coefficient of X^-m is a multiple of p^m.
+    """
+    return sum(c * p**m if m >= 0 else c // p ** (-m) for m, c in terms)
+
+
+def _local_series(w, p, fs, order, by_type):
+    """The coefficients of t^0 .. t^order of the local factor at a prime p
+    with residue degrees `fs`, as `LocalFactor.from_euler(...).expand(order)`
+    gives them, with its checks in its order.
+
+    The `_type_series` of (fs, order) is taken from `by_type` or built into
+    it, so it is built once per type however many primes share it.
+    """
+    key = fs, order
+    if key not in by_type:
+        by_type[key] = _type_series(w, fs, order)
+    negative_x, tail, series = by_type[key]
+    q = p ** fs[-1]  # (p^f)^-i | c for the largest f covers every f
+    if any(c % q**i for i, c in negative_x):
+        raise ValueError("non-integral local numerator coefficient")
+    if any(_evaluate(poly, p) for poly in tail):
+        raise ValueError("negative t-exponent in local numerator")
+    return [_evaluate(poly, p) for poly in series]
 
 
 def local_factor(family, d, field, p, pairs=None):
@@ -148,14 +229,20 @@ def local_factor(family, d, field, p, pairs=None):
 def global_coefficients(family, d, field, limit):
     """Dirichlet coefficients b_1 .. b_limit, exact, by multiplicativity.
 
-    W is built once and specialized at each prime p, through t^kmax only,
-    where p^kmax is the largest power of p up to the limit (see
-    `_specialise`): kmax = 1 for every p above the square root of the limit.
+    W is built once.  The factor at p is read through t^kmax only, where
+    p^kmax is the largest power of p up to the limit: kmax = 1 for every p
+    above the square root of the limit.  By uniformity that series is one
+    Laurent polynomial in X per power of t for all primes with the same
+    residue degrees fs and the same kmax, so it is built and cut once per
+    key (fs, kmax), in a memo that lives for this call only, and each prime
+    evaluates it at X = p (see `_local_series`).  b_{p^k} then multiplies
+    b_n for the n with p^k || n, one stride of p^k at a time.
     The decomposition types take x^p mod the minimal polynomial from
     `_frobenius_images`, one step per integer up to the limit rather than a
     powering per prime.
-    Every prime up to the limit must admit a decomposition type; a refused
-    ramified prime aborts the whole computation with a clear message.
+    A formal W is refused before any prime is looked at.  Every prime up to
+    the limit must admit a decomposition type; a refused ramified prime
+    aborts the whole computation with a clear message.
     """
     if type(limit) is not int:
         raise InputError(f"limit must be an integer, got {limit!r}")
@@ -170,9 +257,11 @@ def global_coefficients(family, d, field, limit):
             f"field degree {field.degree} != extension parameter d={d}"
         )
     w = make_W(family, d)
+    _refuse_formal(w)
     coeffs = [1] * (limit + 1)  # index 0 unused
     primes = primes_upto(limit)
     images = _frobenius_images(list(reversed(field.minpoly)), primes)
+    by_type = {}
     for p, xp in zip(primes, images):
         kmax = 0
         q = p
@@ -185,14 +274,14 @@ def global_coefficients(family, d, field, limit):
             raise GlobalExpansionError(
                 f"cannot expand to {limit}: prime {p} refused ({exc})"
             ) from exc
-        series = LocalFactor.from_euler(w, p, pairs, kmax).expand(kmax)
-        for n in range(p, limit + 1, p):
-            v = 0
-            m = n
-            while m % p == 0:
-                v += 1
-                m //= p
-            coeffs[n] *= series[v]
+        fs = tuple(sorted(f for _, f in pairs))
+        series = _local_series(w, p, fs, kmax, by_type)
+        pk = 1
+        for value in series[1:]:
+            pk *= p
+            for n in range(pk, limit + 1, pk):
+                if n % (pk * p):
+                    coeffs[n] *= value
     return coeffs[1:]
 
 

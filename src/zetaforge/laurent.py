@@ -201,6 +201,14 @@ def render_poly(p, ascii_only=True):
     return out
 
 
+def _check_order(order):
+    """A series order is an int >= 0: a bool or float is refused, never truncated."""
+    if type(order) is not int:
+        raise InputError(f"order must be an integer, got {order!r}")
+    if order < 0:
+        raise InputError("order must be >= 0")
+
+
 def _divide_geometric(series, factors):
     """Divide a truncated power series, in place, by prod (1 - c t^b) over the
     pairs (c, b) in `factors`, each b >= 1: the recurrence s[e] += c * s[e-b]."""
@@ -308,8 +316,7 @@ class EulerForm:
         reach the coefficients returned.  Each denominator factor is then
         divided out by `_divide_geometric`.
         """
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        _check_order(order)
         if self.is_formal:
             a, b = min(self.denominator, key=lambda f: f[1])
             raise InputError(

@@ -118,13 +118,22 @@ def _gcd(f, g, p):
     return _monic(f, p)
 
 
-def _powmod(g, n, f, p):
-    """g^n mod f, by left-to-right squaring."""
+def _x_power(n, f, p):
+    """x^n mod f, by left-to-right squaring.  Each bit squares from symmetric
+    products, multiplies by x for a 1-bit by appending a 0, and then reduces
+    once."""
     out = [1]
     for bit in bin(n)[2:]:
-        out = _rem(_mul(out, out), f, p)
+        size = len(out)
+        square = [0] * (2 * size - 1) if out else []
+        for i, a in enumerate(out):
+            square[2 * i] += a * a
+            twice = a + a
+            for j in range(i + 1, size):
+                square[i + j] += twice * out[j]
         if bit == "1":
-            out = _rem(_mul(out, g), f, p)
+            square.append(0)
+        out = _rem(square, f, p)
     return out
 
 
@@ -163,7 +172,7 @@ def _factor_type(f, p, xp=None):
     while 2 * i < len(f):
         if i == 1:
             if xp is None:
-                xp = _powmod([1, 0], p, f, p)
+                xp = _x_power(p, f, p)
             xq = xp  # x^p and x^(p^i) mod f
         else:
             xq = _compose(xq, xp, f, p)
@@ -193,7 +202,7 @@ def _frobenius_images(f, primes):
     increasing `primes`; f is monic over Z, leading coefficient first.
 
     x^n mod f is stepped over Z from one prime to the next and reduced mod
-    each p, so a prime costs a few shifts where `_powmod` squares log p
+    each p, so a prime costs a few shifts where `_x_power` squares log p
     times.  Over Z the coefficients grow by about log2 of the largest root's
     absolute value per step; once they pass _STEP_BITS, each remaining prime
     is powered on its own.  Below degree 2, `_factor_type` needs no x^p.
@@ -208,7 +217,7 @@ def _frobenius_images(f, primes):
     for p in primes:
         stepping = stepping and max(map(abs, g)).bit_length() <= _STEP_BITS
         if not stepping:
-            yield _powmod([1, 0], p, _reduce(f, p), p)
+            yield _x_power(p, _reduce(f, p), p)
             continue
         for _ in range(p - n):
             c = g.pop()

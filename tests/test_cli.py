@@ -364,6 +364,8 @@ REFUSED_INPUT = [
     (["decompose", "--minpoly", "1,0,2", "--p", "5"], "monic"),
     (["decompose", "--minpoly", "1,0,1", "--p", "4"], "4 is not prime"),
     (["dirichlet", "--family", "heisenberg:1", "--minpoly", "0,1", "--n", "0"], "limit must be >= 1"),
+    # a formal W is refused before the primes, so also where no prime is in range
+    (["dirichlet", "--family", "lmn:4:2", "--minpoly", "0,1", "--n", "1"], "no Dirichlet expansion"),
     (["oracle", "--lattice", "heisenberg:x", "--p", "2", "--k", "1"], "invalid literal for int()"),
     (["oracle", "--lattice", "abelian:2", "--p", "2", "--k", "-1"], "index exponent must be nonnegative"),
     (["oracle", "--lattice", "heisenberg:0", "--p", "2", "--k", "2"], "heisenberg index must be >= 1"),

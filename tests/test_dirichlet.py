@@ -25,9 +25,9 @@ from zetaforge import (
     rationals,
 )
 from zetaforge import dirichlet, families
-from zetaforge.dirichlet import _specialise
+from zetaforge.dirichlet import _local_series, _type_series
 from zetaforge.laurent import EulerForm, InputError, LaurentPoly, ResourceGuardError
-from zetaforge.numberfield import decomposition_type
+from zetaforge.numberfield import UnsupportedRamifiedPrimeError, decomposition_type
 from zetaforge.primes import primes_upto
 
 GAUSS = NumberField((1, 0, 1))
@@ -77,6 +77,19 @@ def test_local_factor_negative_x_exponents():
 def test_local_factor_refuses_formal_forms():
     with pytest.raises(ValueError, match="no Dirichlet expansion"):
         LocalFactor.from_euler(make_W(lmn(4, 2), 1), 2, [(1, 1)])
+
+
+@pytest.mark.parametrize("order, message", [
+    (True, "order must be an integer"),
+    (2.0, "order must be an integer"),
+    (None, "order must be an integer"),
+    (-1, "order must be >= 0"),
+])
+def test_local_expand_refuses_a_bad_order(order, message):
+    # True used to expand to [1, 0], -1 to [], 2.0 to a bare TypeError
+    lf = LocalFactor.from_euler(make_W(heisenberg(1), 1), 2, [(1, 1)])
+    with pytest.raises(InputError, match=message):
+        lf.expand(order)
 
 
 def test_local_expand_matches_bivariate_series():
@@ -177,40 +190,111 @@ signed_forms = st.builds(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(signed_forms, st.sampled_from([2, 3, 5]), types, st.integers(0, 8))
 def test_cut_factor_expands_as_the_full_factor(w, p, pairs, order):
-    cut = _outcome(lambda: LocalFactor.from_euler(w, p, pairs, order).expand(order))
+    # the per-type series, cut at `order` and evaluated at p, with the
+    # checks of the global loop, against the full factor at p
+    fs = tuple(sorted(f for _, f in pairs))
+    cut = _outcome(lambda: _local_series(w, p, fs, order, {}))
     full = _outcome(lambda: LocalFactor.from_euler(w, p, pairs).expand(order))
     assert cut == full
 
 
-def test_cut_is_widened_by_negative_t_exponents():
+def _kmax(p, limit):
+    k, pk = 0, p
+    while pk <= limit:
+        k, pk = k + 1, pk * p
+    return k
+
+
+def per_prime_coefficients(w, field, limit):
+    """b_1 .. b_limit from the full local factor at each prime, expanded and
+    multiplied into every n by the p-adic valuation of n: the reference for
+    the per-type series of `global_coefficients`."""
+    coeffs = [1] * (limit + 1)
+    for p in primes_upto(limit):
+        try:
+            pairs = decomposition_type(field, p)
+        except UnsupportedRamifiedPrimeError as exc:
+            raise GlobalExpansionError(
+                f"cannot expand to {limit}: prime {p} refused ({exc})"
+            ) from exc
+        series = LocalFactor.from_euler(w, p, pairs).expand(_kmax(p, limit))
+        for n in range(p, limit + 1, p):
+            v, m = 0, n
+            while m % p == 0:
+                v, m = v + 1, m // p
+            coeffs[n] *= series[v]
+    return coeffs[1:]
+
+
+# The pool fields, Q(sqrt 5), and Q(sqrt -3), whose equation order the index
+# test refuses at 2.
+DIFFERENTIAL_FIELDS = [NumberField(c) for c in POOL_FIELDS.values()] + [
+    NumberField((-1, -1, 1)), EISEN,
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(signed_forms, st.sampled_from(DIFFERENTIAL_FIELDS), st.integers(2, 60))
+def test_global_coefficients_match_the_per_prime_reference(w, field, limit):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dirichlet, "make_W", lambda family, d: w)
+        got = _outcome(lambda: global_coefficients(heisenberg(1), field.degree, field, limit))
+    assert got == _outcome(lambda: per_prime_coefficients(w, field, limit))
+
+
+def test_cut_is_widened_by_negative_t_exponents(monkeypatch):
     # W = (3 - X) Y^-1 + Y^3 over 1 - Y at p = 3, type (1,1),(1,2): the first
     # factor is t^3 (its t^-1 cancels), the second -6 t^-2 + t^6, so the
     # t^1 coefficient comes from t^3, beyond the order 1 that is expanded
     w = EulerForm(LaurentPoly({(0, -1): 3, (1, -1): -1, (0, 3): 1}), [(0, 1)])
-    pairs = [(1, 1), (1, 2)]
-    assert LocalFactor.from_euler(w, 3, pairs).expand(1) == [0, -6]
-    assert LocalFactor.from_euler(w, 3, pairs, 1).expand(1) == [0, -6]
+    assert LocalFactor.from_euler(w, 3, [(1, 1), (1, 2)]).expand(1) == [0, -6]
+    assert _local_series(w, 3, (1, 2), 1, {}) == [0, -6]
+    # The t^-3 coefficient (3 - X)(3 - X^2) of the type series is not zero;
+    # it vanishes at X = 3 only, so the check is made on the value at each p.
+    _, tail, _ = _type_series(w, (1, 2), 1)
+    assert [sorted(poly) for poly in tail] == [[(0, 9), (1, -3), (2, -3), (3, 1)]]
+    monkeypatch.setattr(dirichlet, "make_W", lambda family, d: w)
+    with pytest.raises(ValueError, match="negative t-exponent"):
+        global_coefficients(heisenberg(1), 1, rationals(), 2)
+    # The same case at p = 2, which every global run meets first: over
+    # Q(x^3 + x^2 + x + 2), 2 has type (1,1),(1,2) and 3 is inert.
+    w = EulerForm(LaurentPoly({(0, -1): 2, (1, -1): -1, (0, 3): 1}), [(0, 1)])
+    cubic = NumberField((2, 1, 1, 1))
+    assert global_coefficients(heisenberg(1), 3, cubic, 2) == [1, -2]
+    with pytest.raises(ValueError, match="negative t-exponent"):
+        global_coefficients(heisenberg(1), 3, cubic, 3)
     # a t^-1 that survives is refused with or without the cut
     w = EulerForm(LaurentPoly({(0, -1): 1, (0, 0): 1}), [(0, 1)])
     with pytest.raises(ValueError, match="negative t-exponent"):
-        LocalFactor.from_euler(w, 2, [(1, 1)], 1).expand(1)
+        _local_series(w, 2, (1,), 1, {})
 
 
-def test_cut_checks_integrality_of_dropped_terms():
+def test_cut_checks_integrality_of_dropped_terms(monkeypatch):
     # 1 / X Y^5 at q = 2 is dropped by the cut at t^1, and still refused
     w = EulerForm(LaurentPoly({(0, 0): 1, (-1, 5): 1}), [(0, 1)])
     with pytest.raises(ValueError, match="non-integral"):
-        _specialise(w, 2, [(1, 1)], 1)
+        _local_series(w, 2, (1,), 1, {})
+    # 2 / X Y^5 is integral at 2 but not at 3, which shares the type series
+    # of 2 at the limit 3: the check is made at every prime, not per type
+    w = EulerForm(LaurentPoly({(0, 0): 1, (-1, 5): 2}), [(0, 1)])
+    monkeypatch.setattr(dirichlet, "make_W", lambda family, d: w)
+    assert global_coefficients(heisenberg(1), 1, rationals(), 2) == [1, 1]
+    with pytest.raises(ValueError, match="non-integral"):
+        global_coefficients(heisenberg(1), 1, rationals(), 3)
 
 
 class _Exponent(int):
-    """An X-exponent that records every power it is raised into."""
+    """An X-exponent that records every power or multiple it is raised into."""
 
     raised = []
 
     def __rpow__(self, base):
         _Exponent.raised.append(int(self))
         return int(base) ** int(self)
+
+    def __rmul__(self, factor):
+        _Exponent.raised.append(int(self))
+        return int(factor) * int(self)
 
 
 def test_only_terms_through_the_cut_are_specialised(monkeypatch):
@@ -223,26 +307,50 @@ def test_only_terms_through_the_cut_are_specialised(monkeypatch):
     monkeypatch.setattr(dirichlet, "make_W", lambda family, d: w)
     _Exponent.raised = []
     coeffs = global_coefficients(heisenberg(1), 2, GAUSS, 30)
-    want = []
+    # Each X-exponent is raised once per key (fs, kmax) and factor f of fs,
+    # to X^(f i), and only through the cut; no prime raises one again.
+    want, keys = [], set()
     for p in primes_upto(30):
-        kmax = 1
-        while p ** (kmax + 1) <= 30:
-            kmax += 1
-        for _, f in decomposition_type(GAUSS, p):
-            want += [10 + j for j in range(6) if f * j <= kmax]
-            want += [20 + b for b in (1, 2, 3, 5) if f * b <= kmax]
+        kmax = _kmax(p, 30)
+        fs = tuple(sorted(f for _, f in decomposition_type(GAUSS, p)))
+        if (fs, kmax) not in keys:
+            keys.add((fs, kmax))
+            for f in fs:
+                want += [10 + j for j in range(6) if f * j <= kmax]
+                want += [20 + b for b in (1, 2, 3, 5) if f * b <= kmax]
+    assert len(keys) < len(primes_upto(30))
     assert sorted(_Exponent.raised) == sorted(want)
     # no product past t^kmax is kept, and the coefficients are those of the
     # full factors
+    for fs, kmax in keys:
+        _, tail, series = _type_series(w, fs, kmax)
+        assert not tail and len(series) == kmax + 1
     for p in primes_upto(30):
-        pairs = decomposition_type(GAUSS, p)
-        numerator, denominator = _specialise(w, p, pairs, 1)
-        assert all(j <= 1 for j, _ in numerator) and all(b <= 1 for _, b in denominator)
-        full = LocalFactor.from_euler(w, p, pairs).expand(4)
+        full = LocalFactor.from_euler(w, p, decomposition_type(GAUSS, p)).expand(4)
         k, pk = 1, p
         while pk <= 30:
             assert coeffs[pk - 1] == full[k]
             k, pk = k + 1, pk * p
+
+
+def test_type_series_is_built_once_per_type(monkeypatch):
+    field = NumberField(POOL_FIELDS[4])
+    calls = []
+    original = dirichlet._type_series
+
+    def counting_type_series(w, fs, order):
+        calls.append((fs, order))
+        return original(w, fs, order)
+
+    monkeypatch.setattr(dirichlet, "_type_series", counting_type_series)
+    coeffs = global_coefficients(heisenberg(2), 4, field, 1000)
+    keys = [
+        (tuple(sorted(f for _, f in decomposition_type(field, p))), _kmax(p, 1000))
+        for p in primes_upto(1000)
+    ]
+    assert sorted(calls) == sorted(set(keys))
+    assert len(calls) == 10 and len(keys) == 168
+    assert coeffs == per_prime_coefficients(make_W(heisenberg(2), 4), field, 1000)
 
 
 def test_global_limit_is_capped_before_any_work():

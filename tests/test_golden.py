@@ -17,7 +17,9 @@ The two abelian cases at d = 4 pin the refusal of abelian families at
 d >= 2 (exit 1).  Three larger `dirichlet` runs (bk at d = 4 up to 2000,
 heisenberg:5 at d = 3, lmn:2:3 at d = 2) were recorded from the
 implementation that specialised every local factor in full before expanding
-it, so cutting the factors at the expanded order must not move a digit.
+it, so cutting the factors at the expanded order must not move a digit.  All
+of these pins were recorded from implementations that specialised W prime by
+prime, before the global expansion built one series per decomposition type.
 """
 
 import hashlib

@@ -188,6 +188,19 @@ def test_expand_series_rejects_negative_y_numerator():
         w.expand_series(2, 1)
 
 
+@pytest.mark.parametrize("order, message", [
+    (True, "order must be an integer"),
+    (2.0, "order must be an integer"),
+    ("2", "order must be an integer"),
+    (-1, "order must be >= 0"),
+])
+def test_expand_series_refuses_a_bad_order(order, message):
+    # True would expand to order 1, 2.0 fail on range(): both are refused
+    w = EulerForm.from_denominator([(0, 1), (1, 1)])
+    with pytest.raises(InputError, match=message):
+        w.expand_series(2, order)
+
+
 def expand_everything(w, xval, order):
     """Reference for expand_series: evaluate every numerator term at X =
     xval, then truncate, and multiply by each factor's geometric series."""

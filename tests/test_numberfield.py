@@ -187,6 +187,19 @@ def test_factor_type_matches_sympy():
     assert p_powers > 20
 
 
+def test_x_power_matches_repeated_multiplication_by_x():
+    rng = random.Random(5)
+    for p in (2, 3, 7, 101):
+        for trial in range(12):
+            # trial 0 is f = x^k, which x^n for n >= k reduces to zero
+            tail = [0 if trial == 0 else rng.randrange(p) for _ in range(rng.randint(1, 5))]
+            f = [1] + tail
+            power = [1]  # x^n mod f
+            for n in range(40):
+                assert numberfield._x_power(n, f, p) == power, (f, p, n)
+                power = numberfield._rem(power + [0], f, p)
+
+
 @pytest.mark.parametrize("step_bits", [numberfield._STEP_BITS, 40])
 def test_frobenius_images_match_powering(monkeypatch, step_bits):
     # 40 bits forces the switch to powering part-way through the primes
@@ -204,7 +217,7 @@ def test_frobenius_images_match_powering(monkeypatch, step_bits):
             if len(f) < 3:
                 assert xp is None
                 continue
-            assert xp == numberfield._powmod([1, 0], p, fp, p), (f, p)
+            assert xp == numberfield._x_power(p, fp, p), (f, p)
             assert numberfield._factor_type(fp, p, xp) == numberfield._factor_type(fp, p), (f, p)
 
 
