@@ -32,7 +32,10 @@ from .numberfield import (
     UnsupportedRamifiedPrimeError,
     _check_prime,
     _decomposition_type,
+    _discriminant,
     _frobenius_images,
+    _reduce,
+    _residue_degrees,
     decomposition_type,
 )
 from .primes import primes_upto
@@ -237,9 +240,13 @@ def global_coefficients(family, d, field, limit):
     key (fs, kmax), in a memo that lives for this call only, and each prime
     evaluates it at X = p (see `_local_series`).  b_{p^k} then multiplies
     b_n for the n with p^k || n, one stride of p^k at a time.
-    The decomposition types take x^p mod the minimal polynomial from
+    The residue degrees take x^p mod the minimal polynomial from
     `_frobenius_images`, one step per integer up to the limit rather than a
-    powering per prime.
+    powering per prime.  The discriminant of the minimal polynomial is
+    computed once: at a p that does not divide it, f mod p is squarefree and
+    fs is read off by `_residue_degrees` (Q needs nothing: fs = (1,)); at
+    the few p that divide it, the full decomposition type runs, with the
+    index test.
     A formal W is refused before any prime is looked at.  Every prime up to
     the limit must admit a decomposition type; a refused ramified prime
     aborts the whole computation with a clear message.
@@ -258,9 +265,13 @@ def global_coefficients(family, d, field, limit):
         )
     w = make_W(family, d)
     _refuse_formal(w)
+    disc = _discriminant(field.minpoly)
+    if not disc:
+        raise AssertionError("a certified minimal polynomial has a nonzero discriminant")
+    poly = list(reversed(field.minpoly))
     coeffs = [1] * (limit + 1)  # index 0 unused
     primes = primes_upto(limit)
-    images = _frobenius_images(list(reversed(field.minpoly)), primes)
+    images = _frobenius_images(poly, primes)
     by_type = {}
     for p, xp in zip(primes, images):
         kmax = 0
@@ -268,13 +279,18 @@ def global_coefficients(family, d, field, limit):
         while q <= limit:
             kmax += 1
             q *= p
-        try:
-            pairs = _decomposition_type(field, p, xp)
-        except UnsupportedRamifiedPrimeError as exc:
-            raise GlobalExpansionError(
-                f"cannot expand to {limit}: prime {p} refused ({exc})"
-            ) from exc
-        fs = tuple(sorted(f for _, f in pairs))
+        if not disc % p:
+            try:
+                pairs = _decomposition_type(field, p, xp)
+            except UnsupportedRamifiedPrimeError as exc:
+                raise GlobalExpansionError(
+                    f"cannot expand to {limit}: prime {p} refused ({exc})"
+                ) from exc
+            fs = tuple(sorted(f for _, f in pairs))
+        elif d == 1:
+            fs = (1,)
+        else:
+            fs = _residue_degrees(_reduce(poly, p), p, xp)
         series = _local_series(w, p, fs, kmax, by_type)
         pk = 1
         for value in series[1:]:

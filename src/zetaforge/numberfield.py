@@ -13,10 +13,17 @@ and without leading zeros (the zero polynomial is []).  `_factor_type` reads
 the type from the gcds of f with x^(p^i) - x, one degree i at a time, and
 needs neither the complete factors nor a squarefree split.  For a run of
 primes, `_frobenius_images` hands it x^p mod f stepped over Z instead of
-powered at each p.  The same types, at the primes l < 100 where f mod l is
-squarefree, certify that f is squarefree and irreducible over Q; the answer
-is kept per polynomial (`_certified`), since a run builds the same fields
-again and again.  sympy is imported only by `_factor_over_q`, for
+powered at each p.  At a prime p not dividing disc(f), f mod p is
+squarefree, every e is 1, and the residue degrees are all a run needs:
+`_residue_degrees` reads them off the same gcds with no multiplicities and
+no radical, stopping as soon as x^(p^i) = x or what is left is too small to
+split.  `_discriminant`, Res(f, f') by a fraction-free (Bareiss)
+determinant, tells those primes apart once per run.
+
+The factorization types at the primes l < 100 where f mod l is squarefree
+also certify that f is squarefree and irreducible over Q; the answer is
+kept per polynomial (`_certified`), since a run builds the same fields again
+and again.  sympy is imported only by `_factor_over_q`, for
 polynomials they cannot certify, and a refusal is raised at every
 construction.
 """
@@ -197,6 +204,41 @@ def _factor_type(f, p, xp=None):
     return sorted(pairs), radical
 
 
+def _residue_degrees(f, p, xp):
+    """The sorted degrees of the irreducible factors of a monic f over F_p
+    that is squarefree (p does not divide the discriminant), given xp = x^p
+    mod f (see `_frobenius_images`).
+
+    With the factors of degree < i divided out of f, g = gcd(f, x^(p^i) -
+    x) is the product of those of degree i.  While deg f >= 2i, each step
+    first asks whether x^(p^i) = x mod f, when every factor left has degree
+    i; else, at deg f = 2i, what is left is irreducible (a factor of degree
+    i would leave a cofactor of degree i and pass the first test); only
+    else is g divided out.  Once deg f < 2i, what is left is 1 or
+    irreducible.  So degree 2 takes no gcd, degree 3 at most one and no
+    composition, and degree 4 one gcd and at most one composition.  No
+    multiplicities and no radical are formed: on a repeated factor the
+    answer is wrong, not refused.
+    """
+    degrees, i = [], 1
+    while 2 * i < len(f):
+        if i == 1:
+            xq = xp
+        else:
+            xp = _rem(xp, f, p)
+            xq = _compose(_rem(xq, f, p), xp, f, p)
+        if xq == [1, 0]:
+            return tuple(degrees + [i] * ((len(f) - 1) // i))
+        if 2 * i == len(f) - 1:
+            break
+        g = _gcd(f, _minus_x(xq, p), p)
+        if len(g) > 1:
+            degrees += [i] * ((len(g) - 1) // i)
+            f = _quo(f, g, p)
+        i += 1
+    return tuple(degrees + [len(f) - 1])
+
+
 def _frobenius_images(f, primes):
     """x^p mod f over F_p, as `_factor_type` takes it, for each of the
     increasing `primes`; f is monic over Z, leading coefficient first.
@@ -230,6 +272,44 @@ def _frobenius_images(f, primes):
 
 # ---------------------------------------------------------------------------
 # Polynomials over Z
+
+
+def _det(rows):
+    """Exact determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination."""
+    m = [list(row) for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _discriminant(coeffs):
+    """Exact discriminant of an integer polynomial (constant term first):
+    (-1)^(n(n-1)/2) Res(f, f') / lc(f), with the resultant the determinant of
+    the Sylvester matrix of f and f'.  0 when f is constant."""
+    f = list(reversed(coeffs))
+    while f and not f[0]:
+        f.pop(0)
+    n = len(f) - 1
+    if n < 1:
+        return 0
+    df = [c * (n - i) for i, c in enumerate(f[:-1])]
+    size = 2 * n - 1
+    rows = [[0] * i + f + [0] * (size - n - 1 - i) for i in range(n - 1)]
+    rows += [[0] * i + df + [0] * (size - n - i) for i in range(n)]
+    quotient, remainder = divmod(_det(rows), f[0])
+    if remainder:
+        raise AssertionError("Res(f, f') should be divisible by lc(f)")
+    return -quotient if n * (n - 1) // 2 % 2 else quotient
 
 
 def _certified_irreducible(f):

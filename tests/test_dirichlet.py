@@ -24,7 +24,7 @@ from zetaforge import (
     make_W,
     rationals,
 )
-from zetaforge import dirichlet, families
+from zetaforge import dirichlet, families, numberfield
 from zetaforge.dirichlet import _local_series, _type_series
 from zetaforge.laurent import EulerForm, InputError, LaurentPoly, ResourceGuardError
 from zetaforge.numberfield import UnsupportedRamifiedPrimeError, decomposition_type
@@ -226,10 +226,13 @@ def per_prime_coefficients(w, field, limit):
     return coeffs[1:]
 
 
-# The pool fields, Q(sqrt 5), and Q(sqrt -3), whose equation order the index
-# test refuses at 2.
+# The pool fields, Q(sqrt 5), Q(sqrt -3), whose equation order the index
+# test refuses at 2, Q(sqrt -5) (discriminant -20: 2 and 5 ramify in the
+# maximal order Z[sqrt -5]), and the quintic x^5 - x - 1 (discriminant
+# 19 * 151, certified irreducible without sympy).
 DIFFERENTIAL_FIELDS = [NumberField(c) for c in POOL_FIELDS.values()] + [
     NumberField((-1, -1, 1)), EISEN,
+    NumberField((5, 0, 1)), NumberField((-1, -1, 0, 0, 0, 1)),
 ]
 
 
@@ -240,6 +243,31 @@ def test_global_coefficients_match_the_per_prime_reference(w, field, limit):
         mp.setattr(dirichlet, "make_W", lambda family, d: w)
         got = _outcome(lambda: global_coefficients(heisenberg(1), field.degree, field, limit))
     assert got == _outcome(lambda: per_prime_coefficients(w, field, limit))
+
+
+@pytest.mark.parametrize("coeffs, family, full_type_at", [
+    ((0, 1), heisenberg(2), []),
+    ((-2, 0, 0, 1), heisenberg(2), [2, 3]),
+    ((1, 1, 1, 1, 1), heisenberg(1), [5]),
+    ((-1, -1, 0, 0, 0, 1), heisenberg(1), [19, 151]),
+])
+def test_full_type_runs_only_at_primes_dividing_the_discriminant(
+    monkeypatch, coeffs, family, full_type_at
+):
+    # every other prime reads its residue degrees off x^p mod f
+    field = NumberField(coeffs)
+    assert numberfield._certified(coeffs)
+    seen = []
+    original = dirichlet._decomposition_type
+
+    def counting_decomposition_type(field, p, xp=None):
+        seen.append(p)
+        return original(field, p, xp)
+
+    monkeypatch.setattr(dirichlet, "_decomposition_type", counting_decomposition_type)
+    got = global_coefficients(family, field.degree, field, 1000)
+    assert seen == full_type_at
+    assert got == per_prime_coefficients(make_W(family, field.degree), field, 1000)
 
 
 def test_cut_is_widened_by_negative_t_exponents(monkeypatch):

@@ -20,6 +20,10 @@ implementation that specialised every local factor in full before expanding
 it, so cutting the factors at the expanded order must not move a digit.  All
 of these pins were recorded from implementations that specialised W prime by
 prime, before the global expansion built one series per decomposition type.
+The `dirichlet` runs over Q(sqrt -5) and x^5 - x - 1 were recorded from the
+implementation that ran the full decomposition type at every prime; they
+pin the primes dividing the discriminant (2, 5 and 19, 151 in a maximal
+order) against the residue degrees read at every other prime.
 """
 
 import hashlib
@@ -149,6 +153,8 @@ COMMANDS = [
     ("dirichlet --family bk --d 4 --minpoly 1,1,1,1,1 --n 2000", 0, "befd7dd353a9a2fb53087723bcc4f905277b6aa3503c283016e442b9c1e1ac72"),
     ("dirichlet --family heisenberg:5 --d 3 --minpoly -2,0,0,1 --n 300", 0, "39681aebb72e12a97ae22319413b0641569d6a0d9993839ec4b8b67fffeb912b"),
     ("dirichlet --family lmn:2:3 --d 2 --minpoly 1,0,1 --n 1000", 0, "6116c3115092b0a32b82fb43d6a3142b430615137c7368eb77996d93822589ed"),
+    ("dirichlet --family heisenberg:2 --d 2 --minpoly 5,0,1 --n 1000", 0, "16ad893735f3b7d24cec6981ae61251995bb24a89301d33f800fb8894be24a57"),
+    ("dirichlet --family heisenberg:1 --d 5 --minpoly -1,-1,0,0,0,1 --n 500", 0, "56c3021a2300c1050f7c73aa9bfe32952812e479b3a05638c7a22a2ccb1012a3"),
     ("abscissa --family heisenberg:3 --d 2", 0, "9e51535e59acac4b63a68d78d45b35071fdd71850b322cb59a99ac917664db49"),
     ("abscissa --family lmn:2:3 --d 2", 0, "d1cde62623d870f7396c1a3c44e4e09742f7b316122aad34fc3775f211411ed7"),
     ("abscissa --family q5 --d 2", 0, "b3e84ebd0560aecd9d38386c36332fdbe681e24aef034442df9b8e302bfd198b"),

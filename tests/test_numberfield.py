@@ -7,9 +7,9 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import Poly, isprime, primerange, symbols
+from sympy import Poly, discriminant, isprime, primerange, symbols
 from sympy import mobius as sympy_mobius
 from sympy.polys.densearith import dup_mul, dup_pow, dup_sub
 from sympy.polys.domains import ZZ
@@ -221,6 +221,49 @@ def test_frobenius_images_match_powering(monkeypatch, step_bits):
             assert numberfield._factor_type(fp, p, xp) == numberfield._factor_type(fp, p), (f, p)
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=7),
+    st.sampled_from(primes_upto(400)),
+)
+def test_residue_degrees_match_the_factor_type(tail, p):
+    # at p not dividing disc(f), f mod p is squarefree and every e is 1
+    f = [1] + tail
+    assume(numberfield._discriminant(f[::-1]) % p)
+    fp = numberfield._reduce(f, p)
+    want = tuple(sorted(deg for _, deg in numberfield._factor_type(fp, p)[0]))
+    assert numberfield._residue_degrees(fp, p, numberfield._x_power(p, fp, p)) == want
+
+
+@pytest.mark.parametrize("coeffs, disc", [
+    ((1, 0, 1), -4),
+    ((-2, 0, 0, 1), -108),
+    ((1, 1, 1, 1, 1), 125),
+    ((-1, -1, 1), 5),
+    ((3, 0, 1), -12),
+    ((5, 0, 1), -20),
+    ((-1, -1, 0, 0, 0, 1), 2869),
+])
+def test_discriminant_by_hand(coeffs, disc):
+    assert numberfield._discriminant(coeffs) == disc
+
+
+def test_discriminant_matches_sympy():
+    rng = random.Random(25)
+    x = symbols("x")
+    for trial in range(200):
+        degree = rng.randint(1, 7)
+        lead = 1 if trial % 2 else rng.choice([-3, -2, 2, 5])
+        coeffs = [rng.randint(-20, 20) for _ in range(degree)] + [lead]
+        poly = Poly(coeffs[::-1], x)
+        if trial % 10 == 0:  # times (x - 1)^2: discriminant 0
+            poly = poly.mul(Poly([1, -2, 1], x))
+            coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+        want = discriminant(poly)
+        assert numberfield._discriminant(coeffs) == want, coeffs
+    assert numberfield._discriminant((7,)) == 0
+
+
 def test_prime_helpers_match_sympy():
     for n in (0, 1, 2, 3, 97, 100, 10**4):
         assert primes_upto(n) == list(primerange(2, n + 1))
@@ -327,6 +370,11 @@ def test_dedekind_zeta_local():
     assert dedekind_zeta_local(GAUSS, 5).denominator == ((0, 1), (0, 1))
     assert dedekind_zeta_local(GAUSS, 3).denominator == ((0, 2),)
     assert dedekind_zeta_local(GAUSS, 2).denominator == ((0, 1),)
+
+
+def test_dedekind_zeta_local_refuses_an_index_divisible_prime():
+    with pytest.raises(UnsupportedRamifiedPrimeError, match="unsupported ramified prime 2"):
+        dedekind_zeta_local(EISEN, 2)
 
 
 def test_prime_guards():
