@@ -18,12 +18,25 @@ places the weight prod_{j >= t} pivot_j^t, the number of subrings they
 range over.  `enumerate_subrings` pins nothing and lists every basis.
 
 `count_proisomorphic` sets the verdict up once per lattice (`_verdict`) and
-adds up weight * verdict(structure constants) over the classes:
+adds up weight * verdict(structure constants) over the classes.  A subring
+M of finite index spans the same Q-Lie algebra as L and differs from it only
+in its Z_p-form, so invariants of that form can decide whether M_p and L_p
+are isomorphic.  The first path that applies decides:
 - abelian: every subring is pro-isomorphic and every coordinate central, so
   t = 1; the count adds up the weights, with no verdict and no row-0 loop;
-- standard Heisenberg H_m, exact: [row_a, row_b] = G'[a][b] row_2m, and the
-  subring is pro-isomorphic iff p does not divide the Pfaffian of G';
-- anything else of rank <= MAX_GENERIC_RANK, level-limited: False without a
+- standard Heisenberg H_m, exact (Pfaffian): [row_a, row_b] =
+  G'[a][b] row_2m, and the subring is pro-isomorphic iff p does not divide
+  the Pfaffian of G';
+- Heisenberg type, exact (elementary divisors): class 2 with [L, L] of rank
+  1 in any basis (H_m permuted or scaled, H_m + Z^r), of any rank.  The
+  bracket is omega(u, v) z0 for z0 primitive on the derived line, and the
+  subring is pro-isomorphic iff its form has the p-adic invariant factors
+  of L's (`_elementary_divisor_verdict`);
+- n_4 forms derived-saturated at p, exact (derived saturation): rank 4,
+  class 3, and L's table vectors of rank 2 mod p; the subring is
+  pro-isomorphic iff its table vectors have rank 2 mod p too;
+- anything else, level-limited search (non-nilpotent tables, n_4 forms not
+  derived-saturated at p, class 2 with [L, L] of rank 2): False without a
   search if the abelianization differs from L's modulo p^(k + C_SAFETY),
   else a bracket-preserving map is searched up to that level
   (`_isomorphism_search`).  A True is heuristic, a False certain, and a
@@ -31,11 +44,11 @@ adds up weight * verdict(structure constants) over the classes:
   True is level-limited too, never exact.
 
 Refused, never truncated: an enumeration past the guards, before any verdict
-refusal, and a search past NODE_BUDGET nodes (ResourceGuardError); a
-searched lattice of rank above MAX_GENERIC_RANK, or with a bracket constant
-divisible by p^(k + C_SAFETY), which the search would read as zero
-(InputError).  `is_proisomorphic` is the checked entry for one basis: it
-refuses a bad p or basis, then applies the same verdict.
+refusal, and a search past NODE_BUDGET nodes (ResourceGuardError); on the
+searched path only, a lattice of rank above MAX_GENERIC_RANK, or with a
+bracket constant divisible by p^(k + C_SAFETY), which the search would read
+as zero (InputError).  `is_proisomorphic` is the checked entry for one
+basis: it refuses a bad p or basis, then applies the same verdict.
 """
 
 from __future__ import annotations
@@ -123,6 +136,32 @@ class LieLattice:
             for i in range(table[-1][0] + 1) for j in range(i + 1, top + 1)
         )
         return tuple(pair for pair in pairs if pair[2])
+
+    @cached_property
+    def _kind(self):
+        """Of a nonabelian lattice: "heisenberg-type" for class 2 with [L, L]
+        of rank 1, "n4" for rank 4 and class 3, else None: the kinds with an
+        exact verdict from invariants (see `_verdict`).  Read off the lower
+        central series, whose terms are spanned by the table vectors, then
+        by their brackets with each e_i, and so on.  Over Q every nilpotent
+        Lie algebra of dimension 4 and class 3 is the filiform n_4, with
+        [L, L] of rank 2."""
+        n = self.rank
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+
+        def bracketed(vecs):
+            out = [_bracket(self.brackets, e, v) for e in units for v in vecs]
+            return [w for w in out if any(w)]
+
+        derived = [[dict(vec).get(l, 0) for l in range(n)] for _, _, vec in self.brackets]
+        third = bracketed(derived)
+        if not third:
+            ref = derived[0]
+            rank1 = all(
+                v[i] * ref[j] == v[j] * ref[i] for v in derived for i in range(n) for j in range(i)
+            )
+            return "heisenberg-type" if rank1 else None
+        return "n4" if n == 4 and not bracketed(third) else None
 
     @cached_property
     def t(self):
@@ -566,16 +605,98 @@ def _isomorphism_search(lattice, cm, p, target):
     return place(1, [(0,) * n] * n, [])
 
 
+def _pair_valuations(omega, p, q=None):
+    """The p-adic valuations of the invariant factors of the alternating
+    form omega, {(a, b): c} for a < b with every c nonzero, one per
+    hyperbolic pair of its symplectic normal form over Z_p (the factors come
+    in equal pairs; Newman, Integral Matrices, ch. IV), ascending.
+
+    Each step takes an entry (a, b) of least valuation v, c = u p^v, splits
+    off its plane and leaves on the other coordinates the form
+    u (omega(c, d) + (omega(c, a) omega(b, d) - omega(c, b) omega(a, d)) / (u p^v)),
+    scaled by the unit u so that it stays integral.  With q = p^cap the
+    entries are read modulo q and only the pairs of valuation below cap are
+    found: the residues carry the form to that precision."""
+    if q:
+        omega = {pair: c % q for pair, c in omega.items() if c % q}
+    out = []
+    while omega:
+        (a, b), x = min(omega.items(), key=lambda item: _vp(item[1], p))
+        v = _vp(x, p)
+        pv = p**v
+        u = x // pv
+
+        def w(c, d):
+            return omega.get((c, d), 0) if c < d else -omega.get((d, c), 0)
+
+        rest = sorted({c for pair in omega for c in pair} - {a, b})
+        left = {}
+        for i, c in enumerate(rest):
+            for d in rest[i + 1:]:
+                y = u * w(c, d) + (w(c, a) * w(b, d) - w(c, b) * w(a, d)) // pv
+                if q:
+                    y %= q
+                if y:
+                    left[c, d] = y
+        out.append(v)
+        omega = left
+    return out
+
+
+def _line_form(table, p):
+    """The alternating form of a bracket `table` whose vectors all lie on
+    one line, up to a p-adic unit: [e_a, e_b] = omega(a, b) z0 for z0
+    primitive on the line, and on a coordinate l where z0 is a unit at p,
+    the entry's term at l is omega(a, b) z0[l].  Such an l is where the
+    first vector, a multiple of z0, has its least valuation."""
+    l = min(table[0][2], key=lambda term: _vp(term[1], p))[0]
+    return {(a, b): c for a, b, vec in table for m, c in vec if m == l}
+
+
+def _elementary_divisor_verdict(lattice, p):
+    """The exact verdict for a lattice of Heisenberg type: its bracket is
+    omega(u, v) z0 with z0 primitive on the derived line and central, and a
+    subring M has the same shape over its own primitive vector.  Two such
+    Z_p-forms are isomorphic iff their forms have the same p-adic invariant
+    factors: a map carries z0 to a unit multiple of z0 and so one form to a
+    unit multiple of the other, and the symplectic normal form, with z0 in
+    a basis of the radical, builds a map from equal factors.  L's factors
+    are found exactly; M's modulo p^(e + 1), e the largest of them, which
+    tells them apart since M's form has L's rank over Q."""
+    ambient = _pair_valuations(_line_form(lattice.brackets, p), p)
+    q = p ** (ambient[-1] + 1)
+    return lambda table: _pair_valuations(_line_form(table, p), p, q) == ambient
+
+
 def _verdict(lattice, p, k):
     """The verdict on the subrings of `lattice` of index p^k, its lattice
     work done once: None for an abelian lattice, else a function of a
-    subring's bracket table as `_structure_constants` gives it.  A searched
-    lattice is refused here (see the module docstring)."""
+    subring's bracket table as `_structure_constants` gives it, from the
+    first path of the module docstring that applies.  A lattice left to the
+    search may be refused here (`_searched_verdict`)."""
     if lattice.is_abelian():
         return None
     m = lattice.heisenberg_m()
     if m is not None:
         return lambda table: _heisenberg_verdict(table, p, m)
+    if lattice._kind == "heisenberg-type":
+        return _elementary_divisor_verdict(lattice, p)
+    # an n_4 form whose table vectors span a rank-2 space mod p is generated
+    # by two elements (the Burnside basis theorem), so it is F_{3,2}(Z_p)
+    # over a primitive line in the third term, and GL_2(Z_p) is transitive
+    # on those lines: a subring is isomorphic to it iff it is saturated too
+    saturated = [0, 0, 1, 1]
+    if lattice._kind == "n4" and _abelianization_type(lattice.brackets, 4, p, 1) == saturated:
+        return lambda table: _abelianization_type(table, 4, p, 1) == saturated
+    return _searched_verdict(lattice, p, k)
+
+
+def _searched_verdict(lattice, p, k):
+    """The level-limited verdict, a function of a subring's bracket table:
+    False without a search if the abelianizations differ modulo
+    p^(k + C_SAFETY), else the answer of `_isomorphism_search` to that
+    level.  A lattice of rank above MAX_GENERIC_RANK, or with a bracket
+    constant that vanishes at that level, is refused here."""
     n = lattice.rank
     if n > MAX_GENERIC_RANK:
         raise InputError(

@@ -297,9 +297,12 @@ def test_oracle_refuses_rank_zero_lattice(tmp_path):
 
 
 def test_oracle_refuses_bracket_invisible_at_the_search_level(tmp_path):
-    # H1 scaled by 10^23: modulo 2^(2 + C_SAFETY) the bracket is zero
+    # M3 with [e1, e3] = 10^23 e4: not derived-saturated at 2, so searched,
+    # and modulo 2^(2 + C_SAFETY) that bracket is zero
     path = tmp_path / "big.json"
-    path.write_text('{"rank":3,"brackets":[[1,2,[0,0,100000000000000000000000]]]}')
+    path.write_text(
+        '{"rank":4,"brackets":[[1,2,[0,0,1,0]],[1,3,[0,0,0,100000000000000000000000]]]}'
+    )
     for k in ("1", "2"):
         result = run("oracle", "--lattice", f"file:{path}", "--p", "2", "--k", k)
         assert result.exit_code == 1

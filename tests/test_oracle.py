@@ -772,8 +772,9 @@ def test_generic_rank4_counts_match_series():
     assert counts == [1, 0, 0, 32]
 
 
-# Pinned counts of presentations that no other test counts; each verdict
-# takes the level-limited search.
+# Pinned counts of presentations that no other test counts.  M3 at p = 2 is
+# derived-saturated (one rank mod p per subring), the others are of
+# Heisenberg type (elementary divisors per subring).
 @pytest.mark.parametrize("lat,p,counts", [
     pytest.param(_scaled(H1, 2), 2, [1, 0, 12, 0, 112], id="scale2-p2"),
     pytest.param(_scaled(H1, 2), 3, [1, 0], id="scale2-p3"),
@@ -782,18 +783,24 @@ def test_generic_rank4_counts_match_series():
     pytest.param(H1_PLUS_Z, 3, [1, 9, 189], id="H1+Z-p3"),
     pytest.param(M3, 2, [1, 0, 0, 32, 64], id="M3-p2"),
     pytest.param(_permuted(H1, (0, 2, 1)), 3, [1, 0, 36, 0], id="perm021-p3"),
+    # the bracket is invisible modulo 2^(k + C_SAFETY), which only the search reads
+    pytest.param(_scaled(H1, 10**23), 2, [1, 0, 12, 0], id="scale10^23-p2"),
+    # z in the middle, bracket scaled by -3: seconds per subring for the search
+    pytest.param(LieLattice(3, ((0, 2, ((1, -3),)),)), 3, [1, 0, 36], id="z-middle-scale-3-p3"),
+    # rank 5, above MAX_GENERIC_RANK: the t^k coefficients of heisenberg:2
+    pytest.param(_permuted(H2, (4, 0, 1, 2, 3)), 2, [1, 0, 0, 240], id="H2-z-first-p2"),
 ])
 def test_pinned_counts(lat, p, counts):
     assert [count_proisomorphic(lat, p, k) for k in range(len(counts))] == counts
 
 
 # Presentations of H1 over Z_p that are not the standard tensor, so their
-# verdicts take the level-limited search: the five other basis orders, and
-# (at p = 2, where 3 is a unit) the bracket scaled by 3.
+# verdicts are read off elementary divisors: the five other basis orders,
+# and (at p = 2, where 3 is a unit) the bracket scaled by 3.
 H1_PRESENTATIONS = [
     pytest.param(_permuted(H1, q), p, kmax, id=f"perm{''.join(map(str, q))}-p{p}")
     for q in H1_ORDERS
-    for p, kmax in ((2, 3), (3, 1))
+    for p, kmax in ((2, 3), (3, 2))
 ] + [pytest.param(_scaled(H1, 3), 2, 3, id="scale3-p2")]
 
 
@@ -803,6 +810,111 @@ def test_generic_search_matches_heisenberg_series(lat, p, kmax):
     series = make_W(heisenberg(1), 1).expand_series(p, kmax)
     counts = [count_proisomorphic(lat, p, k) for k in range(kmax + 1)]
     assert counts == [series[k] for k in range(kmax + 1)]
+
+
+@pytest.mark.parametrize("lat,kind", [
+    *(pytest.param(_permuted(H1, q), "heisenberg-type", id=f"perm{''.join(map(str, q))}")
+      for q in H1_ORDERS),
+    pytest.param(_scaled(H1, -3), "heisenberg-type", id="scale-3"),
+    pytest.param(H1_PLUS_Z, "heisenberg-type", id="H1+Z"),
+    pytest.param(_permuted(H2, (4, 0, 1, 2, 3)), "heisenberg-type", id="H2-z-first"),
+    pytest.param(M3, "n4", id="M3"),
+    pytest.param(_scaled(_permuted(M3, (3, 1, 0, 2)), 2), "n4", id="M3-permuted-scaled"),
+    # class 2 with [L, L] of rank 2
+    pytest.param(lattice_from_dict(
+        {"rank": 5, "brackets": [[1, 2, [0, 0, 0, 1, 0]], [1, 3, [0, 0, 0, 0, 1]]]}
+    ), None, id="rank5-class2"),
+    # not nilpotent: [e1, e2] = e2, alone and beside a central Z^2
+    pytest.param(lattice_from_dict({"rank": 2, "brackets": [[1, 2, [0, 1]]]}), None, id="ax+b"),
+    pytest.param(lattice_from_dict({"rank": 4, "brackets": [[1, 2, [0, 1, 0, 0]]]}), None,
+                 id="ax+b+Z2"),
+])
+def test_lattice_kind(lat, kind):
+    assert lat._kind == kind
+
+
+# The exact verdicts against the level-limited search, their reference, on
+# every walked subring.  H1 in its five other basis orders, H1 scaled by +-2
+# and +-3, and H1+Z are of Heisenberg type; M3 is derived-saturated at 2.
+# H1 scaled by +-3 stays at k = 0 for p = 3, where the search takes seconds a
+# subring.
+DIFFERENTIAL_CASES = [
+    pytest.param(_permuted(H1, q), ((2, 3), (3, 1)), id=f"perm{''.join(map(str, q))}")
+    for q in H1_ORDERS
+] + [
+    pytest.param(_scaled(H1, s), ((2, 3), (3, 1) if s % 3 else (3, 0)), id=f"scale{s}")
+    for s in (2, -2, 3, -3)
+] + [
+    pytest.param(H1_PLUS_Z, ((2, 2),), id="H1+Z"),
+    pytest.param(M3, ((2, 3),), id="M3"),
+]
+
+
+@pytest.mark.parametrize("lat,sizes", DIFFERENTIAL_CASES)
+def test_exact_verdicts_match_the_search(lat, sizes, monkeypatch):
+    searched = oracle._searched_verdict
+
+    def no_search(*args):
+        raise AssertionError("the verdict took the search")
+
+    monkeypatch.setattr(oracle, "_searched_verdict", no_search)
+    verdicts = set()
+    for p, kmax in sizes:
+        for k in range(kmax + 1):
+            exact, reference = oracle._verdict(lat, p, k), searched(lat, p, k)
+            for basis in enumerate_subrings(lat, p, k):
+                table = oracle._structure_constants(lat, basis)
+                got = exact(table)
+                assert got == reference(table), (p, k, basis)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@st.composite
+def unimodular(draw, n):
+    """An n x n integer matrix of determinant +-1, a signed permutation
+    matrix after a few row additions, and its inverse."""
+    rows = [
+        [sign * int(i == j) for j in range(n)]
+        for i, sign in zip(draw(st.permutations(range(n))), draw(st.lists(
+            st.sampled_from([1, -1]), min_size=n, max_size=n)))
+    ]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-2, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    inverse = Matrix(rows).inv()
+    return rows, [[int(inverse[i, j]) for j in range(n)] for i in range(n)]
+
+
+def _rebased(lat, rows, inverse):
+    """The lattice in the basis f_a = sum_i rows[a][i] e_i: [f_a, f_b] is
+    L's bracket of two rows, read in f-coordinates through the inverse."""
+    n = lat.rank
+    table = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = lat.bracket(rows[a], rows[b])
+            x = [sum(v[i] * inverse[i][l] for i in range(n)) for l in range(n)]
+            if any(x):
+                table.append((a, b, tuple((l, c) for l, c in enumerate(x) if c)))
+    return LieLattice(n, tuple(table))
+
+
+REBASED = {"H1": H1, "H1+Z": H1_PLUS_Z, "H2": H2, "M3": M3}
+
+
+# Each basis is counted at p = 2 up to k = 3 (M3's first nonzero count, 32)
+# and at p = 3 up to k = 2 (H1's 36).
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(REBASED)), st.data())
+def test_a_unimodular_change_of_basis_keeps_the_count(name, data):
+    lat = REBASED[name]
+    rows, inverse = data.draw(unimodular(lat.rank))
+    rebased = _rebased(lat, rows, inverse)
+    assert rebased._kind == lat._kind
+    for p, k in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
+        assert count_proisomorphic(rebased, p, k) == count_proisomorphic(lat, p, k)
 
 
 def test_generic_search_refuses_over_budget(monkeypatch):
@@ -817,16 +929,24 @@ def test_generic_search_refuses_over_budget(monkeypatch):
     assert is_proisomorphic(M3, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 2)
 
 
+def _m3_deep(c):
+    """M3 with [e1, e3] = c e4: for c divisible by p its table vectors have
+    rank 1 mod p, so it is not derived-saturated at p and is searched."""
+    return lattice_from_dict({
+        "rank": 4, "brackets": [[1, 2, [0, 0, 1, 0]], [1, 3, [0, 0, 0, c]]],
+    })
+
+
 def test_generic_verdict_refuses_bracket_invisible_at_the_search_level():
-    big = _scaled(H1, 10**23)
-    basis = ((2, 0, 0), (0, 2, 0), (0, 0, 1))
+    big = _m3_deep(10**23)
+    basis = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     # v_2(10^23) = 23 >= 2 + C_SAFETY: the bracket vanishes modulo 2^4
     with pytest.raises(ValueError, match="vanishes modulo 2\\^4"):
         is_proisomorphic(big, basis, 2)
     with pytest.raises(ValueError, match="vanishes modulo 2\\^2"):
-        count_proisomorphic(_scaled(H1, 4), 2, 0)
+        count_proisomorphic(_m3_deep(4), 2, 0)
     # one level further up v_2(4) = 2 is below 1 + C_SAFETY, and the count stands
-    assert count_proisomorphic(_scaled(H1, 4), 2, 1) == 0
+    assert count_proisomorphic(_m3_deep(4), 2, 1) == 0
 
 
 def _reference_abelianization_type(n, table, p, cap):
