@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .laurent import EulerForm, InputError, LaurentPoly, ResourceGuardError
 from .primes import mobius
@@ -222,29 +222,29 @@ def _q_binomial(n, k):
 
 
 def lmn_monomials(m, n, d):
-    """The exponent pairs (beta_i, gamma_i), i = 0..n, of the lmn family."""
+    """The exponent pairs (beta_i, gamma_i), i = 0..n, of the lmn family.
+
+    The inner beta_i carry the sum over j of (1 + (m-1)(i-j+1)/(n-j+1))
+    C(m+j-2, m-1) C(m+n-j-1, m-1); it is summed in integers over
+    L = lcm(n-j+1), j = 1..n-1, and divided by L once, exactly.
+    """
     r1 = comb(m + n - 2, m - 1)
     r2 = comb(m + n - 1, m)
-    out = []
-    for i in range(n + 1):
-        if i == 0:
-            beta = Fraction(d * n * (r1 + r2))
-            gamma = r1 + n
-        elif i == n:
-            beta = Fraction(d * n * (r1 + r2) + comb(2 * m + n - 2, 2 * m - 1))
-            gamma = r2 + n
-        else:
-            beta = Fraction(i * (n - i) + d * (r1 + r2) * ((m - 1) * n + i))
-            for j in range(1, i + 1):
-                beta += (
-                    (1 + Fraction((m - 1) * (i - j + 1), n - j + 1))
-                    * comb(m + j - 2, m - 1)
-                    * comb(m + n - j - 1, m - 1)
-                )
-            gamma = (1 + r1) * ((m - 1) * n + i) - m * (m - 1) * r1
-        if beta.denominator != 1:
+    lcm_all = lcm(*range(2, n + 1))
+    out = [(d * n * (r1 + r2), r1 + n)]
+    for i in range(1, n):
+        total = 0
+        for j in range(1, i + 1):
+            k = n - j + 1
+            total += (k + (m - 1) * (i - j + 1)) * (lcm_all // k) * (
+                comb(m + j - 2, m - 1) * comb(m + n - j - 1, m - 1)
+            )
+        q, rem = divmod(total, lcm_all)
+        if rem:
             raise AssertionError(f"beta_{i} is not integral for (m,n)=({m},{n})")
-        out.append((int(beta), gamma))
+        beta = i * (n - i) + d * (r1 + r2) * ((m - 1) * n + i) + q
+        out.append((beta, (1 + r1) * ((m - 1) * n + i) - m * (m - 1) * r1))
+    out.append((d * n * (r1 + r2) + comb(2 * m + n - 2, 2 * m - 1), r2 + n))
     return out
 
 

@@ -311,10 +311,18 @@ class EulerForm:
     def expand_series(self, xval, order):
         """Coefficients of Y^0..Y^order of the power-series expansion at X=xval.
 
-        Only the numerator terms with Y-exponent <= order are evaluated at
-        X=xval (so negative X-exponents are harmless); the others cannot
-        reach the coefficients returned.  Each denominator factor is then
-        divided out by `_divide_geometric`.
+        The expansion runs in integers.  Only the numerator terms with
+        Y-exponent <= order and the denominator factors with b <= order can
+        reach the coefficients returned; the rest are skipped before any
+        power of X is formed (so negative X-exponents are harmless too).
+        With X = u/v in lowest terms, D = u^s v^top, for s the largest of 0
+        and -x and top the largest of 0 and x over the kept terms, makes every
+        kept term c X^x Y^y the integer c u^(x+s) v^(top-x).  Coefficient e is carried further
+        scaled by v^(r e), where r >= a/b for every kept factor (1 - X^a Y^b),
+        so `_divide_geometric` divides each factor out with the integer
+        u^a v^(r b - a).  The last step is one exact division per
+        coefficient, by D v^(r e).  A numerator term of negative Y-degree is
+        refused unless those terms cancel at X.
         """
         _check_order(order)
         if self.is_formal:
@@ -324,14 +332,30 @@ class EulerForm:
                 f"(1 - X^{a} Y^{b}) does not vanish in positive Y-degree"
             )
         xval = Fraction(xval)
-        kept = {k: c for k, c in self.numerator.terms.items() if k[1] <= order}
-        coeffs = LaurentPoly(kept).evaluate_x(xval)
-        low = min(coeffs, default=0)
-        if low < 0:
+        if xval == 0:
+            raise ValueError("X must be specialized to a nonzero value")
+        u, v = xval.numerator, xval.denominator
+        kept = [(x, y, c) for (x, y), c in self.numerator.terms.items() if y <= order]
+        factors = [(a, b) for a, b in self.denominator if b <= order]
+        s = max(0, -min((x for x, _, _ in kept), default=0))
+        top = max(0, max((x for x, _, _ in kept), default=0))
+        r = max((-(-a // b) for a, b in factors), default=0)
+        vpow = [1]  # v^(r e), e = 0..order
+        for _ in range(order):
+            vpow.append(vpow[-1] * v**r)
+        series = [0] * (order + 1)
+        below = {}
+        for x, y, c in kept:
+            term = c * u ** (x + s) * v ** (top - x)
+            if y >= 0:
+                series[y] += term * vpow[y]
+            else:
+                below[y] = below.get(y, 0) + term
+        if any(below.values()):
             raise ValueError("numerator has negative Y-exponents; series is not a power series")
-        series = [coeffs.get(e, Fraction(0)) for e in range(order + 1)]
-        _divide_geometric(series, [(xval**a, b) for a, b in self.denominator])
-        return TruncatedSeries(series)
+        _divide_geometric(series, [(u**a * v ** (r * b - a), b) for a, b in factors])
+        scale = u**s * v**top
+        return TruncatedSeries([Fraction(c, scale * w) for c, w in zip(series, vpow)])
 
     def ratfunc_equal(self, other):
         """Exact equality as rational functions, by cross-multiplication."""

@@ -9,8 +9,9 @@ and a per-descent monomial table into a polynomial: one depth-first walk over
 the group tallies the windows by (length, descent set), extending each prefix
 by one entry (the last entry adds its one or two windows straight to the
 tally), and the table is applied once per distinct tally key.  `stats` is
-the per-window definition of the same statistics, read in one pass over the
-pairs of positions.  The walk still visits every window, so the two
+the per-window definition of the same statistics.  It and the per-window
+monomial `_descent_monomial` read them from one loop over the pairs of
+positions, `_pair_counts`.  The walk still visits every window, so the two
 exhaustive verifiers at the bottom remain brute-force checks of the
 polynomial identity that collapses a B_m descent sum to an S_m descent sum
 times a product of binomial-exponent factors, and of the involution
@@ -91,27 +92,16 @@ class BStats:
 def stats(w):
     """Type-B statistics of a window: inv, npr, length, descents, eps1, sigma_C.
 
-    One loop over the pairs i <= j: a pair counts towards inv when
-    w(i) > w(j), towards npr when w(i) + w(j) < 0 (i = j included), and an
-    adjacent pair j = i + 1 with w(i) > w(j) is a descent at position j.
+    inv, npr and the descent set come from `_pair_counts`; eps1 is bit 0 of
+    the descent set and sigma_C sums C(m+1,2) at 0 and (m-j)(m+j+1) at each
+    other descent j.
     """
     m = len(w)
-    eps1 = 1 if w[0] < 0 else 0
-    inv = npr = 0
-    des_mask = eps1
-    sigma_c = comb(m + 1, 2) * eps1
-    for i, a in enumerate(w):
-        if a < 0:
-            npr += 1
-        for j in range(i + 1, m):
-            b = w[j]
-            if a > b:
-                inv += 1
-                if j == i + 1:
-                    des_mask |= 1 << j
-                    sigma_c += (m - j) * (m + j + 1)
-            if a + b < 0:
-                npr += 1
+    inv, npr, des_mask = _pair_counts(w)
+    eps1 = des_mask & 1
+    sigma_c = comb(m + 1, 2) * eps1 + sum(
+        (m - j) * (m + j + 1) for j in range(1, m) if des_mask >> j & 1
+    )
     return BStats(
         inv=inv,
         npr=npr,
@@ -121,6 +111,27 @@ def stats(w):
         eps1=eps1,
         sigma_c=sigma_c,
     )
+
+
+def _pair_counts(w):
+    """(inv, npr, des_mask) of a window, in one loop over the pairs i <= j:
+    a pair counts towards inv when w(i) > w(j), towards npr when
+    w(i) + w(j) < 0 (i = j included), and position j is a descent when the
+    entry before it (0 before position 0) exceeds w(j)."""
+    inv = npr = des_mask = 0
+    last = 0
+    for j, b in enumerate(w):
+        if last > b:
+            des_mask |= 1 << j
+        last = b
+        if b < 0:
+            npr += 1
+        for a in w[:j]:
+            if a > b:
+                inv += 1
+            if a + b < 0:
+                npr += 1
+    return inv, npr, des_mask
 
 
 def eta(j, w):
@@ -216,8 +227,8 @@ def _mask_monomial(length, mask, monomials):
 
 
 def _descent_monomial(w, monomials):
-    st = stats(w)
-    return _mask_monomial(st.length, st.des_mask, monomials)
+    inv, npr, des_mask = _pair_counts(w)
+    return _mask_monomial(inv + npr, des_mask, monomials)
 
 
 def b_monomials(m):

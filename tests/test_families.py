@@ -1,6 +1,7 @@
 """Closed-form W constructors, weights, and abscissae, pinned numerically."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,13 @@ from zetaforge import (
     weight,
 )
 from zetaforge import families, signed_perms
-from zetaforge.families import descent_form, free_alpha_beta, lmn_monomials, witt_rank
+from zetaforge.families import (
+    MAX_LMN_TOTAL,
+    descent_form,
+    free_alpha_beta,
+    lmn_monomials,
+    witt_rank,
+)
 from zetaforge.laurent import InputError, LaurentPoly, ResourceGuardError
 from zetaforge.signed_perms import descent_sum
 
@@ -168,6 +175,40 @@ def test_lmn_small_instance():
     assert w.denominator == ((5, 2), (6, 3), (8, 4))
     assert w.numerator == LaurentPoly({(0, 0): 1, (4, 2): 1})
     assert not w.is_formal or all(b >= 1 for _, b in w.denominator)
+
+
+def _lmn_monomials_by_fractions(m, n, d):
+    """The lmn exponent table as the formula states it, beta_i summed in
+    Fractions term by term: the reference for `lmn_monomials`."""
+    r1 = comb(m + n - 2, m - 1)
+    r2 = comb(m + n - 1, m)
+    out = []
+    for i in range(n + 1):
+        if i == 0:
+            beta = Fraction(d * n * (r1 + r2))
+            gamma = r1 + n
+        elif i == n:
+            beta = Fraction(d * n * (r1 + r2) + comb(2 * m + n - 2, 2 * m - 1))
+            gamma = r2 + n
+        else:
+            beta = Fraction(i * (n - i) + d * (r1 + r2) * ((m - 1) * n + i))
+            for j in range(1, i + 1):
+                beta += (
+                    (1 + Fraction((m - 1) * (i - j + 1), n - j + 1))
+                    * comb(m + j - 2, m - 1)
+                    * comb(m + n - j - 1, m - 1)
+                )
+            gamma = (1 + r1) * ((m - 1) * n + i) - m * (m - 1) * r1
+        assert beta.denominator == 1, (m, n, i)
+        out.append((int(beta), gamma))
+    return out
+
+
+def test_lmn_monomials_match_the_fraction_formula():
+    for m in range(1, MAX_LMN_TOTAL):
+        for n in range(2, MAX_LMN_TOTAL - m + 1):
+            for d in range(1, 6):
+                assert lmn_monomials(m, n, d) == _lmn_monomials_by_fractions(m, n, d), (m, n, d)
 
 
 def test_lmn_large_instance_is_formal():

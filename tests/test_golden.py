@@ -160,6 +160,8 @@ COMMANDS = [
     ("abscissa --family q5 --d 2", 0, "b3e84ebd0560aecd9d38386c36332fdbe681e24aef034442df9b8e302bfd198b"),
     ("abscissa --family bk --d 1", 0, "061990ba659ce4997320850dc79398ba0f9cf03f9e679c5fd9d74e0cc51342e7"),
     ("abscissa --family abelian:3", 0, "240f73c40ea331a5e66d3f4d717d41327ab322c110224613c60d0319a151c107"),
+    ("abscissa --family lmn:3:7 --d 4", 0, "9806eebbbf91187f78f3a9ba8669b55c6a87a944efa393d4b800ea1d9deadeda"),
+    ("abscissa --family free:6:6 --d 4", 0, "e67672c9943ae38e314ffecdd53cb5b42960a8817c0671c2a8f36f6d4693f35e"),
 ]
 
 @pytest.mark.parametrize("family_id, d", sorted(DIGESTS))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaforge import EulerForm, LaurentPoly, TruncatedSeries
+from zetaforge import EulerForm, LaurentPoly, TruncatedSeries, make_W, parse_family
 from zetaforge.laurent import InputError
 
 
@@ -257,6 +257,38 @@ def test_expand_series_cut_keeps_the_negative_y_refusal():
     assert list(w.expand_series(2, 2).coefficients) == [1, 1, 1]
     with pytest.raises(ValueError, match="nonzero value"):
         w.expand_series(0, 2)
+
+
+# The closed-forms benchmark pool: every family it draws, descent sums up to S_7.
+SERIES_FAMILIES = (
+    [f"abelian:{n}" for n in range(1, 7)]
+    + [f"free:{c}:{g}" for c in range(2, 7) for g in range(1, 7)]
+    + [f"maxclass:{c}" for c in range(2, 7)]
+    + ["f4", "q5", "bk"]
+    + [f"heisenberg:{n}" for n in range(1, 8)]
+    + [f"lmn:{m}:{n}" for n in range(2, 8) for m in range(1, 11 - n)]
+)
+
+
+@pytest.mark.parametrize("family_id", SERIES_FAMILIES)
+def test_expand_series_matches_the_reference_on_family_forms(family_id):
+    # every non-formal W of the pool, at integer and fractional X, against the
+    # term-by-term Fraction reference; a factor of Y-degree past the order
+    # must leave every coefficient as it is.  The reference is given only the
+    # numerator terms of Y-degree <= order: it sums per Y-degree, so the rest
+    # cannot reach its result, and they reach X^80000 in lmn:4:6 at d = 4.
+    order = 8
+    for d in range(1, 5):
+        w = make_W(parse_family(family_id), d)
+        if w.is_formal:
+            continue
+        low = LaurentPoly({k: c for k, c in w.numerator.terms.items() if k[1] <= order})
+        reference = EulerForm(low, w.denominator)
+        padded = EulerForm(w.numerator, w.denominator + ((10**5, order + 1),))
+        for xval in (2, 3, 5, Fraction(1, 2), Fraction(-2, 3)):
+            got = list(w.expand_series(xval, order).coefficients)
+            assert got == expand_everything(reference, xval, order), (d, xval)
+            assert list(padded.expand_series(xval, order).coefficients) == got, (d, xval)
 
 
 def test_invert_variables_single_factor():
