@@ -316,13 +316,14 @@ class EulerForm:
         reach the coefficients returned; the rest are skipped before any
         power of X is formed (so negative X-exponents are harmless too).
         With X = u/v in lowest terms, D = u^s v^top, for s the largest of 0
-        and -x and top the largest of 0 and x over the kept terms, makes every
-        kept term c X^x Y^y the integer c u^(x+s) v^(top-x).  Coefficient e is carried further
-        scaled by v^(r e), where r >= a/b for every kept factor (1 - X^a Y^b),
-        so `_divide_geometric` divides each factor out with the integer
-        u^a v^(r b - a).  The last step is one exact division per
-        coefficient, by D v^(r e).  A numerator term of negative Y-degree is
-        refused unless those terms cancel at X.
+        and -x and top the largest of 0 and x over the kept terms, makes
+        every kept term c X^x Y^y the integer c u^(x+s) v^(top-x).
+        Coefficient e is carried further scaled by v^(r e), where r >= a/b
+        for every kept factor (1 - X^a Y^b), so `_divide_geometric` divides
+        each factor out with the integer multiplier u^a v^(r b - a).  The
+        last step is one exact division per coefficient, by D v^(r e).  The
+        numerator terms of negative Y-degree are refused unless they cancel
+        at X.
         """
         _check_order(order)
         if self.is_formal:
