@@ -3,8 +3,10 @@
 Each constructor returns the rational function exactly as displayed, with the
 denominator kept as a factor multiset and no simplification.  The heisenberg
 and lmn numerators are symmetric-group descent sums with a per-descent
-monomial table; `descent_form` builds them from the descent-set recurrence
-without visiting any permutation.  Enumeration is kept for the checks: the
+monomial table; `descent_form` builds them from one cached table per n of
+the windows counted by descent set and length, itself built from
+q-multinomials without visiting any permutation, and shared by every family
+and degree d of that size.  Enumeration is kept for the checks: the
 pre-collapse hyperoctahedral sum, `bruhat_gsp_sum`, walks all of B_m through
 signed_perms.descent_sum, with its bookkeeping variable exposed separately so
 the collapse can be confirmed against the symmetric-group form by
@@ -163,49 +165,77 @@ def descent_form(monomials):
     and denominator prod_{i=0}^{n} (1 - M_i), for M_i = X^{a_i} Y^{b_i}.
 
     `monomials` is the ordered list (a_0, b_0), ..., (a_n, b_n); descents of
-    S_n only ever touch indices 1..n-1.  The numerator comes from the
-    descent-set formula (Stanley, EC1 1.4): with q = X^{-1}, the windows whose
-    descent set lies in T contribute the q-multinomial [n; comp(T)]_q, so the
-    sum is sum_T [n; comp(T)]_q prod_{i in T} M_i prod_{i notin T} (1 - M_i).
-    Summed by last cut, G_0 = 1 and
-
-        G_j = sum_{i<j} G_i [j choose i]_q M_i^{[i>0]} prod_{i<l<j} (1 - M_l),
-
-    and the numerator is G_n: O(n^2) products instead of n! windows.
-    `signed_perms.descent_sum` over S_n is the enumerating reference.
+    S_n only ever touch indices 1..n-1.  With q = X^{-1} the numerator is
+    sum_T beta_n(T)(X^{-1}) prod_{i in T} M_i, where beta_n(T) is the
+    inversion generating function of the windows with descent set exactly T.
+    Those polynomials depend on n alone, so `_descent_table(n)` builds them
+    once, without visiting any permutation, and every family and degree d of
+    that size shares them; the sum then costs one monomial per nonzero
+    coefficient (766 of them at n = 7).  n is capped at MAX_LMN_TOTAL - 1,
+    the largest size the heisenberg and lmn guards admit, before any table
+    is built.  `signed_perms.descent_sum` over S_n is the enumerating
+    reference.
     """
     n = len(monomials) - 1
-    cuts = [{(0, 0): 1}] + [{} for _ in range(n)]
-    for i in range(n):
-        # run = G_i M_i^{[i>0]} prod_{i<l<j} (1 - M_l), for j = i+1, ..., n
-        if i:
-            a, b = monomials[i]
-            run = {(x + a, y + b): c for (x, y), c in cuts[i].items()}
-        else:
-            run = dict(cuts[0])
-        for j in range(i + 1, n + 1):
-            if j > i + 1:
-                run = _times_one_minus(run, monomials[j - 1])
-            target = cuts[j]
-            for k, coeff in _q_binomial(j, i):
-                for (x, y), c in run.items():
-                    key = (x - k, y)
-                    target[key] = target.get(key, 0) + coeff * c
-    num = LaurentPoly(cuts[n])
+    if n < 0:
+        raise InputError("descent_form needs the monomials M_0, ..., M_n")
+    if n > MAX_LMN_TOTAL - 1:
+        raise ResourceGuardError(f"descent sums capped at n <= {MAX_LMN_TOTAL - 1}, got {n}")
+    terms = {}
+    for mask, poly in _descent_table(n):
+        x = y = 0
+        for i in range(1, n):
+            if mask >> i & 1:
+                a, b = monomials[i]
+                x += a
+                y += b
+        for e, c in poly:
+            key = (x - e, y)
+            terms[key] = terms.get(key, 0) + c
     # formal=True: interior exponents of some large instances leave the
     # series-expandable cone (Y-exponent <= 0); the descent sum is still a
     # well-defined rational function and is stored verbatim.
-    return EulerForm(num, monomials, descent_data=tuple(monomials), formal=True)
+    return EulerForm(LaurentPoly(terms), monomials, descent_data=tuple(monomials), formal=True)
 
 
-def _times_one_minus(terms, monomial):
-    """The product of the polynomial `terms` with 1 - X^a Y^b."""
-    a, b = monomial
-    out = dict(terms)
-    for (x, y), c in terms.items():
-        key = (x + a, y + b)
-        out[key] = out.get(key, 0) - c
-    return out
+@lru_cache(maxsize=None)
+def _descent_table(n):
+    """The S_n descent-set table: (mask, ((e, c), ...)) for each descent set
+    T, bit i of mask set iff i is in T, with c the number of windows of
+    length e whose descent set is exactly T; zero coefficients are left out.
+
+    By the descent-set formula (Stanley, EC1 1.4) the windows whose descent
+    set lies in S have inversion generating function the q-multinomial
+    alpha(S) = [n; comp(S)]_q.  It is taken by last cut: the compositions of
+    j that end with a part j - i are those of i followed by a cut at i, so
+    alpha_j(S + {i}) = alpha_i(S) [j choose i]_q (no cut when i = 0).  Then
+    beta(T) = sum over S within T of (-1)^{|T - S|} alpha(S), one subset
+    Moebius inversion over the bits 1..n-1.
+    """
+    top = n * (n - 1) // 2
+    cuts = [{0: [1]}]
+    for j in range(1, n + 1):
+        row = {}
+        for i in range(j):
+            binom = _q_binomial(j, i)
+            bit = 1 << i if i else 0
+            for mask, poly in cuts[i].items():
+                out = [0] * (len(poly) + len(binom) - 1)
+                for s, c in enumerate(poly):
+                    for e, b in binom:
+                        out[s + e] += c * b
+                row[mask | bit] = out
+        cuts.append(row)
+    beta = {mask: poly + [0] * (top + 1 - len(poly)) for mask, poly in cuts[n].items()}
+    for i in range(1, n):
+        bit = 1 << i
+        for mask in beta:
+            if mask & bit:
+                beta[mask] = [c - s for c, s in zip(beta[mask], beta[mask ^ bit])]
+    return tuple(
+        (mask, tuple((e, c) for e, c in enumerate(beta[mask]) if c))
+        for mask in sorted(beta)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ group S_m sits inside B_m as the all-positive windows and shares its
 statistics.  `descent_sum(m, monomials, signed)` turns a whole B_m (or S_m)
 and a per-descent monomial table into a polynomial: one depth-first walk over
 the group tallies the windows by (length, descent set), extending each prefix
-by one entry (the last entry adds its one or two windows straight to the
+by one entry (the last two entries are placed inline, straight into a flat
 tally), and the table is applied once per distinct tally key.  `stats` is
 the per-window definition of the same statistics.  It and the per-window
 monomial `_descent_monomial` read them from one loop over the pairs of
@@ -16,8 +16,9 @@ exhaustive verifiers at the bottom remain brute-force checks of the
 polynomial identity that collapses a B_m descent sum to an S_m descent sum
 times a product of binomial-exponent factors, and of the involution
 bookkeeping it rests on.  `verify_sublemma` checks every window against
-every eta_j, calling eta once per distinct head w[:j] and reading each
-partner from one table over B_m per j.
+every eta_j, calling eta once per distinct head w[:j]: the windows with that
+head form one block in lex order, and the block of the image head holds
+their partners in the same order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 
 from .laurent import InputError, LaurentPoly, ResourceGuardError
 
@@ -164,7 +165,7 @@ def _property_p(j, w, eta_w):
     if j == len(w):
         return w[j - 1] > 0
     a, b, c = w[j - 1], eta_w[j - 1], w[j]
-    return (a < 0) == (min(a, b) < c < max(a, b))
+    return (a < 0) == (a < c < b or b < c < a)
 
 
 def descent_tally(m, signed):
@@ -179,20 +180,31 @@ def descent_tally(m, signed):
     that is (m - a) - (unused values above a); -a adds every prefix entry
     once, those of absolute value below a once more, and itself, that is
     k + (a - 1 - i) + 1.  Bit k is set when the previous entry (0 before
-    position 0) exceeds v.  At the last position one value is left, and its
-    one or two windows are added to the tally without a further call.
+    position 0) exceeds v.  The last two values are placed inline, without
+    a further call, and each window adds one to a flat list indexed by
+    length * 2^m + mask, which becomes the Counter at the end.
     """
     _check_m(m)
     if m > MAX_ENUM_M:
         raise ResourceGuardError(f"B_m enumeration capped at m={MAX_ENUM_M}, got {m}")
-    tally = Counter()
+    top = m * m if signed else m * (m - 1) // 2
+    flat = [0] * ((top + 1) << m)
 
     def extend(k, unused, last, length, mask):
-        if k == m - 1:
-            (a,) = unused
-            tally[length + m - a, mask | (last > a) << k] += 1
-            if signed:
-                tally[length + k + a, mask | (last > -a) << k] += 1
+        if k == m - 2:
+            # the last two values, a < b: i = 0 places a then b, i = 1 b then a
+            for i, (a, b) in enumerate((unused, unused[::-1])):
+                # +a at position k, then +b or -b at k + 1
+                run = length + (m - a) - (1 - i)
+                vmask = mask | (last > a) << k
+                flat[(run + m - b) << m | vmask | (a > b) << (k + 1)] += 1
+                if signed:
+                    flat[(run + k + 1 + b) << m | vmask | (a > -b) << (k + 1)] += 1
+                    # -a at position k (-a > +b never holds), then +b or -b
+                    run = length + k + a - i
+                    vmask = mask | (last > -a) << k
+                    flat[(run + m - b) << m | vmask] += 1
+                    flat[(run + k + 1 + b) << m | vmask | (-a > -b) << (k + 1)] += 1
             return
         others = m - k - 1  # unused values besides a; others - i lie above it
         for i, a in enumerate(unused):
@@ -202,8 +214,14 @@ def descent_tally(m, signed):
             if signed:
                 extend(k + 1, rest, -a, length + k + a - i, mask | (last > -a) << k)
 
-    extend(0, tuple(range(1, m + 1)), 0, 0, 0)
-    return tally
+    if m == 1:
+        flat[0] += 1
+        if signed:
+            flat[1 << m | 1] += 1
+    else:
+        extend(0, tuple(range(1, m + 1)), 0, 0, 0)
+    full = (1 << m) - 1
+    return Counter({(key >> m, key & full): c for key, c in enumerate(flat) if c})
 
 
 def descent_sum(m, monomials, signed):
@@ -281,13 +299,17 @@ def verify_sublemma(m):
     monomial of w shifted by X^{C(m+1,2)-C(j+1,2)} Y.
 
     The windows are walked in lexicographic order, so those that share a
-    head w[:j] are adjacent and eta is called once per distinct head (eta_j
-    fixes the rest of the window).  For each j in turn this gives a table
-    over the whole of B_m sending each window to the position of its partner
-    v = eta_j(w); a partner that is not a window fails the check.  The
-    partner of v is read from the same table.  Each window's monomial and
-    each (P_j) is computed once, and every window is checked both for
-    exclusivity and, when it satisfies (P_j), for the monomial shift.
+    head w[:j] form one block of 2^(m-j) (m-j)! windows, which lists every
+    signed arrangement of the values off the head's support.  eta_j fixes
+    the rest of the window and keeps the head's support, so the block of
+    the image head lists the same tails in the same order.  For each j in
+    turn, eta is called once per block, on its head; one lookup of the image
+    head with the block's first tail must land on the start of a block, or
+    the check fails, and the partner of the window at offset t in the block
+    is the window at offset t in that block.  The partner of a partner is
+    read from the same table.  Each window's monomial is computed once, and
+    every window is checked both for exclusivity and, when it satisfies
+    (P_j), for the monomial shift.
     """
     _check_m(m)
     if m > MAX_SUBLEMMA_M:
@@ -300,16 +322,14 @@ def verify_sublemma(m):
     monomial = [_descent_monomial(w, table) for w in windows]
     top = comb(m + 1, 2)
     for j in range(1, m + 1):
+        size = 2 ** (m - j) * factorial(m - j)
         partner = []
-        head = None
-        for w in windows:
-            if w[:j] != head:
-                head = w[:j]
-                image = eta(j, head)
-            i = position.get(image + w[j:])
-            if i is None:
+        for start in range(0, len(windows), size):
+            w = windows[start]
+            i = position.get(eta(j, w[:j]) + w[j:])
+            if i is None or i % size:
                 return False
-            partner.append(i)
+            partner.extend(range(i, i + size))
         holds = [_property_p(j, w, windows[i]) for w, i in zip(windows, partner)]
         shift = (top - comb(j + 1, 2), 1)
         for (gx, gy), i, pw in zip(monomial, partner, holds):

@@ -1,7 +1,9 @@
 """Closed-form W constructors, weights, and abscissae, pinned numerically."""
 
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,7 @@ from zetaforge.families import (
     witt_rank,
 )
 from zetaforge.laurent import InputError, LaurentPoly, ResourceGuardError
-from zetaforge.signed_perms import descent_sum
+from zetaforge.signed_perms import descent_sum, descent_tally
 
 
 def test_parse_family_round_trips():
@@ -167,6 +169,43 @@ def test_descent_form_does_not_enumerate(monkeypatch):
     monkeypatch.setattr(families, "descent_sum", refuse)
     assert make_W(heisenberg(8), 1).numerator
     assert make_W(lmn(1, 9), 2).numerator
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_descent_table_is_the_s_n_walk_by_descent_set(n):
+    table = families._descent_table(n)
+    got = Counter({(e, mask): c for mask, poly in table for e, c in poly})
+    assert got == descent_tally(n, False)
+    assert sum(got.values()) == factorial(n)
+
+
+def test_descent_table_is_built_once_per_n(monkeypatch):
+    # a fresh cache around the same builder, counting each build
+    builds = Counter()
+    build = families._descent_table.__wrapped__
+
+    def counting(n):
+        builds[n] += 1
+        return build(n)
+
+    monkeypatch.setattr(families, "_descent_table", lru_cache(maxsize=None)(counting))
+    for family in DESCENT_FAMILIES + [heisenberg(8), lmn(1, 8), lmn(2, 8), lmn(1, 9)]:
+        for d in (1, 2, 3, 4):
+            make_W(family, d)
+    assert builds == {n: 1 for n in range(1, MAX_LMN_TOTAL)}
+
+
+def test_descent_form_refuses_n_above_the_family_guards(monkeypatch):
+    def refuse(n):
+        raise AssertionError("no table may be built for a refused size")
+
+    monkeypatch.setattr(families, "_descent_table", refuse)
+    # lmn(1, 9) reaches n = MAX_LMN_TOTAL - 1, heisenberg(8) n = 8
+    cap = f"descent sums capped at n <= {MAX_LMN_TOTAL - 1}, got {MAX_LMN_TOTAL}"
+    with pytest.raises(ResourceGuardError, match=cap):
+        descent_form([(1, 1)] * (MAX_LMN_TOTAL + 1))
+    with pytest.raises(InputError, match="needs the monomials"):
+        descent_form([])
 
 
 def test_lmn_small_instance():

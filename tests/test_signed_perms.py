@@ -358,6 +358,21 @@ def test_sublemma_agrees_with_the_per_window_loop_on_a_broken_eta(
     assert verify_sublemma(m) is _reference_sublemma(m) is False
 
 
+def _eta_head_reversed(j, w):
+    """eta_j with its head image reversed: the head keeps its support, so the
+    partner is still a window at the start of a block, but not the one of
+    eta_j; at j = 1 it is eta_1 itself."""
+    v = eta(j, w[:j])
+    return v[::-1] + tuple(w[j:])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sublemma_agrees_with_the_per_window_loop_on_a_reordered_eta(monkeypatch, m):
+    monkeypatch.setattr(signed_perms, "eta", _eta_head_reversed)
+    # B_1 has only j = 1, where the mutant is eta
+    assert verify_sublemma(m) is _reference_sublemma(m) is (m == 1)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_sublemma_agrees_with_the_per_window_loop_on_each_shifted_b_entry(
     monkeypatch, m
