@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .laurent import (
     InputError,
@@ -32,7 +33,7 @@ from .numberfield import (
     UnsupportedRamifiedPrimeError,
     _check_prime,
     _decomposition_type,
-    _discriminant,
+    _field_discriminant,
     _frobenius_images,
     _reduce,
     _residue_degrees,
@@ -240,13 +241,15 @@ def global_coefficients(family, d, field, limit):
     key (fs, kmax), in a memo that lives for this call only, and each prime
     evaluates it at X = p (see `_local_series`).  b_{p^k} then multiplies
     b_n for the n with p^k || n, one stride of p^k at a time.
-    The residue degrees take x^p mod the minimal polynomial from
-    `_frobenius_images`, one step per integer up to the limit rather than a
-    powering per prime.  The discriminant of the minimal polynomial is
-    computed once: at a p that does not divide it, f mod p is squarefree and
-    fs is read off by `_residue_degrees` (Q needs nothing: fs = (1,)); at
-    the few p that divide it, the full decomposition type runs, with the
-    index test.
+    The discriminant of the minimal polynomial is computed once per
+    polynomial: at a p that does not divide it, f mod p is squarefree and fs
+    is read off by `_residue_degrees` (Q needs nothing: fs = (1,)); at the
+    few p that divide it, the full decomposition type runs, with the index
+    test.  At an odd p the Legendre symbol of the discriminant gives the
+    parity of the number of factors, which settles degree 2 outright and
+    spares degree 3 its gcd; so x^p mod the minimal polynomial is taken
+    from `_frobenius_images`, one step per integer up to the limit rather
+    than a powering per prime, only from degree 3 on.
     A formal W is refused before any prime is looked at.  Every prime up to
     the limit must admit a decomposition type; a refused ramified prime
     aborts the whole computation with a clear message.
@@ -265,13 +268,14 @@ def global_coefficients(family, d, field, limit):
         )
     w = make_W(family, d)
     _refuse_formal(w)
-    disc = _discriminant(field.minpoly)
+    disc = _field_discriminant(field.minpoly)
     if not disc:
         raise AssertionError("a certified minimal polynomial has a nonzero discriminant")
     poly = list(reversed(field.minpoly))
     coeffs = [1] * (limit + 1)  # index 0 unused
     primes = primes_upto(limit)
-    images = _frobenius_images(poly, primes)
+    # below degree 3, `_residue_degrees` needs no x^p at odd p
+    images = _frobenius_images(poly, primes) if d >= 3 else repeat(None)
     by_type = {}
     for p, xp in zip(primes, images):
         kmax = 0
@@ -290,7 +294,7 @@ def global_coefficients(family, d, field, limit):
         elif d == 1:
             fs = (1,)
         else:
-            fs = _residue_degrees(_reduce(poly, p), p, xp)
+            fs = _residue_degrees(_reduce(poly, p), p, xp, disc)
         series = _local_series(w, p, fs, kmax, by_type)
         pk = 1
         for value in series[1:]:

@@ -14,11 +14,15 @@ the type from the gcds of f with x^(p^i) - x, one degree i at a time, and
 needs neither the complete factors nor a squarefree split.  For a run of
 primes, `_frobenius_images` hands it x^p mod f stepped over Z instead of
 powered at each p.  At a prime p not dividing disc(f), f mod p is
-squarefree, every e is 1, and the residue degrees are all a run needs:
-`_residue_degrees` reads them off the same gcds with no multiplicities and
-no radical, stopping as soon as x^(p^i) = x or what is left is too small to
-split.  `_discriminant`, Res(f, f') by a fraction-free (Bareiss)
-determinant, tells those primes apart once per run.
+squarefree, every e is 1, and the residue degrees are all that
+`decomposition_type` and a run need: `_residue_degrees` reads them off the
+same gcds with no multiplicities and no radical.  At an odd such p,
+Stickelberger's theorem, (disc f / p) = (-1)^(d - r), gives the parity of
+the number r of factors from one modular power; once at most two factors
+can be left, it mostly settles their degrees, so degree 2 needs no x^p,
+degree 3 no gcd and degree 4 no composition.  `_discriminant`, Res(f, f')
+by a fraction-free (Bareiss) determinant, tells those primes apart; it is
+kept per minimal polynomial (`_field_discriminant`).
 
 The factorization types at the primes l < 100 where f mod l is squarefree
 also certify that f is squarefree and irreducible over Q; the answer is
@@ -204,39 +208,56 @@ def _factor_type(f, p, xp=None):
     return sorted(pairs), radical
 
 
-def _residue_degrees(f, p, xp):
-    """The sorted degrees of the irreducible factors of a monic f over F_p
-    that is squarefree (p does not divide the discriminant), given xp = x^p
-    mod f (see `_frobenius_images`).
+def _residue_degrees(f, p, xp, disc):
+    """The sorted degrees of the irreducible factors of a monic f over F_p,
+    given disc = disc(f) over Z, which p must not divide (so f is
+    squarefree), and xp = x^p mod f or None (see `_frobenius_images`).
 
-    With the factors of degree < i divided out of f, g = gcd(f, x^(p^i) -
-    x) is the product of those of degree i.  While deg f >= 2i, each step
+    At an odd p, Stickelberger's theorem gives the parity of the number r of
+    factors: (disc / p) = (-1)^(d - r), one `pow` for the Legendre symbol.
+    With the factors of degree < i divided out of f, let D (`size`) be the
+    degree of what is left; every factor left has degree >= i.  When D < 3i, what is
+    left has one or two factors, and the parity picks which: one gives [D],
+    two with D <= 2i + 1 give [i, D - i].  Only else does the step run: it
     first asks whether x^(p^i) = x mod f, when every factor left has degree
-    i; else, at deg f = 2i, what is left is irreducible (a factor of degree
-    i would leave a cofactor of degree i and pass the first test); only
-    else is g divided out.  Once deg f < 2i, what is left is 1 or
-    irreducible.  So degree 2 takes no gcd, degree 3 at most one and no
-    composition, and degree 4 one gcd and at most one composition.  No
-    multiplicities and no radical are formed: on a repeated factor the
-    answer is wrong, not refused.
+    i; at D = 3, i = 1 the answer leaves one or two factors, and the parity
+    decides again; else g = gcd(f, x^(p^i) - x), the product of the factors
+    of degree i, is divided out.  So degree 2 needs no x^p, degree 3 no gcd,
+    and degree 4 at most one gcd and no composition.  At p = 2 no parity is
+    read: at D = 2i after the first test, what is left is irreducible (a
+    factor of degree i would leave a cofactor of degree i and pass it), and
+    once D < 2i it is irreducible too.
     """
+    if not disc % p:
+        raise AssertionError(f"{p} divides the discriminant: f mod {p} is not squarefree")
+    # r mod 2, for r the number of factors of f; None at p = 2
+    parity = None if p == 2 else (len(f) - (pow(disc % p, (p - 1) // 2, p) == 1)) % 2
     degrees, i = [], 1
-    while 2 * i < len(f):
+    while True:
+        size = len(f) - 1
+        if size < 2 * i:
+            return tuple(degrees + [size])
+        if parity is not None and size < 3 * i:
+            if (parity - len(degrees)) % 2:
+                return tuple(degrees + [size])
+            if size <= 2 * i + 1:
+                return tuple(degrees + [i, size - i])
         if i == 1:
-            xq = xp
+            xq = xp = _x_power(p, f, p) if xp is None else xp
         else:
             xp = _rem(xp, f, p)
             xq = _compose(_rem(xq, f, p), xp, f, p)
         if xq == [1, 0]:
-            return tuple(degrees + [i] * ((len(f) - 1) // i))
-        if 2 * i == len(f) - 1:
-            break
+            return tuple(degrees + [i] * (size // i))
+        if size == 2 * i:
+            return tuple(degrees + [size])
+        if parity is not None and i == 1 and size == 3:
+            return (3,) if parity else (1, 2)
         g = _gcd(f, _minus_x(xq, p), p)
         if len(g) > 1:
             degrees += [i] * ((len(g) - 1) // i)
             f = _quo(f, g, p)
         i += 1
-    return tuple(degrees + [len(f) - 1])
 
 
 def _frobenius_images(f, primes):
@@ -339,6 +360,13 @@ def _certified(minpoly):
     return _certified_irreducible(list(reversed(minpoly)))
 
 
+@lru_cache(maxsize=32)
+def _field_discriminant(minpoly):
+    """`_discriminant` of a minimal polynomial, constant term first, kept
+    like `_certified` for the fields a run meets again and again."""
+    return _discriminant(minpoly)
+
+
 def _factor_over_q(coeffs):
     """The irreducible factors over Q of the monic polynomial with their
     multiplicities: pairs (factor, e), each factor monic and constant term
@@ -421,11 +449,21 @@ def decomposition_type(field, p):
     An irreducible factor phi^e of the polynomial mod p contributes the pair
     (e, deg phi).  Valid whenever p does not divide the index of the
     equation order: either every e is 1 (for monic f that is exactly p not
-    dividing the discriminant), or the index test certifies it.  Other
-    primes raise UnsupportedRamifiedPrimeError ("unsupported ramified
-    prime").
+    dividing the discriminant), or the index test certifies it.  At such a
+    p every pair is (1, f) and the residue degrees f are all that is read
+    (`_residue_degrees`, where the parity of the number of factors often
+    decides without x^p); the discriminant is computed once per minimal
+    polynomial.  At a p dividing it the full type runs, with the index
+    test, and primes it fails raise UnsupportedRamifiedPrimeError
+    ("unsupported ramified prime").
     """
     _check_prime(p)
+    if field.degree == 1:
+        return [(1, 1)]
+    disc = _field_discriminant(field.minpoly)
+    if disc % p:
+        poly = _reduce(list(reversed(field.minpoly)), p)
+        return [(1, f) for f in _residue_degrees(poly, p, None, disc)]
     return _decomposition_type(field, p)
 
 

@@ -270,6 +270,42 @@ def test_full_type_runs_only_at_primes_dividing_the_discriminant(
     assert got == per_prime_coefficients(make_W(family, field.degree), field, 1000)
 
 
+def test_odd_primes_below_degree_5_need_no_composition(monkeypatch):
+    # the parity of the number of factors settles degree 3 after x^p and
+    # degree 4 after one gcd; p = 2, where no parity is read, may compose
+    zeta5, cube2 = NumberField((1, 1, 1, 1, 1)), NumberField((-2, 0, 0, 1))
+    odd_primes = [p for p in primes_upto(1000) if p not in (2, 5)]
+    want = (
+        global_coefficients(heisenberg(1), 4, zeta5, 1000),
+        global_coefficients(heisenberg(1), 3, cube2, 1500),
+        [decomposition_type(zeta5, p) for p in odd_primes],
+    )
+    original = numberfield._compose
+
+    def compose_at_2(g, h, f, p):
+        if p % 2:
+            raise AssertionError(f"composition at p = {p}")
+        return original(g, h, f, p)
+
+    monkeypatch.setattr(numberfield, "_compose", compose_at_2)
+    assert (
+        global_coefficients(heisenberg(1), 4, zeta5, 1000),
+        global_coefficients(heisenberg(1), 3, cube2, 1500),
+        [decomposition_type(zeta5, p) for p in odd_primes],
+    ) == want
+
+
+def test_quadratic_fields_take_no_frobenius_images(monkeypatch):
+    want = global_coefficients(heisenberg(1), 2, GAUSS, 2000)
+
+    def refuse(f, primes):
+        raise AssertionError("x^p mod f is not needed below degree 3")
+
+    monkeypatch.setattr(numberfield, "_frobenius_images", refuse)
+    monkeypatch.setattr(dirichlet, "_frobenius_images", refuse)
+    assert global_coefficients(heisenberg(1), 2, GAUSS, 2000) == want
+
+
 def test_cut_is_widened_by_negative_t_exponents(monkeypatch):
     # W = (3 - X) Y^-1 + Y^3 over 1 - Y at p = 3, type (1,1),(1,2): the first
     # factor is t^3 (its t^-1 cancels), the second -6 t^-2 + t^6, so the

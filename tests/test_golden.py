@@ -23,7 +23,12 @@ prime, before the global expansion built one series per decomposition type.
 The `dirichlet` runs over Q(sqrt -5) and x^5 - x - 1 were recorded from the
 implementation that ran the full decomposition type at every prime; they
 pin the primes dividing the discriminant (2, 5 and 19, 151 in a maximal
-order) against the residue degrees read at every other prime.
+order) against the residue degrees read at every other prime.  The three
+`decompose` runs at p = 7 (Q(zeta_5), inert; Q(cbrt 2), inert; and the
+quintic x^5 - x - 1, type [2, 3]) were recorded from the implementation
+that ran the full decomposition type at every prime: at the first two the
+parity of the number of factors now decides, and the third runs the
+general loop, one gcd, before it does.
 """
 
 import hashlib
@@ -118,6 +123,9 @@ COMMANDS = [
     ("decompose --minpoly -5,0,1 --p 2", 1, "dd9533bd050a6daff26f31290fe1f92aaffdbb09cdc13db11d2eaa1f266b5e3d"),
     ("decompose --minpoly -5,0,1 --p 5", 0, "70d6aa6ffa6f0662eb2fc83f4882831b37a26de302e4e71bfab0bfdcc2ff47fe"),
     ("decompose --minpoly 0,1 --p 997", 0, "396593fe6532d1e1e1aafae4b5fbac126f0f310b60503aebe05a58b18c4e0885"),
+    ("decompose --minpoly 1,1,1,1,1 --p 7", 0, "3745126e2b494b5a365efc926400ecd071879e9bf599b3fcfcac0b610e37895d"),
+    ("decompose --minpoly -2,0,0,1 --p 7", 0, "34a2db82c32629148dcd35b427c7fcb9a899a420b614cf8240756b091afb6cbf"),
+    ("decompose --minpoly -1,-1,0,0,0,1 --p 7", 0, "6199db057fba16abd75b18ed1545fad6eda7c94c3ca7fbda76921ffc8c846806"),
     ("euler --family heisenberg:1 --d 2 --minpoly 1,0,1 --p 2", 0, "8c467109637e9f16f2617e53ce750bd7bf935c0c6ba3b97401fb4420ed4a7711"),
     ("euler --family heisenberg:1 --d 2 --minpoly 1,0,1 --p 3", 0, "ace601fecdc1c13923905ea08e80d3cc1fd6c6f2c14e045764f3f1771610487b"),
     ("euler --family heisenberg:2 --d 2 --minpoly 1,0,1 --p 5", 0, "1337e7d626e9cf29939154c72c4b868c2aedbf42417626b681564698391df4a6"),

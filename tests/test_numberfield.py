@@ -229,10 +229,73 @@ def test_frobenius_images_match_powering(monkeypatch, step_bits):
 def test_residue_degrees_match_the_factor_type(tail, p):
     # at p not dividing disc(f), f mod p is squarefree and every e is 1
     f = [1] + tail
-    assume(numberfield._discriminant(f[::-1]) % p)
+    disc = numberfield._discriminant(f[::-1])
+    assume(disc % p)
     fp = numberfield._reduce(f, p)
     want = tuple(sorted(deg for _, deg in numberfield._factor_type(fp, p)[0]))
-    assert numberfield._residue_degrees(fp, p, numberfield._x_power(p, fp, p)) == want
+    assert numberfield._residue_degrees(fp, p, numberfield._x_power(p, fp, p), disc) == want
+
+
+def test_residue_degrees_of_products_of_known_factors():
+    # f mod p is a product of distinct irreducibles of chosen degrees, up to
+    # degree 15, so that one or two factors are left at steps i >= 3 too
+    # (odd p: F_2 has too few irreducibles of degree 1 and 2 to draw from)
+    rng = random.Random(31)
+    for p in (3, 5, 7, 101):
+        for _ in range(40):
+            degrees = sorted(rng.randint(1, 5) for _ in range(rng.randint(1, 3)))
+            f, factors = [1], []
+            for k in degrees:
+                g = random_monic(rng, p, k)
+                while numberfield._factor_type(g, p)[0] != [(1, k)] or g in factors:
+                    g = random_monic(rng, p, k)
+                factors.append(g)
+                f = numberfield._reduce(numberfield._mul(f, g), p)
+            disc = numberfield._discriminant(f[::-1])
+            assert numberfield._residue_degrees(f, p, None, disc) == tuple(degrees), (f, p)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=7),
+    st.sampled_from(primes_upto(400)[1:]),
+)
+def test_stickelberger_parity_of_the_factor_count(tail, p):
+    # (disc f / p) = (-1)^(d - r) for the r factors of a squarefree f mod an
+    # odd p: the theorem `_residue_degrees` rests on, checked on its own
+    f = [1] + tail
+    disc = numberfield._discriminant(f[::-1])
+    assume(disc % p)
+    r = len(numberfield._factor_type(numberfield._reduce(f, p), p)[0])
+    legendre = pow(disc % p, (p - 1) // 2, p)
+    assert legendre == (1 if (len(tail) - r) % 2 == 0 else p - 1), (f, p)
+
+
+def _outcome(fn):
+    """The value of fn(), or the type and message of the error it raises."""
+    try:
+        return fn()
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def test_decomposition_type_matches_the_full_type():
+    # the public route reads residue degrees wherever p does not divide
+    # disc(f); the full type, kept for the other primes, is the reference
+    rng = random.Random(30)
+    fields = []
+    while len(fields) < 24:
+        degree = rng.randint(2, 7)
+        coeffs = tuple(rng.randint(-30, 30) for _ in range(degree)) + (1,)
+        if coeffs[0] and numberfield._certified(coeffs):
+            fields.append(NumberField(coeffs))
+    refused = 0
+    for field in fields:
+        for p in primes_upto(1500):
+            want = _outcome(lambda: numberfield._decomposition_type(field, p))
+            assert _outcome(lambda: decomposition_type(field, p)) == want, (field.minpoly, p)
+            refused += isinstance(want[0], type)
+    assert refused > 0
 
 
 @pytest.mark.parametrize("coeffs, disc", [
