@@ -24,14 +24,11 @@ in its Z_p-form, so invariants of that form can decide whether M_p and L_p
 are isomorphic.  The first path that applies decides:
 - abelian: every subring is pro-isomorphic and every coordinate central, so
   t = 1; the count adds up the weights, with no verdict and no row-0 loop;
-- standard Heisenberg H_m, exact (Pfaffian): [row_a, row_b] =
-  G'[a][b] row_2m, and the subring is pro-isomorphic iff p does not divide
-  the Pfaffian of G';
 - Heisenberg type, exact (elementary divisors): class 2 with [L, L] of rank
-  1 in any basis (H_m permuted or scaled, H_m + Z^r), of any rank.  The
-  bracket is omega(u, v) z0 for z0 primitive on the derived line, and the
-  subring is pro-isomorphic iff its form has the p-adic invariant factors
-  of L's (`_elementary_divisor_verdict`);
+  1 in any basis (H_m standard, permuted or scaled, H_m + Z^r), of any
+  rank.  The bracket is omega(u, v) z0 for z0 primitive on the derived
+  line, and the subring is pro-isomorphic iff its form has the p-adic
+  invariant factors of L's (`_elementary_divisor_verdict`);
 - n_4 forms derived-saturated at p, exact (derived saturation): rank 4,
   class 3, and L's table vectors of rank 2 mod p; the subring is
   pro-isomorphic iff its table vectors have rank 2 mod p too;
@@ -143,25 +140,33 @@ class LieLattice:
         of rank 1, "n4" for rank 4 and class 3, else None: the kinds with an
         exact verdict from invariants (see `_verdict`).  Read off the lower
         central series, whose terms are spanned by the table vectors, then
-        by their brackets with each e_i, and so on.  Over Q every nilpotent
+        by their brackets with each e_i, and so on.  When no table vector
+        lands on a coordinate of a table pair (the test of `_jacobi_failure`),
+        every bracket is central and the class is 2.  Over Q every nilpotent
         Lie algebra of dimension 4 and class 3 is the filiform n_4, with
         [L, L] of rank 2."""
-        n = self.rank
-        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        table = self.brackets
+        touched = {x for a, b, _ in table for x in (a, b)}
+        if not touched.isdisjoint(l for _, _, vec in table for l, _ in vec):
+            n = self.rank
+            units = [[int(i == j) for j in range(n)] for i in range(n)]
 
-        def bracketed(vecs):
-            out = [_bracket(self.brackets, e, v) for e in units for v in vecs]
-            return [w for w in out if any(w)]
+            def bracketed(vecs):
+                out = [_bracket(table, e, v) for e in units for v in vecs]
+                return [w for w in out if any(w)]
 
-        derived = [[dict(vec).get(l, 0) for l in range(n)] for _, _, vec in self.brackets]
-        third = bracketed(derived)
-        if not third:
-            ref = derived[0]
-            rank1 = all(
-                v[i] * ref[j] == v[j] * ref[i] for v in derived for i in range(n) for j in range(i)
-            )
-            return "heisenberg-type" if rank1 else None
-        return "n4" if n == 4 and not bracketed(third) else None
+            derived = [[dict(vec).get(l, 0) for l in range(n)] for _, _, vec in table]
+            third = bracketed(derived)
+            if third:
+                return "n4" if n == 4 and not bracketed(third) else None
+        # class 2: [L, L] has rank 1 iff every vector is a multiple of the first
+        ref = table[0][2]
+        r0 = ref[0][1]
+        rank1 = all(
+            [(l, c * r0) for l, c in vec] == [(l, r * vec[0][1]) for l, r in ref]
+            for _, _, vec in table[1:]
+        )
+        return "heisenberg-type" if rank1 else None
 
     @cached_property
     def t(self):
@@ -472,35 +477,6 @@ def _vp(x, p):
     return v
 
 
-def _pfaffian(upper, idx=None):
-    """Pfaffian of the alternating matrix whose entries above the diagonal
-    are upper[a][b] (a < b), restricted to the indices `idx` (all of them by
-    default), by Laplace expansion along the first row.  Pf(A)^2 = det(A)."""
-    if idx is None:
-        idx = tuple(range(len(upper)))
-    if not idx:
-        return 1
-    a, rest = idx[0], idx[1:]
-    total = 0
-    for pos, b in enumerate(rest):
-        if upper[a][b]:
-            sign = -1 if pos % 2 else 1
-            total += sign * upper[a][b] * _pfaffian(upper, rest[:pos] + rest[pos + 1:])
-    return total
-
-
-def _heisenberg_verdict(table, p, m):
-    """Exact verdict for a subring of the standard Heisenberg lattice of
-    rank 2m+1 from its bracket `table` (see `_structure_constants`): with
-    last row z_gen z, rows bracket to c z = (c / z_gen) row_2m, so each
-    entry's one term is G'[a][b] = c / z_gen.  The completion is Heisenberg
-    iff G' is invertible mod p: p does not divide its Pfaffian."""
-    gram = [[0] * (2 * m) for _ in range(2 * m)]
-    for a, b, ((_, c),) in table:
-        gram[a][b] = c
-    return _pfaffian(gram) % p != 0
-
-
 def _structure_constants(lattice, basis):
     """The bracket table (see `LieLattice`) of the subring spanned by the
     upper-triangular `basis`, in that basis: the nonzero coordinates of
@@ -611,34 +587,45 @@ def _pair_valuations(omega, p, q=None):
     hyperbolic pair of its symplectic normal form over Z_p (the factors come
     in equal pairs; Newman, Integral Matrices, ch. IV), ascending.
 
-    Each step takes an entry (a, b) of least valuation v, c = u p^v, splits
-    off its plane and leaves on the other coordinates the form
+    Each step takes an entry (a, b) of least valuation v, c = u p^v, the
+    first unit if there is one, splits off its plane and leaves on the other
+    coordinates the form
     u (omega(c, d) + (omega(c, a) omega(b, d) - omega(c, b) omega(a, d)) / (u p^v)),
-    scaled by the unit u so that it stays integral.  With q = p^cap the
-    entries are read modulo q and only the pairs of valuation below cap are
-    found: the residues carry the form to that precision."""
-    if q:
-        omega = {pair: c % q for pair, c in omega.items() if c % q}
+    scaled by the unit u so that it stays integral.  The quotient vanishes
+    unless both c and d meet the plane (omega(c, a) or omega(c, b) nonzero),
+    so only their pairs get one; a last entry leaves nothing.  With
+    q = p^cap the entries are read modulo q and only the pairs of valuation
+    below cap are found: the residues carry the form to that precision."""
     out = []
-    while omega:
-        (a, b), x = min(omega.items(), key=lambda item: _vp(item[1], p))
-        v = _vp(x, p)
+    while omega := {pair: r for pair, c in omega.items() if (r := c % q if q else c)}:
+        for (a, b), x in omega.items():
+            if x % p:
+                v = 0
+                break
+        else:
+            (a, b), x = min(omega.items(), key=lambda item: _vp(item[1], p))
+            v = _vp(x, p)
+        out.append(v)
+        if len(omega) == 1:
+            break
         pv = p**v
         u = x // pv
-
-        def w(c, d):
-            return omega.get((c, d), 0) if c < d else -omega.get((d, c), 0)
-
-        rest = sorted({c for pair in omega for c in pair} - {a, b})
-        left = {}
+        # cols[c] = [omega(c, a), omega(c, b)] for each c that meets the plane
+        left, cols = {}, {}
+        for (c, d), y in omega.items():
+            if c == a or c == b:
+                if d != b:
+                    cols.setdefault(d, [0, 0])[c == b] = -y
+            elif d == a or d == b:
+                cols.setdefault(c, [0, 0])[d == b] = y
+            else:
+                left[c, d] = u * y
+        rest = sorted(cols)
         for i, c in enumerate(rest):
+            ca, cb = cols[c]
             for d in rest[i + 1:]:
-                y = u * w(c, d) + (w(c, a) * w(b, d) - w(c, b) * w(a, d)) // pv
-                if q:
-                    y %= q
-                if y:
-                    left[c, d] = y
-        out.append(v)
+                da, db = cols[d]
+                left[c, d] = left.get((c, d), 0) + (cb * da - ca * db) // pv
         omega = left
     return out
 
@@ -648,9 +635,12 @@ def _line_form(table, p):
     one line, up to a p-adic unit: [e_a, e_b] = omega(a, b) z0 for z0
     primitive on the line, and on a coordinate l where z0 is a unit at p,
     the entry's term at l is omega(a, b) z0[l].  Such an l is where the
-    first vector, a multiple of z0, has its least valuation."""
-    l = min(table[0][2], key=lambda term: _vp(term[1], p))[0]
-    return {(a, b): c for a, b, vec in table for m, c in vec if m == l}
+    first vector, a multiple of z0, has its least valuation, and every
+    vector, a nonzero multiple of z0 too, has z0's support: its term at l
+    is at the same place i as the first one's."""
+    first = table[0][2]
+    i = 0 if len(first) == 1 else first.index(min(first, key=lambda term: _vp(term[1], p)))
+    return {(a, b): vec[i][1] for a, b, vec in table}
 
 
 def _elementary_divisor_verdict(lattice, p):
@@ -676,9 +666,6 @@ def _verdict(lattice, p, k):
     search may be refused here (`_searched_verdict`)."""
     if lattice.is_abelian():
         return None
-    m = lattice.heisenberg_m()
-    if m is not None:
-        return lambda table: _heisenberg_verdict(table, p, m)
     if lattice._kind == "heisenberg-type":
         return _elementary_divisor_verdict(lattice, p)
     # an n_4 form whose table vectors span a rank-2 space mod p is generated

@@ -523,8 +523,9 @@ def test_heisenberg_verdict_matches_elimination_on_every_subring(m, p, kmax):
     lat = heisenberg_lattice(m)
     verdicts = set()
     for k in range(kmax + 1):
+        verdict = oracle._verdict(lat, p, k)
         for basis in enumerate_subrings(lat, p, k):
-            got = oracle._heisenberg_verdict(oracle._structure_constants(lat, basis), p, m)
+            got = verdict(oracle._structure_constants(lat, basis))
             assert got == _reference_heisenberg_verdict(lat, basis, p, m), basis
             verdicts.add(got)
     assert verdicts == {True, False}
@@ -571,7 +572,8 @@ def test_heisenberg_verdict_matches_elimination_on_random_bases(drawn):
         for u in basis for w in basis
     )
     if closed:
-        assert oracle._heisenberg_verdict(oracle._structure_constants(lat, basis), p, m) == (
+        verdict = oracle._verdict(lat, p, sum(oracle._vp(row[i], p) for i, row in enumerate(basis)))
+        assert verdict(oracle._structure_constants(lat, basis)) == (
             _reference_heisenberg_verdict(lat, basis, p, m)
         )
     else:
@@ -588,20 +590,25 @@ def test_heisenberg_count_brackets_each_pair_once(m, monkeypatch):
     calls = []
     in_verdict = []
     bracket = oracle._bracket
-    verdict = oracle._heisenberg_verdict
+    set_up = oracle._elementary_divisor_verdict
 
     def counted(table, u, w):
         calls.append((u, w))
         return bracket(table, u, w)
 
-    def watched(*args):
-        before = len(calls)
-        got = verdict(*args)
-        in_verdict.append(len(calls) - before)
-        return got
+    def watched_set_up(*args):
+        verdict = set_up(*args)
+
+        def watched(table):
+            before = len(calls)
+            got = verdict(table)
+            in_verdict.append(len(calls) - before)
+            return got
+
+        return watched
 
     monkeypatch.setattr(oracle, "_bracket", counted)
-    monkeypatch.setattr(oracle, "_heisenberg_verdict", watched)
+    monkeypatch.setattr(oracle, "_elementary_divisor_verdict", watched_set_up)
     # H_3 has rank 7, one above the rank cap; at k = 0 there is one subring
     monkeypatch.setattr(oracle, "MAX_ENUM_RANK", 7)
     assert count_proisomorphic(lat, 2, 0) == 1
@@ -609,16 +616,36 @@ def test_heisenberg_count_brackets_each_pair_once(m, monkeypatch):
     assert in_verdict == [0]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.data())
-def test_pfaffian_squared_is_the_determinant(data):
-    size = data.draw(st.integers(0, 6))
-    upper = [[0] * size for _ in range(size)]
+@st.composite
+def alternating_forms(draw):
+    """(size, omega): an alternating integer form of size <= 6 as
+    `_pair_valuations` takes it, {(a, b): c} for a < b with c nonzero.
+    Entries are mostly small multiples of 2, 3 and 5, so that pivots of
+    every valuation and long eliminations both occur."""
+    size = draw(st.integers(0, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4, 5, 6, -8, 9, 12, -18, 25, 27, 50])
+    omega = {}
     for a in range(size):
         for b in range(a + 1, size):
-            upper[a][b] = data.draw(st.integers(-5, 5))
-    full = Matrix(size, size, lambda a, b: upper[a][b] if a < b else -upper[b][a])
-    assert oracle._pfaffian(upper) ** 2 == full.det()
+            c = draw(entry)
+            if c:
+                omega[a, b] = c
+    return size, omega
+
+
+# The invariant factors of an alternating form come in equal pairs d_1, d_1,
+# d_2, d_2, ... (sympy lists them ascending by divisibility, zeros last):
+# one valuation per pair, and with q = p^cap only the pairs below the cap.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(alternating_forms(), st.sampled_from([2, 3, 5]), st.integers(1, 4))
+def test_pair_valuations_match_the_invariant_factors(drawn, p, cap):
+    size, omega = drawn
+    full = Matrix(size, size, lambda a, b: omega.get((a, b), 0) - omega.get((b, a), 0))
+    factors = [int(d) for d in invariant_factors(full, domain=ZZ) if d] if size else []
+    assert factors[0::2] == factors[1::2]
+    pairs = [oracle._vp(d, p) for d in factors[0::2]]
+    assert oracle._pair_valuations(omega, p) == pairs
+    assert oracle._pair_valuations(omega, p, p**cap) == [v for v in pairs if v < cap]
 
 
 @st.composite
@@ -812,10 +839,30 @@ def test_generic_search_matches_heisenberg_series(lat, p, kmax):
     assert counts == [series[k] for k in range(kmax + 1)]
 
 
+def _rebased(lat, rows, inverse):
+    """The lattice in the basis f_a = sum_i rows[a][i] e_i: [f_a, f_b] is
+    L's bracket of two rows, read in f-coordinates through the inverse."""
+    n = lat.rank
+    table = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = lat.bracket(rows[a], rows[b])
+            x = [sum(v[i] * inverse[i][l] for i in range(n)) for l in range(n)]
+            if any(x):
+                table.append((a, b, tuple((l, c) for l, c in enumerate(x) if c)))
+    return LieLattice(n, tuple(table))
+
+
 @pytest.mark.parametrize("lat,kind", [
     *(pytest.param(_permuted(H1, q), "heisenberg-type", id=f"perm{''.join(map(str, q))}")
       for q in H1_ORDERS),
     pytest.param(_scaled(H1, -3), "heisenberg-type", id="scale-3"),
+    pytest.param(H1, "heisenberg-type", id="H1"),
+    pytest.param(H2, "heisenberg-type", id="H2"),
+    # f_2 = e_0 + e_2: [f_0, f_1] = f_2 - f_0 lands on f_0, a bracketed
+    # coordinate, so the kind is read off the brackets of units
+    pytest.param(_rebased(H1, [[1, 0, 0], [0, 1, 0], [1, 0, 1]], [[1, 0, 0], [0, 1, 0], [-1, 0, 1]]),
+                 "heisenberg-type", id="H1-rebased"),
     pytest.param(H1_PLUS_Z, "heisenberg-type", id="H1+Z"),
     pytest.param(_permuted(H2, (4, 0, 1, 2, 3)), "heisenberg-type", id="H2-z-first"),
     pytest.param(M3, "n4", id="M3"),
@@ -885,20 +932,6 @@ def unimodular(draw, n):
         rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
     inverse = Matrix(rows).inv()
     return rows, [[int(inverse[i, j]) for j in range(n)] for i in range(n)]
-
-
-def _rebased(lat, rows, inverse):
-    """The lattice in the basis f_a = sum_i rows[a][i] e_i: [f_a, f_b] is
-    L's bracket of two rows, read in f-coordinates through the inverse."""
-    n = lat.rank
-    table = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = lat.bracket(rows[a], rows[b])
-            x = [sum(v[i] * inverse[i][l] for i in range(n)) for l in range(n)]
-            if any(x):
-                table.append((a, b, tuple((l, c) for l, c in enumerate(x) if c)))
-    return LieLattice(n, tuple(table))
 
 
 REBASED = {"H1": H1, "H1+Z": H1_PLUS_Z, "H2": H2, "M3": M3}
