@@ -22,7 +22,6 @@ from itertools import repeat
 
 from .laurent import (
     InputError,
-    LaurentPoly,
     ResourceGuardError,
     _check_order,
     _divide_geometric,
@@ -307,13 +306,17 @@ def global_coefficients(family, d, field, limit):
 
 @dataclass(frozen=True)
 class ShapeAbscissa:
-    """Abscissa read off the denominator shape: max (a+1)/b over its factors.
+    """Abscissa read off the denominator shape: v = max (a+1)/b over its factors.
 
-    shape_verified is True when the numerator is 1, or when the form is a
-    stored descent sum (built by `families.descent_form`, which keeps its
-    monomial table in `descent_data`).  It records where the form came from:
-    the descent sum is not rebuilt, since rebuilding it with the same routine
-    could only agree with itself.  When False the value is advisory only.
+    shape_verified is True when the numerator proves v is the abscissa of
+    the Euler product of W(p, p^-s): its constant term is 1 and every other
+    term c X^i Y^j has c > 0, j >= 1 and (i+1)/j < v.  Then every factor
+    has nonnegative coefficients, so the product converges exactly where its
+    denominator and numerator parts do, for s > v and s > each (i+1)/j (du
+    Sautoy-Woodward, LNM 1925).  A negative coefficient could cancel the
+    pole and a term above v moves it; a term at v (bk's) shares the pole,
+    and the strict rule leaves that unverified too.  When False the value
+    is advisory only.
     """
 
     value: Fraction
@@ -329,5 +332,11 @@ def abscissa_from_shape(w):
             "positive Y-degree, so the series does not converge anywhere"
         )
     value = max(Fraction(a + 1, b) for a, b in w.denominator)
-    verified = w.numerator == LaurentPoly.one() or w.descent_data is not None
+    top, bottom = value.numerator, value.denominator
+    terms = w.numerator.terms
+    verified = terms.get((0, 0)) == 1 and all(
+        c > 0 and j >= 1 and (i + 1) * bottom < top * j
+        for (i, j), c in terms.items()
+        if i or j
+    )
     return ShapeAbscissa(value, verified)

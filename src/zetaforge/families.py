@@ -174,7 +174,8 @@ def descent_form(monomials):
     coefficient (766 of them at n = 7).  n is capped at MAX_LMN_TOTAL - 1,
     the largest size the heisenberg and lmn guards admit, before any table
     is built.  `signed_perms.descent_sum` over S_n is the enumerating
-    reference.
+    reference.  Only the form is returned: `heisenberg_monomials` and
+    `lmn_monomials` give a family's table.
     """
     n = len(monomials) - 1
     if n < 0:
@@ -195,7 +196,7 @@ def descent_form(monomials):
     # formal=True: interior exponents of some large instances leave the
     # series-expandable cone (Y-exponent <= 0); the descent sum is still a
     # well-defined rational function and is stored verbatim.
-    return EulerForm(LaurentPoly(terms), monomials, descent_data=tuple(monomials), formal=True)
+    return EulerForm(LaurentPoly(terms), monomials, formal=True)
 
 
 @lru_cache(maxsize=None)
@@ -251,6 +252,12 @@ def _q_binomial(n, k):
     return tuple(enumerate(coeffs))
 
 
+def heisenberg_monomials(m, d):
+    """The exponent pairs of Z_j = X^(C(m+1,2) - C(j+1,2) + 2md) Y^(m+1),
+    j = 0..m, of the heisenberg family."""
+    return [(comb(m + 1, 2) - comb(j + 1, 2) + 2 * m * d, m + 1) for j in range(m + 1)]
+
+
 def lmn_monomials(m, n, d):
     """The exponent pairs (beta_i, gamma_i), i = 0..n, of the lmn family.
 
@@ -302,12 +309,7 @@ def make_W(family, d):
         alpha, beta = free_alpha_beta(c, g, d)
         return EulerForm.from_denominator([(beta + j, alpha) for j in range(g)])
     if kind == "heisenberg":
-        m = p[0]
-        zs = [
-            (comb(m + 1, 2) - comb(j + 1, 2) + 2 * m * d, m + 1)
-            for j in range(m + 1)
-        ]
-        return descent_form(zs)
+        return descent_form(heisenberg_monomials(p[0], d))
     if kind == "lmn":
         return descent_form(lmn_monomials(*p, d))
     if kind == "maxclass":
@@ -420,6 +422,6 @@ def abscissa(family, d):
     if kind == "q5":
         return d + Fraction(4, 3)
     if kind == "bk":
-        w = make_W(family, d)
-        return max(Fraction(a + 1, b) for a, b in w.denominator)
+        # the larger of (85 + 201d)/102 and (172 + 402d)/204
+        return Fraction(86 + 201 * d, 102)
     raise UnsupportedFamilyError(kind)

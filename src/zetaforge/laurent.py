@@ -26,26 +26,6 @@ class DegenerateSpecializationError(InputError):
     """Raised when a specialization (e.g. X=1) kills a numerator."""
 
 
-def _json_int(x, decimal_str=False):
-    # an int or, with decimal_str, a decimal string as to_json_dict writes a
-    # coefficient; int() alone would also take 0.5, True, " 7" and "1_0"
-    digits = x.removeprefix("-") if decimal_str and type(x) is str else ""
-    if type(x) is int or (digits.isascii() and digits.isdigit()):
-        return int(x)
-    raise InputError(f"Euler form entries must be integers, got {x!r}")
-
-
-def _json_rows(data, key, width):
-    # data[key] as rows of `width` entries, the shape to_json_dict writes
-    try:
-        rows = [tuple(row) for row in data[key]]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"Euler form needs a {key!r} list of rows, got {exc!r}") from exc
-    if any(len(row) != width for row in rows):
-        raise InputError(f"Euler form {key} rows must have {width} entries")
-    return rows
-
-
 def _prune(terms):
     return {k: c for k, c in terms.items() if c != 0}
 
@@ -239,7 +219,8 @@ class EulerForm:
 
     The denominator is a multiset of pairs (a, b) with a >= 0 and b >= 1,
     stored sorted lexicographically.  No cancellation against the numerator
-    is ever performed: the displayed formulas are kept verbatim.
+    is ever performed: the displayed formulas are kept verbatim.  The form
+    is these two and nothing else; it keeps no record of how it was built.
 
     A *formal* form (``formal=True``) additionally admits factors with
     b <= 0.  Such a form is a perfectly good rational function — products,
@@ -250,17 +231,14 @@ class EulerForm:
     the series-expandable cone for large parameters.
     """
 
-    __slots__ = ("numerator", "denominator", "descent_data")
+    __slots__ = ("numerator", "denominator")
 
-    def __init__(self, numerator, denominator=(), descent_data=None, formal=False):
+    def __init__(self, numerator, denominator=(), formal=False):
         for a, b in denominator:
             if a < 0 or (b < 1 and not formal):
                 raise ValueError(f"bad denominator factor (1 - X^{a} Y^{b})")
         self.numerator = numerator
         self.denominator = tuple(sorted(tuple(f) for f in denominator))
-        # Ordered monomial list (a_0, b_0), ..., (a_n, b_n) when the form was
-        # built as a symmetric-group descent sum; None otherwise.
-        self.descent_data = descent_data
 
     @property
     def is_formal(self):
@@ -382,17 +360,6 @@ class EulerForm:
             "numerator": [[str(c), xe, ye] for c, xe, ye in self.numerator.sorted_terms()],
             "denominator": [[a, b] for a, b in self.denominator],
         }
-
-    @classmethod
-    def from_json_dict(cls, data, formal=False):
-        """The inverse of `to_json_dict`, refusing any non-integer entry and
-        any other shape."""
-        num = LaurentPoly(
-            {(_json_int(xe), _json_int(ye)): _json_int(c, decimal_str=True)
-             for c, xe, ye in _json_rows(data, "numerator", 3)}
-        )
-        den = [(_json_int(a), _json_int(b)) for a, b in _json_rows(data, "denominator", 2)]
-        return cls(num, den, formal=formal)
 
     def latex(self):
         num = self.numerator.latex()

@@ -24,10 +24,11 @@ degree 3 no gcd and degree 4 no composition.  `_discriminant`, Res(f, f')
 by a fraction-free (Bareiss) determinant, tells those primes apart; it is
 kept per minimal polynomial (`_field_discriminant`).
 
-The factorization types at the primes l < 100 where f mod l is squarefree
-also certify that f is squarefree and irreducible over Q; the answer is
-kept per polynomial (`_certified`), since a run builds the same fields again
-and again.  sympy is imported only by `_factor_over_q`, for
+A repeated factor is refused by the same discriminant, which is 0 exactly
+then.  The factorization types at the primes l < 100 where f mod l is
+squarefree certify that f is irreducible over Q; the answer is kept per
+polynomial (`_certified`), since a run builds the same fields again and
+again.  sympy is imported only by `_factor_over_q`, for squarefree
 polynomials they cannot certify, and a refusal is raised at every
 construction.
 """
@@ -368,13 +369,12 @@ def _field_discriminant(minpoly):
 
 
 def _factor_over_q(coeffs):
-    """The irreducible factors over Q of the monic polynomial with their
-    multiplicities: pairs (factor, e), each factor monic and constant term
-    first (sympy's exact factorization)."""
+    """The irreducible factors over Q of the squarefree monic polynomial,
+    each monic and constant term first (sympy's exact factorization)."""
     from sympy import Poly, factor_list, symbols
 
     _, factors = factor_list(Poly(list(reversed(coeffs)), symbols("x")))
-    return [(tuple(int(c) for c in reversed(fac.all_coeffs())), e) for fac, e in factors]
+    return [tuple(int(c) for c in reversed(fac.all_coeffs())) for fac, _ in factors]
 
 
 @dataclass(frozen=True)
@@ -382,10 +382,11 @@ class NumberField:
     """A number field Q[x]/(minpoly); coefficients constant term first.
 
     The minimal polynomial must be monic, squarefree and irreducible over
-    Q.  Both are certified by factorization patterns mod small primes and,
-    when those cannot decide, by an exact factorization; a repeated factor
-    is refused first, then reducible input, naming an integer root (the
-    least in absolute value, positive first) when there is one.
+    Q.  A repeated factor is refused first, by a zero discriminant.
+    Irreducibility is then certified by factorization patterns mod small
+    primes and, when those cannot decide, by an exact factorization;
+    reducible input is refused naming an integer root (the least in absolute
+    value, positive first) when there is one.
     """
 
     minpoly: tuple
@@ -402,11 +403,10 @@ class NumberField:
         if self.degree > 1:
             if coeffs[0] == 0:
                 raise InputError("reducible: x divides the polynomial")
+            if not _field_discriminant(coeffs):
+                raise InputError("not squarefree")
             if not _certified(coeffs):
-                factored = _factor_over_q(coeffs)
-                if any(e > 1 for _, e in factored):
-                    raise InputError("not squarefree")
-                factors = [fac for fac, _ in factored]
+                factors = _factor_over_q(coeffs)
                 roots = [-fac[0] for fac in factors if len(fac) == 2]
                 if roots:
                     root = min(roots, key=lambda r: (abs(r), r < 0))

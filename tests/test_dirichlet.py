@@ -24,7 +24,7 @@ from zetaforge import (
     make_W,
     rationals,
 )
-from zetaforge import dirichlet, families, numberfield
+from zetaforge import cli, dirichlet, families, numberfield
 from zetaforge.dirichlet import _local_series, _type_series
 from zetaforge.laurent import EulerForm, InputError, LaurentPoly, ResourceGuardError
 from zetaforge.numberfield import UnsupportedRamifiedPrimeError, decomposition_type
@@ -553,6 +553,60 @@ def test_abscissa_from_shape_verification_flags():
     opaque = abscissa_from_shape(make_W(bk(), 1))
     assert opaque.value == Fraction(287, 102)
     assert not opaque.shape_verified
+
+
+def _shape(terms, denominator=((1, 1), (4, 3))):
+    # v = max(2/1, 5/3) = 2 for the default denominator
+    return abscissa_from_shape(EulerForm(LaurentPoly(terms), denominator))
+
+
+def test_shape_verified_is_read_off_the_numerator():
+    assert _shape({(0, 0): 1}) == ShapeAbscissa(Fraction(2), True)
+    assert _shape({(0, 0): 1, (2, 2): 3, (-1, 1): 1}).shape_verified
+    # a negative coefficient could cancel the pole
+    assert not _shape({(0, 0): 1, (0, 1): -1}).shape_verified
+    # X^4 Y^2 sits at (4+1)/2 > 2, so the numerator moves the abscissa
+    assert not _shape({(0, 0): 1, (4, 2): 1}).shape_verified
+    # X^3 Y^2 sits at (3+1)/2 = 2 exactly: a tie is not verified
+    assert not _shape({(0, 0): 1, (3, 2): 1}).shape_verified
+    # the constant term must be 1, and no other term may have Y-degree <= 0
+    assert not _shape({(0, 0): 2}).shape_verified
+    assert not _shape({(0, 1): 1}).shape_verified
+    assert not _shape({(0, 0): 1, (-2, 0): 1}).shape_verified
+
+
+def _cli_families():
+    return (
+        [f"abelian:{n}" for n in range(1, 7)]
+        + [f"heisenberg:{m}" for m in range(1, families.MAX_HEISENBERG_M + 1)]
+        + [f"lmn:{m}:{n}" for n in range(2, families.MAX_LMN_TOTAL)
+           for m in range(1, families.MAX_LMN_TOTAL + 1 - n)]
+        + [f"free:{c}:{g}" for c in range(2, families.MAX_FREE_C + 1)
+           for g in range(1, families.MAX_FREE_G + 1)]
+        + [f"maxclass:{c}" for c in range(2, 12)]
+        + ["f4", "q5", "bk"]
+    )
+
+
+def test_shape_verified_on_every_cli_family():
+    # every non-formal (family, d) the CLI admits at d = 1..4: the numerator
+    # proves the abscissa everywhere but bk, whose X^(85+201d) Y^102 ties v
+    pairs = 0
+    for text in _cli_families():
+        for d in range(1, 5):
+            try:
+                family = cli._parse_family(text, d)
+            except InputError:
+                assert text.startswith("abelian:") and d > 1
+                continue
+            w = make_W(family, d)
+            if w.is_formal:
+                continue
+            shape = abscissa_from_shape(w)
+            assert shape.shape_verified == (family.kind != "bk"), (text, d)
+            assert families.abscissa(family, d) == shape.value, (text, d)
+            pairs += 1
+    assert pairs == 6 + 304  # abelian only at d = 1; formal lmn left out
 
 
 def test_abscissa_builds_the_descent_sum_once(monkeypatch):

@@ -32,6 +32,7 @@ from zetaforge.families import (
     MAX_LMN_TOTAL,
     descent_form,
     free_alpha_beta,
+    heisenberg_monomials,
     lmn_monomials,
     witt_rank,
 )
@@ -139,11 +140,19 @@ DESCENT_FAMILIES = [heisenberg(m) for m in range(1, 8)] + [
 ]
 
 
+def _family_monomials(family, d):
+    if family.kind == "heisenberg":
+        return heisenberg_monomials(*family.params, d)
+    return lmn_monomials(*family.params, d)
+
+
 @pytest.mark.parametrize("family", DESCENT_FAMILIES, ids=str)
 def test_descent_recurrence_matches_enumeration(family):
     for d in (1, 2, 3):
+        monomials = _family_monomials(family, d)
         w = make_W(family, d)
-        assert w.numerator == _enumerated(w.descent_data)
+        assert w.denominator == tuple(sorted(monomials))
+        assert w.numerator == _enumerated(monomials)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

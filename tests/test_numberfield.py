@@ -3,8 +3,13 @@ checked against sympy (a test-only reference): its complete factorization
 over F_p (against which the factorization type and radical are checked),
 its discriminant, primes and Möbius function."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -54,6 +59,32 @@ def test_field_validation():
     # a repeated factor is named before an integer root
     with pytest.raises(ValueError, match="^not squarefree$"):
         NumberField((1, -1, -1, 1))  # (x - 1)^2 (x + 1)
+
+
+REPEATED_FACTOR_SCRIPT = textwrap.dedent("""
+    import sys
+    from zetaforge.laurent import InputError
+    from zetaforge.numberfield import NumberField
+
+    for coeffs in ((1, 2, 1), (1, 0, 2, 0, 1), (1, -1, -1, 1)):
+        try:
+            NumberField(coeffs)
+        except InputError as exc:
+            assert str(exc) == "not squarefree", exc
+        else:
+            raise AssertionError(f"{coeffs} was accepted")
+    assert "sympy" not in sys.modules, "sympy was imported"
+""")
+
+
+def test_repeated_factor_is_refused_without_sympy():
+    # the zero discriminant decides; pytest has imported sympy already, so
+    # this runs in a fresh interpreter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", REPEATED_FACTOR_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("coeffs", [(1, 0, 1.5), ("1", "0", "1"), (1, 0, True), (1.0, 0, 1)])
