@@ -19,7 +19,6 @@ import argparse
 import json
 import re
 import sys
-import traceback
 from fractions import Fraction
 from math import gcd
 
@@ -124,6 +123,8 @@ def main(argv=None):
     except AssertionError as exc:
         code, message = 2, f"internal assertion failure: {exc}"
     except Exception as exc:
+        import traceback  # only here: it stays off the import path of every command
+
         trace = traceback.format_exc().removesuffix("\n")
         code, message = 2, f"internal error: {type(exc).__name__}: {exc}\n{trace}"
     print(message, file=sys.stderr)

@@ -16,12 +16,12 @@ exact all the way (integers in every case we generate, enforced loudly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
 from .laurent import (
     InputError,
+    Record,
     ResourceGuardError,
     _check_order,
     _divide_geometric,
@@ -57,17 +57,19 @@ def _refuse_formal(w):
         )
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(Record):
     """A local Euler factor at p, univariate in t = p^{-s}.
 
     numerator maps t-exponent -> integer coefficient; each denominator entry
     (c, b) stands for a factor (1 - c t^b) with c a power of p.
     """
 
-    p: int
-    numerator: tuple
-    denominator: tuple
+    __slots__ = _fields = ("p", "numerator", "denominator")
+
+    def __init__(self, p, numerator, denominator):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     @classmethod
     def from_euler(cls, w, p, pairs):
@@ -304,8 +306,7 @@ def global_coefficients(family, d, field, limit):
     return coeffs[1:]
 
 
-@dataclass(frozen=True)
-class ShapeAbscissa:
+class ShapeAbscissa(Record):
     """Abscissa read off the denominator shape: v = max (a+1)/b over its factors.
 
     shape_verified is True when the numerator proves v is the abscissa of
@@ -319,8 +320,11 @@ class ShapeAbscissa:
     is advisory only.
     """
 
-    value: Fraction
-    shape_verified: bool
+    __slots__ = _fields = ("value", "shape_verified")
+
+    def __init__(self, value, shape_verified):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "shape_verified", shape_verified)
 
 
 def abscissa_from_shape(w):

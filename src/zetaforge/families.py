@@ -17,12 +17,11 @@ Degree-d base extension enters only through the X-exponents; d >= 1 always.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .laurent import EulerForm, InputError, LaurentPoly, ResourceGuardError
+from .laurent import EulerForm, InputError, LaurentPoly, Record, ResourceGuardError
 from .primes import mobius
 from .signed_perms import _check_m, b_monomials, descent_sum
 
@@ -39,16 +38,17 @@ class UnsupportedFamilyError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class Family:
-    kind: str
-    params: tuple = ()
+class Family(Record):
+    __slots__ = _fields = ("kind", "params")
 
-    def __post_init__(self):
+    def __init__(self, kind, params=()):
+        params = tuple(params)
         # integers only: a bool, float or string is refused, never truncated
-        for x in self.params:
+        for x in params:
             if type(x) is not int:
                 raise InputError(f"family parameters must be integers, got {x!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
 
     def __str__(self):
         return ":".join([self.kind, *map(str, self.params)])

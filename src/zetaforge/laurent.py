@@ -9,7 +9,6 @@ floating point anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -24,6 +23,46 @@ class InputError(ValueError):
 
 class DegenerateSpecializationError(InputError):
     """Raised when a specialization (e.g. X=1) kills a numerator."""
+
+
+class Record:
+    """Base of the immutable value types: the fields named in `_fields`,
+    held in `__slots__` and set once, by each subclass's `__init__`, through
+    `object.__setattr__`.
+
+    It keeps what `@dataclass(frozen=True)` gave them: equality within one
+    class, a hash over the fields, the dataclass repr and an AttributeError
+    on assignment or deletion.  It replaces the decorator because importing
+    `dataclasses` (which pulls in `inspect`, `ast` and `dis`) and exec'ing
+    the generated methods took over half of `import zetaforge.cli`.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def _prune(terms):
@@ -197,14 +236,13 @@ def _divide_geometric(series, factors):
             series[e] += c * series[e - b]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Power-series prefix: coefficients of Y^0 .. Y^N."""
 
-    coefficients: tuple
+    __slots__ = _fields = ("coefficients",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+    def __init__(self, coefficients):
+        object.__setattr__(self, "coefficients", tuple(coefficients))
 
     @property
     def order(self):

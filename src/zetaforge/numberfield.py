@@ -35,10 +35,9 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import EulerForm, InputError, ResourceGuardError
+from .laurent import EulerForm, InputError, Record, ResourceGuardError
 from .primes import is_prime, primes_upto
 
 MAX_PRIME = 10**6
@@ -377,8 +376,7 @@ def _factor_over_q(coeffs):
     return [tuple(int(c) for c in reversed(fac.all_coeffs())) for fac, _ in factors]
 
 
-@dataclass(frozen=True)
-class NumberField:
+class NumberField(Record):
     """A number field Q[x]/(minpoly); coefficients constant term first.
 
     The minimal polynomial must be monic, squarefree and irreducible over
@@ -389,14 +387,14 @@ class NumberField:
     value, positive first) when there is one.
     """
 
-    minpoly: tuple
+    __slots__ = _fields = ("minpoly",)
 
-    def __post_init__(self):
+    def __init__(self, minpoly):
+        coeffs = tuple(minpoly)
         # integers only: a bool, float or string is refused, never truncated
-        for c in self.minpoly:
+        for c in coeffs:
             if type(c) is not int:
                 raise InputError(f"minimal polynomial coefficients must be integers, got {c!r}")
-        coeffs = tuple(self.minpoly)
         object.__setattr__(self, "minpoly", coeffs)
         if len(coeffs) < 2 or coeffs[-1] != 1:
             raise InputError("minimal polynomial must be monic of degree >= 1")

@@ -51,11 +51,10 @@ basis: it refuses a bad p or basis, then applies the same verdict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .laurent import InputError, ResourceGuardError, _divide_geometric
+from .laurent import InputError, Record, ResourceGuardError, _divide_geometric
 
 MAX_ENUM_RANK = 6
 ENUM_PRIMES = (2, 3, 5)
@@ -67,8 +66,7 @@ NODE_BUDGET = 2**20
 C_SAFETY = 2
 
 
-@dataclass(frozen=True)
-class LieLattice:
+class LieLattice(Record):
     """Free Z-Lie ring of rank n given by its sparse bracket table.
 
     `brackets` lists the nonzero [e_a, e_b], a < b, as (a, b, ((l, c), ...))
@@ -76,13 +74,16 @@ class LieLattice:
     each once, and in each entry the coordinates l increasing with every c a
     nonzero int.  [e_b, e_a] is the negative of [e_a, e_b], so antisymmetry
     holds by construction; the Jacobi identity is enforced at construction.
+    The `__dict__` slot holds the cached properties.
     """
 
-    rank: int
-    brackets: tuple
+    _fields = ("rank", "brackets")
+    __slots__ = (*_fields, "__dict__")
 
-    def __post_init__(self):
-        n = self.rank
+    def __init__(self, rank, brackets):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "brackets", brackets)
+        n = rank
         if type(n) is not int:
             raise InputError(f"rank must be an integer, got {n!r}")
         if n < 1:

@@ -24,11 +24,10 @@ their partners in the same order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import comb, factorial
 
-from .laurent import InputError, LaurentPoly, ResourceGuardError
+from .laurent import InputError, LaurentPoly, Record, ResourceGuardError
 
 MAX_ENUM_M = 8
 MAX_IDENTITY_M = 6
@@ -79,15 +78,18 @@ def enumerate_S(m):
     return permutations(range(1, m + 1))
 
 
-@dataclass(frozen=True)
-class BStats:
-    inv: int
-    npr: int
-    length: int
-    des_mask: int  # bit i set iff position i is a descent; bit 0 is type-B legal
-    des: int
-    eps1: int
-    sigma_c: int
+class BStats(Record):
+    # des_mask: bit i set iff position i is a descent; bit 0 is type-B legal
+    __slots__ = _fields = ("inv", "npr", "length", "des_mask", "des", "eps1", "sigma_c")
+
+    def __init__(self, inv, npr, length, des_mask, des, eps1, sigma_c):
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "npr", npr)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "des_mask", des_mask)
+        object.__setattr__(self, "des", des)
+        object.__setattr__(self, "eps1", eps1)
+        object.__setattr__(self, "sigma_c", sigma_c)
 
 
 def stats(w):

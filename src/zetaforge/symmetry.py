@@ -12,19 +12,20 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .families import UnsupportedFamilyError, _check_degree, free_alpha_beta, make_W, weight
-from .laurent import DegenerateSpecializationError, LaurentPoly
+from .laurent import DegenerateSpecializationError, LaurentPoly, Record
 
 
-@dataclass(frozen=True)
-class SymmetryFactor:
-    sign: int
-    a: int
-    b: int
+class SymmetryFactor(Record):
+    __slots__ = _fields = ("sign", "a", "b")
+
+    def __init__(self, sign, a, b):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def _numerator_antipalindrome(num):

@@ -1,6 +1,5 @@
 """End-to-end CLI checks: byte-deterministic JSON, refusals, exit codes."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -16,6 +15,7 @@ from cli_runner import run
 from zetaforge import cli, numberfield
 from zetaforge.cli import SUITES
 from zetaforge.laurent import InputError
+from zetaforge.symmetry import SymmetryFactor
 
 
 def test_families_json_is_byte_deterministic():
@@ -110,9 +110,16 @@ def test_broken_polynomial_invariant_is_internal(monkeypatch):
 
 
 # The benchmark's fields: Q, Q(i), Q(cbrt 2), Q(zeta_5).
+# sympy and click are never needed at run time; dataclasses, inspect and
+# traceback would cost every command's cold start.  The snapshot comes first,
+# so a module that site already loaded does not count.
 NO_SYMPY_SCRIPT = textwrap.dedent("""
     import sys
+    before = set(sys.modules)
     import zetaforge.cli
+    STARTUP = {"dataclasses", "inspect", "traceback"}
+    loaded = STARTUP & (set(sys.modules) - before)
+    assert not loaded, f"import zetaforge.cli loaded {sorted(loaded)}"
     from zetaforge import families, oracle
     from zetaforge.dirichlet import global_coefficients
     from zetaforge.numberfield import NumberField, decomposition_type
@@ -125,6 +132,8 @@ NO_SYMPY_SCRIPT = textwrap.dedent("""
         decomposition_type(field, 7)
     assert "sympy" not in sys.modules, "sympy was imported"
     assert "click" not in sys.modules, "click was imported"
+    loaded = STARTUP & (set(sys.modules) - before)
+    assert not loaded, f"the request path loaded {sorted(loaded)}"
 """)
 
 
@@ -346,6 +355,7 @@ def test_internal_value_error_is_not_a_refusal(monkeypatch):
     result = run("decompose", "--minpoly", "1,0,1", "--p", "5")
     assert result.exit_code == 2
     assert "internal error: ValueError: boom" in result.output
+    assert "Traceback (most recent call last)" in result.stderr
     assert "refused" not in result.output
 
 
@@ -514,7 +524,7 @@ def test_verify_reports_a_mismatch(monkeypatch, capsys):
 
     def flipped(family, d):
         factor = predicted(family, d)
-        return dataclasses.replace(factor, sign=-factor.sign)
+        return SymmetryFactor(-factor.sign, factor.a, factor.b)
 
     monkeypatch.setattr(cli, "predicted_symmetry", flipped)
     assert SUITES["funceq"]() is False
