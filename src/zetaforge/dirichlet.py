@@ -17,7 +17,6 @@ exact all the way (integers in every case we generate, enforced loudly).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 
 from .laurent import (
     InputError,
@@ -31,11 +30,7 @@ from .numberfield import (
     MAX_PRIME,
     UnsupportedRamifiedPrimeError,
     _check_prime,
-    _decomposition_type,
-    _field_discriminant,
-    _frobenius_images,
-    _reduce,
-    _residue_degrees,
+    _sieve_degrees,
     decomposition_type,
 )
 from .primes import primes_upto
@@ -239,18 +234,17 @@ def global_coefficients(family, d, field, limit):
     above the square root of the limit.  By uniformity that series is one
     Laurent polynomial in X per power of t for all primes with the same
     residue degrees fs and the same kmax, so it is built and cut once per
-    key (fs, kmax), in a memo that lives for this call only, and each prime
-    evaluates it at X = p (see `_local_series`).  b_{p^k} then multiplies
-    b_n for the n with p^k || n, one stride of p^k at a time.
-    The discriminant of the minimal polynomial is computed once per
-    polynomial: at a p that does not divide it, f mod p is squarefree and fs
-    is read off by `_residue_degrees` (Q needs nothing: fs = (1,)); at the
-    few p that divide it, the full decomposition type runs, with the index
-    test.  At an odd p the Legendre symbol of the discriminant gives the
-    parity of the number of factors, which settles degree 2 outright and
-    spares degree 3 its gcd; so x^p mod the minimal polynomial is taken
-    from `_frobenius_images`, one step per integer up to the limit rather
-    than a powering per prime, only from degree 3 on.
+    key (fs, kmax), and each prime evaluates it at X = p (see
+    `_local_series`).  That memo lives for this call only, since the series
+    depend on the family.  b_{p^k} then multiplies b_n for the n with
+    p^k || n, one stride of p^k at a time.
+    The residue degrees fs come from `numberfield._sieve_degrees`, whose
+    table lives for the session, one per minimal polynomial: a prime of the
+    field is decomposed once, by the first expansion whose limit reaches
+    it, and later expansions of any family read it back.  There a p that
+    does not divide the discriminant reads fs off `_residue_degrees` (Q
+    needs nothing: fs = (1,)), and at the few p that divide it the full
+    decomposition type runs, with the index test.
     A formal W is refused before any prime is looked at.  Every prime up to
     the limit must admit a decomposition type; a refused ramified prime
     aborts the whole computation with a clear message.
@@ -269,33 +263,22 @@ def global_coefficients(family, d, field, limit):
         )
     w = make_W(family, d)
     _refuse_formal(w)
-    disc = _field_discriminant(field.minpoly)
-    if not disc:
-        raise AssertionError("a certified minimal polynomial has a nonzero discriminant")
-    poly = list(reversed(field.minpoly))
     coeffs = [1] * (limit + 1)  # index 0 unused
     primes = primes_upto(limit)
-    # below degree 3, `_residue_degrees` needs no x^p at odd p
-    images = _frobenius_images(poly, primes) if d >= 3 else repeat(None)
+    degrees = _sieve_degrees(field, primes)
     by_type = {}
-    for p, xp in zip(primes, images):
+    for p in primes:
         kmax = 0
         q = p
         while q <= limit:
             kmax += 1
             q *= p
-        if not disc % p:
-            try:
-                pairs = _decomposition_type(field, p, xp)
-            except UnsupportedRamifiedPrimeError as exc:
-                raise GlobalExpansionError(
-                    f"cannot expand to {limit}: prime {p} refused ({exc})"
-                ) from exc
-            fs = tuple(sorted(f for _, f in pairs))
-        elif d == 1:
-            fs = (1,)
-        else:
-            fs = _residue_degrees(_reduce(poly, p), p, xp, disc)
+        try:
+            fs = next(degrees)
+        except UnsupportedRamifiedPrimeError as exc:
+            raise GlobalExpansionError(
+                f"cannot expand to {limit}: prime {p} refused ({exc})"
+            ) from exc
         series = _local_series(w, p, fs, kmax, by_type)
         pk = 1
         for value in series[1:]:

@@ -22,7 +22,10 @@ the number r of factors from one modular power; once at most two factors
 can be left, it mostly settles their degrees, so degree 2 needs no x^p,
 degree 3 no gcd and degree 4 no composition.  `_discriminant`, Res(f, f')
 by a fraction-free (Bareiss) determinant, tells those primes apart; it is
-kept per minimal polynomial (`_field_discriminant`).
+kept per minimal polynomial (`_field_discriminant`).  The type of p belongs
+to the field alone, so a session decomposes each prime of a field once: the
+sieve primes of every expansion in one table per field (`_degree_table`),
+and single primes p not dividing the discriminant in `_unramified_degrees`.
 
 A repeated factor is refused by the same discriminant, which is 0 exactly
 then.  The factorization types at the primes l < 100 where f mod l is
@@ -36,6 +39,7 @@ construction.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 
 from .laurent import EulerForm, InputError, Record, ResourceGuardError
 from .primes import is_prime, primes_upto
@@ -367,6 +371,64 @@ def _field_discriminant(minpoly):
     return _discriminant(minpoly)
 
 
+@lru_cache(maxsize=32)
+def _degree_table(minpoly):
+    """The session's table of a field, keyed by its minimal polynomial
+    (constant term first) and kept for at most 32 fields like `_certified`:
+    a list whose n-th entry is the sorted residue-degree tuple of the n-th
+    prime, as far as any expansion has decomposed them, and a dict that
+    holds each distinct tuple once, so that every entry of a type is one
+    shared object.  No prime is stored, so the table takes one pointer per
+    prime up to the largest limit asked.  `_sieve_degrees` fills it; a
+    refused prime is never entered, so the table stops before it."""
+    return [], {}
+
+
+def _sieve_degrees(field, primes):
+    """Yield the sorted residue degrees of each of `primes`, which must be
+    `primes_upto(limit)` for some limit, one prime at a time.
+
+    The entries the field's `_degree_table` holds are read from it, and only
+    the primes past its end are decomposed, and entered.  At a p dividing
+    the discriminant the full type runs, with the index test, and a refusal
+    raises UnsupportedRamifiedPrimeError when that prime is reached; degree 1
+    gives (1,); every other p reads its degrees off `_residue_degrees`, with
+    x^p mod f from `_frobenius_images` from degree 3 on (below it, the parity
+    of the number of factors needs no x^p at odd p).  The images start again
+    from x^0 for the new primes and are the same as in one run from 2.
+    """
+    degrees, types = _degree_table(field.minpoly)
+    known = degrees[: len(primes)]
+    yield from known
+    new = primes[len(known) :]
+    if not new:
+        return
+    d, disc = field.degree, _field_discriminant(field.minpoly)
+    if not disc:
+        raise AssertionError("a certified minimal polynomial has a nonzero discriminant")
+    poly = list(reversed(field.minpoly))
+    images = _frobenius_images(poly, new) if d >= 3 else repeat(None)
+    for n, (p, xp) in enumerate(zip(new, images), len(known)):
+        if not disc % p:
+            fs = tuple(sorted(f for _, f in _decomposition_type(field, p, xp)))
+        elif d == 1:
+            fs = (1,)
+        else:
+            fs = _residue_degrees(_reduce(poly, p), p, xp, disc)
+        # writes entry n whether or not another expansion got there first
+        degrees[n : n + 1] = (types.setdefault(fs, fs),)
+        yield fs
+
+
+@lru_cache(maxsize=1024)
+def _unramified_degrees(minpoly, p):
+    """`_residue_degrees` of a minimal polynomial (constant term first) at a
+    prime p not dividing its discriminant, kept for the session per
+    (minpoly, p), for at most 1024 pairs."""
+    disc = _field_discriminant(minpoly)
+    return _residue_degrees(_reduce(list(reversed(minpoly)), p), p, None, disc)
+
+
 def _factor_over_q(coeffs):
     """The irreducible factors over Q of the squarefree monic polynomial,
     each monic and constant term first (sympy's exact factorization)."""
@@ -451,17 +513,17 @@ def decomposition_type(field, p):
     p every pair is (1, f) and the residue degrees f are all that is read
     (`_residue_degrees`, where the parity of the number of factors often
     decides without x^p); the discriminant is computed once per minimal
-    polynomial.  At a p dividing it the full type runs, with the index
-    test, and primes it fails raise UnsupportedRamifiedPrimeError
-    ("unsupported ramified prime").
+    polynomial, and the degrees once per (minpoly, p) in a session, in
+    `_unramified_degrees` (an `lru_cache` of at most 1024 pairs; each call
+    returns a fresh list).  At a p dividing the discriminant the full type
+    runs, with the index test, on every call, and primes it fails raise
+    UnsupportedRamifiedPrimeError ("unsupported ramified prime").
     """
     _check_prime(p)
     if field.degree == 1:
         return [(1, 1)]
-    disc = _field_discriminant(field.minpoly)
-    if disc % p:
-        poly = _reduce(list(reversed(field.minpoly)), p)
-        return [(1, f) for f in _residue_degrees(poly, p, None, disc)]
+    if _field_discriminant(field.minpoly) % p:
+        return [(1, f) for f in _unramified_degrees(field.minpoly, p)]
     return _decomposition_type(field, p)
 
 

@@ -1,5 +1,5 @@
-"""Per-criterion summary lines for the acceptance gate, and a fresh field
-certificate cache for each test."""
+"""Per-criterion summary lines for the acceptance gate, and fresh per-field
+caches for each test."""
 
 import re
 
@@ -21,10 +21,29 @@ CRITERIA = {
 }
 
 
+def _clear_field_caches():
+    """Forget every field the session has met: certificates, discriminants
+    and decomposed primes."""
+    for cache in (
+        numberfield._certified,
+        numberfield._field_discriminant,
+        numberfield._degree_table,
+        numberfield._unramified_degrees,
+    ):
+        cache.cache_clear()
+
+
 @pytest.fixture(autouse=True)
-def _fresh_field_certificates():
-    # a test that patches the factorization mod p sees every construction use it
-    numberfield._certified.cache_clear()
+def _fresh_field_caches():
+    # a test that patches the factorization mod p sees every construction
+    # and every decomposition use it
+    _clear_field_caches()
+
+
+@pytest.fixture
+def clear_field_caches():
+    """For a test that warms the caches and then patches what they spare."""
+    return _clear_field_caches
 
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cli_runner import run
@@ -258,19 +258,19 @@ def test_full_type_runs_only_at_primes_dividing_the_discriminant(
     field = NumberField(coeffs)
     assert numberfield._certified(coeffs)
     seen = []
-    original = dirichlet._decomposition_type
+    original = numberfield._decomposition_type
 
     def counting_decomposition_type(field, p, xp=None):
         seen.append(p)
         return original(field, p, xp)
 
-    monkeypatch.setattr(dirichlet, "_decomposition_type", counting_decomposition_type)
+    monkeypatch.setattr(numberfield, "_decomposition_type", counting_decomposition_type)
     got = global_coefficients(family, field.degree, field, 1000)
     assert seen == full_type_at
     assert got == per_prime_coefficients(make_W(family, field.degree), field, 1000)
 
 
-def test_odd_primes_below_degree_5_need_no_composition(monkeypatch):
+def test_odd_primes_below_degree_5_need_no_composition(monkeypatch, clear_field_caches):
     # the parity of the number of factors settles degree 3 after x^p and
     # degree 4 after one gcd; p = 2, where no parity is read, may compose
     zeta5, cube2 = NumberField((1, 1, 1, 1, 1)), NumberField((-2, 0, 0, 1))
@@ -280,11 +280,14 @@ def test_odd_primes_below_degree_5_need_no_composition(monkeypatch):
         global_coefficients(heisenberg(1), 3, cube2, 1500),
         [decomposition_type(zeta5, p) for p in odd_primes],
     )
+    clear_field_caches()  # so that every prime is decomposed again below
     original = numberfield._compose
+    composed = []
 
     def compose_at_2(g, h, f, p):
         if p % 2:
             raise AssertionError(f"composition at p = {p}")
+        composed.append(p)
         return original(g, h, f, p)
 
     monkeypatch.setattr(numberfield, "_compose", compose_at_2)
@@ -293,17 +296,28 @@ def test_odd_primes_below_degree_5_need_no_composition(monkeypatch):
         global_coefficients(heisenberg(1), 3, cube2, 1500),
         [decomposition_type(zeta5, p) for p in odd_primes],
     ) == want
+    # 2 is inert in Q(zeta_5) and its factor of degree 4 is composed for,
+    # so the primes were decomposed again with the patch in place
+    assert composed
 
 
-def test_quadratic_fields_take_no_frobenius_images(monkeypatch):
+def test_quadratic_fields_take_no_frobenius_images(monkeypatch, clear_field_caches):
     want = global_coefficients(heisenberg(1), 2, GAUSS, 2000)
+    clear_field_caches()  # so that every prime is decomposed again below
+    decomposed = []
+    original = numberfield._residue_degrees
+
+    def counting_residue_degrees(f, p, xp, disc):
+        decomposed.append(p)
+        return original(f, p, xp, disc)
 
     def refuse(f, primes):
         raise AssertionError("x^p mod f is not needed below degree 3")
 
+    monkeypatch.setattr(numberfield, "_residue_degrees", counting_residue_degrees)
     monkeypatch.setattr(numberfield, "_frobenius_images", refuse)
-    monkeypatch.setattr(dirichlet, "_frobenius_images", refuse)
     assert global_coefficients(heisenberg(1), 2, GAUSS, 2000) == want
+    assert decomposed == primes_upto(2000)[1:]  # every prime but 2, which ramifies
 
 
 def test_cut_is_widened_by_negative_t_exponents(monkeypatch):
@@ -540,6 +554,100 @@ def test_global_coefficients_build_W_once(monkeypatch):
 def test_global_expansion_refuses_bad_prime_loudly():
     with pytest.raises(GlobalExpansionError, match="prime 2 refused"):
         global_coefficients(heisenberg(1), 2, EISEN, 10)
+
+
+def _index_refusal(limit, p):
+    return GlobalExpansionError, (
+        f"cannot expand to {limit}: prime {p} refused "
+        f"(unsupported ramified prime {p}: it divides the index of the equation order)"
+    )
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_refusals_do_not_depend_on_the_order_of_requests(monkeypatch, reverse):
+    # The W of test_cut_is_widened_by_negative_t_exponents: over the cubic
+    # x^3 + x^2 + x + 2 the limit 2 expands and 3 is refused by the series.
+    # x^3 - 54, the polynomial of 3 cbrt 2, passes the index test at 2 and
+    # fails it at 3, each time it is asked; Q(sqrt -3) fails it at 2, so
+    # only the limit 1 expands.
+    w = EulerForm(LaurentPoly({(0, -1): 2, (1, -1): -1, (0, 3): 1}), [(0, 1)])
+    monkeypatch.setattr(dirichlet, "make_W", lambda family, d: w)
+    cases = [
+        ((2, 1, 1, 1), [(2, [1, -2]), (3, (ValueError, "negative t-exponent in local numerator"))]),
+        ((-54, 0, 0, 1), [
+            (2, [1, 0]),
+            (3, _index_refusal(3, 3)),
+            (4, _index_refusal(4, 3)),
+        ]),
+        ((3, 0, 1), [
+            (10, _index_refusal(10, 2)),
+            (1, [1]),
+        ]),
+    ]
+    for coeffs, runs in cases:
+        field = NumberField(coeffs)
+        for limit, want in runs[::-1] if reverse else runs:
+            got = _outcome(lambda: global_coefficients(heisenberg(1), field.degree, field, limit))
+            assert got == want, (coeffs, limit)
+
+
+# The benchmark's fields, x^5 - x - 1 and Q(sqrt -3), which the index test
+# refuses at 2.
+SESSION_FIELDS = [NumberField(c) for c in POOL_FIELDS.values()] + [
+    NumberField((-1, -1, 0, 0, 0, 1)), EISEN,
+]
+
+
+@st.composite
+def session_calls(draw):
+    """Up to 12 calls over one or two fields, so that tables are met again."""
+    fields = st.sampled_from(draw(st.lists(st.sampled_from(SESSION_FIELDS), min_size=1, max_size=2)))
+    primes = st.sampled_from(primes_upto(600))
+    return draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("global"), fields, st.integers(1, 400)),
+            st.tuples(st.just("decompose"), fields, primes),
+            st.tuples(st.just("local"), fields, primes),
+        ),
+        min_size=1,
+        max_size=12,
+    ))
+
+
+def _session_call(kind, field, n):
+    if kind == "global":
+        return global_coefficients(heisenberg(1), field.degree, field, n)
+    if kind == "decompose":
+        return decomposition_type(field, n)
+    return local_factor(heisenberg(1), field.degree, field, n)
+
+
+# the fixture hands over a function that keeps no state of its own
+@settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(session_calls())
+def test_warm_answers_are_the_cold_answers(clear_field_caches, calls):
+    # Limits grow and shrink and single primes fall inside and outside the
+    # tables; every returned list is then mutated, which no later answer
+    # may see.  The W of heisenberg(1) has no Y^1 term, so its b_p = 0 at
+    # every p above the square root of the limit whatever the type of p;
+    # W = 1/(1 - Y) gives the Dedekind zeta function instead, whose b_p
+    # counts the primes of degree 1 above p.
+    dedekind = EulerForm(LaurentPoly({(0, 0): 1}), [(0, 1)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dirichlet, "make_W", lambda family, d: dedekind)
+        clear_field_caches()
+        warm = []
+        for call in calls:
+            got = _outcome(lambda: _session_call(*call))
+            warm.append(list(got) if isinstance(got, list) else got)
+            if isinstance(got, list):
+                got[:] = [None]
+        for call, got in zip(calls, warm):
+            clear_field_caches()
+            assert got == _outcome(lambda: _session_call(*call)), call
 
 
 def test_abscissa_from_shape_verification_flags():

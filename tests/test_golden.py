@@ -184,3 +184,15 @@ def test_command_output_digest(command, code, digest):
     result = run(*command.split())
     assert result.exit_code == code, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+NUMBER_FIELD_COMMANDS = [c for c in COMMANDS if c[0].split()[0] in ("decompose", "euler", "dirichlet")]
+
+
+def test_one_warm_session_matches_every_pin():
+    # The field caches are cleared before this test only, so each command
+    # reads what the earlier ones decomposed, in both orders.
+    for command, code, digest in NUMBER_FIELD_COMMANDS + NUMBER_FIELD_COMMANDS[::-1]:
+        result = run(*command.split())
+        assert result.exit_code == code, (command, result.output)
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest, command
