@@ -17,6 +17,7 @@ exact all the way (integers in every case we generate, enforced loudly).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .laurent import (
     InputError,
@@ -30,6 +31,7 @@ from .numberfield import (
     MAX_PRIME,
     UnsupportedRamifiedPrimeError,
     _check_prime,
+    _primes_to_decompose,
     _sieve_degrees,
     decomposition_type,
 )
@@ -193,6 +195,15 @@ def _local_series(w, p, fs, order, by_type):
     return [_evaluate(poly, p) for poly in series]
 
 
+def _linear_t_vanishes(w):
+    """True when no local factor of W, at any p and type, has a t^1 term or
+    fails a check of `_local_series`: no numerator term c X^i Y^j has i < 0
+    (integral at p or not), j < 0 (refused at p or not, and able to reach
+    t^1) or j = 1, and no denominator factor is (1 - X^a Y)."""
+    terms, factors = w.numerator.terms, w.denominator
+    return all(i >= 0 and j >= 0 and j != 1 for i, j in terms) and all(b != 1 for _, b in factors)
+
+
 def local_factor(family, d, field, p, pairs=None):
     """The local factor of the pro-isomorphic zeta function of the family's
     lattice base-extended along `field`, at the rational prime p.
@@ -238,13 +249,14 @@ def global_coefficients(family, d, field, limit):
     `_local_series`).  That memo lives for this call only, since the series
     depend on the family.  b_{p^k} then multiplies b_n for the n with
     p^k || n, one stride of p^k at a time.
-    The residue degrees fs come from `numberfield._sieve_degrees`, whose
-    table lives for the session, one per minimal polynomial: a prime of the
-    field is decomposed once, by the first expansion whose limit reaches
-    it, and later expansions of any family read it back.  There a p that
-    does not divide the discriminant reads fs off `_residue_degrees` (Q
-    needs nothing: fs = (1,)), and at the few p that divide it the full
-    decomposition type runs, with the index test.
+    For a W with no t^1 term at any prime (`_linear_t_vanishes`: every
+    family but the Z^n ones, abelian:n and free:c:1), a p above the square
+    root gets the series (1, 0) whatever its type, and is decomposed only
+    where the index test may refuse it (`numberfield._primes_to_decompose`).
+    The other primes take their residue degrees fs from
+    `numberfield._sieve_degrees`: `_residue_degrees` where p does not divide
+    the discriminant, the full decomposition type, with the index test, at
+    the few p that divide it.
     A formal W is refused before any prime is looked at.  Every prime up to
     the limit must admit a decomposition type; a refused ramified prime
     aborts the whole computation with a clear message.
@@ -264,8 +276,10 @@ def global_coefficients(family, d, field, limit):
     w = make_W(family, d)
     _refuse_formal(w)
     coeffs = [1] * (limit + 1)  # index 0 unused
-    primes = primes_upto(limit)
-    degrees = _sieve_degrees(field, primes)
+    primes = decomposed = primes_upto(limit)
+    if _linear_t_vanishes(w):
+        decomposed = _primes_to_decompose(field, primes, isqrt(limit))
+    degrees, decomposed = _sieve_degrees(field, decomposed), set(decomposed)
     by_type = {}
     for p in primes:
         kmax = 0
@@ -274,12 +288,13 @@ def global_coefficients(family, d, field, limit):
             kmax += 1
             q *= p
         try:
-            fs = next(degrees)
+            fs = next(degrees) if p in decomposed else None
         except UnsupportedRamifiedPrimeError as exc:
             raise GlobalExpansionError(
                 f"cannot expand to {limit}: prime {p} refused ({exc})"
             ) from exc
-        series = _local_series(w, p, fs, kmax, by_type)
+        # a p left out has p^2 > limit: only t^1 is read, and it is 0
+        series = (1, 0) if fs is None else _local_series(w, p, fs, kmax, by_type)
         pk = 1
         for value in series[1:]:
             pk *= p

@@ -12,20 +12,21 @@ Polynomials over F_p are lists of ints in [0, p), leading coefficient first
 and without leading zeros (the zero polynomial is []).  `_factor_type` reads
 the type from the gcds of f with x^(p^i) - x, one degree i at a time, and
 needs neither the complete factors nor a squarefree split.  For a run of
-primes, `_frobenius_images` hands it x^p mod f stepped over Z instead of
-powered at each p.  At a prime p not dividing disc(f), f mod p is
-squarefree, every e is 1, and the residue degrees are all that
-`decomposition_type` and a run need: `_residue_degrees` reads them off the
-same gcds with no multiplicities and no radical.  At an odd such p,
-Stickelberger's theorem, (disc f / p) = (-1)^(d - r), gives the parity of
-the number r of factors from one modular power; once at most two factors
-can be left, it mostly settles their degrees, so degree 2 needs no x^p,
-degree 3 no gcd and degree 4 no composition.  `_discriminant`, Res(f, f')
-by a fraction-free (Bareiss) determinant, tells those primes apart; it is
-kept per minimal polynomial (`_field_discriminant`).  The type of p belongs
-to the field alone, so a session decomposes each prime of a field once: the
-sieve primes of every expansion in one table per field (`_degree_table`),
-and single primes p not dividing the discriminant in `_unramified_degrees`.
+primes, `_frobenius_images` steps x^p mod f over Z instead of powering it
+at each p.  At a prime p not dividing disc(f), f mod p is squarefree, every
+e is 1, and the residue degrees are all that `decomposition_type` and a run
+need: `_residue_degrees` reads them off the same gcds with no multiplicities
+and no radical.  At an odd such p, Stickelberger's theorem, (disc f / p) =
+(-1)^(d - r), gives the parity of the number r of factors from one modular
+power; once at most two factors can be left, it mostly settles their
+degrees, so degree 2 needs no x^p, degree 3 no gcd and degree 4 no
+composition.  `_discriminant`, Res(f, f') by a fraction-free (Bareiss)
+determinant, tells those primes apart; it is kept per minimal polynomial
+(`_field_discriminant`).  Only at the primes dividing it can the index test
+refuse, so an expansion that reads no type above a bound decomposes only
+the primes up to it and those (`_primes_to_decompose`).  A single p not
+dividing the discriminant is decomposed once per session
+(`_unramified_degrees`).
 
 A repeated factor is refused by the same discriminant, which is 0 exactly
 then.  The factorization types at the primes l < 100 where f mod l is
@@ -168,11 +169,10 @@ def _minus_x(g, p):
     return _reduce(g, p)
 
 
-def _factor_type(f, p, xp=None):
+def _factor_type(f, p):
     """The factorization type of a monic f over F_p: the sorted pairs
     (e, deg phi) over its irreducible factors phi^e, and its radical, the
-    product of the phi.  `xp` is x^p mod f when the caller already has it
-    (see `_frobenius_images`).
+    product of the phi.
 
     x^(p^i) - x is the product of the monic irreducibles of degree dividing
     i, so once the factors of degree < i are divided out, a = gcd(f,
@@ -186,9 +186,7 @@ def _factor_type(f, p, xp=None):
     pairs, radical, i = [], [1], 1
     while 2 * i < len(f):
         if i == 1:
-            if xp is None:
-                xp = _x_power(p, f, p)
-            xq = xp  # x^p and x^(p^i) mod f
+            xq = xp = _x_power(p, f, p)  # x^p and x^(p^i) mod f
         else:
             xq = _compose(xq, xp, f, p)
         if xq == [1, 0]:
@@ -265,14 +263,14 @@ def _residue_degrees(f, p, xp, disc):
 
 
 def _frobenius_images(f, primes):
-    """x^p mod f over F_p, as `_factor_type` takes it, for each of the
+    """x^p mod f over F_p, as `_residue_degrees` takes it, for each of the
     increasing `primes`; f is monic over Z, leading coefficient first.
 
     x^n mod f is stepped over Z from one prime to the next and reduced mod
     each p, so a prime costs a few shifts where `_x_power` squares log p
     times.  Over Z the coefficients grow by about log2 of the largest root's
     absolute value per step; once they pass _STEP_BITS, each remaining prime
-    is powered on its own.  Below degree 2, `_factor_type` needs no x^p.
+    is powered on its own.  Below degree 2, `_residue_degrees` needs no x^p.
     """
     d = len(f) - 1
     if d < 2:
@@ -371,53 +369,36 @@ def _field_discriminant(minpoly):
     return _discriminant(minpoly)
 
 
-@lru_cache(maxsize=32)
-def _degree_table(minpoly):
-    """The session's table of a field, keyed by its minimal polynomial
-    (constant term first) and kept for at most 32 fields like `_certified`:
-    a list whose n-th entry is the sorted residue-degree tuple of the n-th
-    prime, as far as any expansion has decomposed them, and a dict that
-    holds each distinct tuple once, so that every entry of a type is one
-    shared object.  No prime is stored, so the table takes one pointer per
-    prime up to the largest limit asked.  `_sieve_degrees` fills it; a
-    refused prime is never entered, so the table stops before it."""
-    return [], {}
+def _primes_to_decompose(field, primes, bound):
+    """The `primes` up to `bound`, in order, and those above it that divide
+    the discriminant: only there can the index test refuse a prime."""
+    disc = _field_discriminant(field.minpoly)
+    return [p for p in primes if p <= bound or not disc % p]
 
 
 def _sieve_degrees(field, primes):
-    """Yield the sorted residue degrees of each of `primes`, which must be
-    `primes_upto(limit)` for some limit, one prime at a time.
+    """Yield the sorted residue degrees of each of the increasing `primes`,
+    one prime at a time.
 
-    The entries the field's `_degree_table` holds are read from it, and only
-    the primes past its end are decomposed, and entered.  At a p dividing
-    the discriminant the full type runs, with the index test, and a refusal
-    raises UnsupportedRamifiedPrimeError when that prime is reached; degree 1
-    gives (1,); every other p reads its degrees off `_residue_degrees`, with
-    x^p mod f from `_frobenius_images` from degree 3 on (below it, the parity
-    of the number of factors needs no x^p at odd p).  The images start again
-    from x^0 for the new primes and are the same as in one run from 2.
+    At a p dividing the discriminant the full type runs, with the index
+    test, and a refusal raises UnsupportedRamifiedPrimeError when that prime
+    is reached; degree 1 gives (1,); every other p reads its degrees off
+    `_residue_degrees`, with x^p mod f from `_frobenius_images`, stepped over
+    those p alone, from degree 3 on (below it, the parity of the number of
+    factors needs no x^p at odd p).
     """
-    degrees, types = _degree_table(field.minpoly)
-    known = degrees[: len(primes)]
-    yield from known
-    new = primes[len(known) :]
-    if not new:
-        return
     d, disc = field.degree, _field_discriminant(field.minpoly)
     if not disc:
         raise AssertionError("a certified minimal polynomial has a nonzero discriminant")
     poly = list(reversed(field.minpoly))
-    images = _frobenius_images(poly, new) if d >= 3 else repeat(None)
-    for n, (p, xp) in enumerate(zip(new, images), len(known)):
+    images = _frobenius_images(poly, [p for p in primes if disc % p]) if d >= 3 else repeat(None)
+    for p in primes:
         if not disc % p:
-            fs = tuple(sorted(f for _, f in _decomposition_type(field, p, xp)))
+            yield tuple(sorted(f for _, f in _decomposition_type(field, p)))
         elif d == 1:
-            fs = (1,)
+            yield (1,)
         else:
-            fs = _residue_degrees(_reduce(poly, p), p, xp, disc)
-        # writes entry n whether or not another expansion got there first
-        degrees[n : n + 1] = (types.setdefault(fs, fs),)
-        yield fs
+            yield _residue_degrees(_reduce(poly, p), p, next(images), disc)
 
 
 @lru_cache(maxsize=1024)
@@ -527,12 +508,11 @@ def decomposition_type(field, p):
     return _decomposition_type(field, p)
 
 
-def _decomposition_type(field, p, xp=None):
+def _decomposition_type(field, p):
     """`decomposition_type` for a p already known to be a prime <= MAX_PRIME
-    (a sieve prime), without the primality test; `xp` as for
-    `_factor_type`."""
+    (a sieve prime), without the primality test."""
     poly = list(reversed(field.minpoly))
-    pairs, radical = _factor_type(_reduce(poly, p), p, xp)
+    pairs, radical = _factor_type(_reduce(poly, p), p)
     if pairs[-1][0] > 1 and not _index_coprime(poly, p, radical):
         raise UnsupportedRamifiedPrimeError(
             f"unsupported ramified prime {p}: it divides the index of the equation order"

@@ -23,11 +23,10 @@ CRITERIA = {
 
 def _clear_field_caches():
     """Forget every field the session has met: certificates, discriminants
-    and decomposed primes."""
+    and single decomposed primes."""
     for cache in (
         numberfield._certified,
         numberfield._field_discriminant,
-        numberfield._degree_table,
         numberfield._unramified_degrees,
     ):
         cache.cache_clear()

@@ -32,6 +32,9 @@ from zetaforge.primes import primes_upto
 
 GAUSS = NumberField((1, 0, 1))
 EISEN = NumberField((3, 0, 1))
+# W = 1/(1 - Y) gives the Dedekind zeta function, whose b_p counts the
+# primes of degree 1 above p: every prime up to the limit is decomposed
+DEDEKIND = EulerForm(LaurentPoly({(0, 0): 1}), [(0, 1)])
 
 
 def test_local_factor_override_shapes():
@@ -260,9 +263,9 @@ def test_full_type_runs_only_at_primes_dividing_the_discriminant(
     seen = []
     original = numberfield._decomposition_type
 
-    def counting_decomposition_type(field, p, xp=None):
+    def counting_decomposition_type(field, p):
         seen.append(p)
-        return original(field, p, xp)
+        return original(field, p)
 
     monkeypatch.setattr(numberfield, "_decomposition_type", counting_decomposition_type)
     got = global_coefficients(family, field.degree, field, 1000)
@@ -275,6 +278,7 @@ def test_odd_primes_below_degree_5_need_no_composition(monkeypatch, clear_field_
     # degree 4 after one gcd; p = 2, where no parity is read, may compose
     zeta5, cube2 = NumberField((1, 1, 1, 1, 1)), NumberField((-2, 0, 0, 1))
     odd_primes = [p for p in primes_upto(1000) if p not in (2, 5)]
+    monkeypatch.setattr(dirichlet, "make_W", lambda family, d: DEDEKIND)
     want = (
         global_coefficients(heisenberg(1), 4, zeta5, 1000),
         global_coefficients(heisenberg(1), 3, cube2, 1500),
@@ -301,9 +305,9 @@ def test_odd_primes_below_degree_5_need_no_composition(monkeypatch, clear_field_
     assert composed
 
 
-def test_quadratic_fields_take_no_frobenius_images(monkeypatch, clear_field_caches):
+def test_quadratic_fields_take_no_frobenius_images(monkeypatch):
+    monkeypatch.setattr(dirichlet, "make_W", lambda family, d: DEDEKIND)
     want = global_coefficients(heisenberg(1), 2, GAUSS, 2000)
-    clear_field_caches()  # so that every prime is decomposed again below
     decomposed = []
     original = numberfield._residue_degrees
 
@@ -421,6 +425,7 @@ def test_type_series_is_built_once_per_type(monkeypatch):
         return original(w, fs, order)
 
     monkeypatch.setattr(dirichlet, "_type_series", counting_type_series)
+    monkeypatch.setattr(dirichlet, "make_W", lambda family, d: DEDEKIND)
     coeffs = global_coefficients(heisenberg(2), 4, field, 1000)
     keys = [
         (tuple(sorted(f for _, f in decomposition_type(field, p))), _kmax(p, 1000))
@@ -428,7 +433,70 @@ def test_type_series_is_built_once_per_type(monkeypatch):
     ]
     assert sorted(calls) == sorted(set(keys))
     assert len(calls) == 10 and len(keys) == 168
-    assert coeffs == per_prime_coefficients(make_W(heisenberg(2), 4), field, 1000)
+    assert coeffs == per_prime_coefficients(DEDEKIND, field, 1000)
+
+
+def _counting(monkeypatch, name):
+    """Patch numberfield.<name> to record the prime of every call."""
+    seen, original = [], getattr(numberfield, name)
+
+    def counting(*args):
+        seen.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(numberfield, name, counting)
+    return seen
+
+
+def test_primes_above_the_root_are_decomposed_only_where_refusable(monkeypatch):
+    # b_p of heisenberg:1 is its t^1 coefficient, 0 at every type, for each
+    # p > 31 = isqrt(1000); of those only the primes dividing disc = 125,
+    # none, could be refused, so only p <= 31 are decomposed, 5 in full
+    zeta5 = NumberField(POOL_FIELDS[4])
+    residue = _counting(monkeypatch, "_residue_degrees")
+    full = _counting(monkeypatch, "_decomposition_type")
+    coeffs = global_coefficients(heisenberg(1), 4, zeta5, 1000)
+    assert residue == [p for p in primes_upto(31) if p != 5]
+    assert full == [5]
+    assert coeffs == per_prime_coefficients(make_W(heisenberg(1), 4), zeta5, 1000)
+
+
+def test_a_refusable_prime_above_the_root_is_still_decomposed():
+    # Z[13i] has index 13 in Z[i]: the index test refuses 13, above the
+    # square root of 100, and a limit below 13 never reaches it
+    field = NumberField((169, 0, 1))
+    got = _outcome(lambda: global_coefficients(heisenberg(1), 2, field, 100))
+    assert got == _index_refusal(100, 13)
+    coeffs = global_coefficients(heisenberg(1), 2, field, 12)
+    assert coeffs == per_prime_coefficients(make_W(heisenberg(1), 2), field, 12)
+
+
+# W with every clause of `_linear_t_vanishes` but one.  Over Q(i) the
+# q = p^f of the primes up to 10 are 2, 9, 5 and 49, and 11 is inert, so
+# the first two W pass every check below 11 and are refused at 11 only.
+OUTSIDE_THE_SHAPE = {
+    "negative-x": EulerForm(LaurentPoly({(0, 0): 1, (-1, 2): 2 * 9 * 5 * 49}), [(1, 2)]),
+    # (X - 2)(X - 5)(X - 9)(X - 49) Y^-1
+    "negative-t": EulerForm(
+        LaurentPoly({(0, 0): 1, (4, -1): 1, (3, -1): -65, (2, -1): 857, (1, -1): -3667, (0, -1): 4410}),
+        [(1, 2)],
+    ),
+    "linear-t": EulerForm(LaurentPoly({(0, 0): 1, (1, 1): 1}), [(1, 2)]),
+    "dedekind": DEDEKIND,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_THE_SHAPE))
+def test_a_W_outside_the_shape_decomposes_every_prime(monkeypatch, name):
+    w = OUTSIDE_THE_SHAPE[name]
+    assert not dirichlet._linear_t_vanishes(w)
+    monkeypatch.setattr(dirichlet, "make_W", lambda family, d: w)
+    got = _outcome(lambda: global_coefficients(heisenberg(1), 2, GAUSS, 100))
+    assert got == _outcome(lambda: per_prime_coefficients(w, GAUSS, 100))
+    # the negative W are refused by a prime above the square root alone
+    refused = name.startswith("negative")
+    assert isinstance(got, tuple) is refused
+    assert isinstance(_outcome(lambda: global_coefficients(heisenberg(1), 2, GAUSS, 10)), list)
 
 
 def test_global_limit_is_capped_before_any_work():
@@ -600,7 +668,7 @@ SESSION_FIELDS = [NumberField(c) for c in POOL_FIELDS.values()] + [
 
 @st.composite
 def session_calls(draw):
-    """Up to 12 calls over one or two fields, so that tables are met again."""
+    """Up to 12 calls over one or two fields, so that caches are met again."""
     fields = st.sampled_from(draw(st.lists(st.sampled_from(SESSION_FIELDS), min_size=1, max_size=2)))
     primes = st.sampled_from(primes_upto(600))
     return draw(st.lists(
@@ -630,14 +698,12 @@ def _session_call(kind, field, n):
 @given(session_calls())
 def test_warm_answers_are_the_cold_answers(clear_field_caches, calls):
     # Limits grow and shrink and single primes fall inside and outside the
-    # tables; every returned list is then mutated, which no later answer
-    # may see.  The W of heisenberg(1) has no Y^1 term, so its b_p = 0 at
-    # every p above the square root of the limit whatever the type of p;
-    # W = 1/(1 - Y) gives the Dedekind zeta function instead, whose b_p
-    # counts the primes of degree 1 above p.
-    dedekind = EulerForm(LaurentPoly({(0, 0): 1}), [(0, 1)])
+    # caches; every returned list is then mutated, which no later answer
+    # may see.  The W of heisenberg(1) has no Y^1 term, so no p above the
+    # square root of the limit is decomposed unless it divides the
+    # discriminant; the Dedekind W decomposes every prime.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dirichlet, "make_W", lambda family, d: dedekind)
+        mp.setattr(dirichlet, "make_W", lambda family, d: DEDEKIND)
         clear_field_caches()
         warm = []
         for call in calls:

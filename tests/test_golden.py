@@ -28,7 +28,12 @@ order) against the residue degrees read at every other prime.  The three
 quintic x^5 - x - 1, type [2, 3]) were recorded from the implementation
 that ran the full decomposition type at every prime: at the first two the
 parity of the number of factors now decides, and the third runs the
-general loop, one gcd, before it does.
+general loop, one gcd, before it does.  The two `free:2:1` runs (W =
+1/(1 - Y), the Dedekind zeta function, whose b_p counts the primes of
+degree 1 above p) were recorded from the implementation that decomposed
+every prime up to the limit for every family: they pin the residue degrees
+at every prime, where the other `dirichlet` runs, whose W has no t^1 term,
+read no type above the square root of the limit.
 """
 
 import hashlib
@@ -163,6 +168,8 @@ COMMANDS = [
     ("dirichlet --family lmn:2:3 --d 2 --minpoly 1,0,1 --n 1000", 0, "6116c3115092b0a32b82fb43d6a3142b430615137c7368eb77996d93822589ed"),
     ("dirichlet --family heisenberg:2 --d 2 --minpoly 5,0,1 --n 1000", 0, "16ad893735f3b7d24cec6981ae61251995bb24a89301d33f800fb8894be24a57"),
     ("dirichlet --family heisenberg:1 --d 5 --minpoly -1,-1,0,0,0,1 --n 500", 0, "56c3021a2300c1050f7c73aa9bfe32952812e479b3a05638c7a22a2ccb1012a3"),
+    ("dirichlet --family free:2:1 --d 3 --minpoly -2,0,0,1 --n 2000", 0, "66d2a7b42033865beab3dba1ea548e5352fd6e1194f25ed0225086a0ef0294bb"),
+    ("dirichlet --family free:2:1 --d 4 --minpoly 1,1,1,1,1 --n 1000", 0, "c30748a0af470586d423a55a2716ba71b93d641c6412c9531b4c1a7c5a8d0555"),
     ("abscissa --family heisenberg:3 --d 2", 0, "9e51535e59acac4b63a68d78d45b35071fdd71850b322cb59a99ac917664db49"),
     ("abscissa --family lmn:2:3 --d 2", 0, "d1cde62623d870f7396c1a3c44e4e09742f7b316122aad34fc3775f211411ed7"),
     ("abscissa --family q5 --d 2", 0, "b3e84ebd0560aecd9d38386c36332fdbe681e24aef034442df9b8e302bfd198b"),
@@ -191,7 +198,9 @@ NUMBER_FIELD_COMMANDS = [c for c in COMMANDS if c[0].split()[0] in ("decompose",
 
 def test_one_warm_session_matches_every_pin():
     # The field caches are cleared before this test only, so each command
-    # reads what the earlier ones decomposed, in both orders.
+    # meets the certificates, discriminants and single-prime degrees
+    # (`_certified`, `_field_discriminant`, `_unramified_degrees`) that the
+    # earlier ones left, in both orders.
     for command, code, digest in NUMBER_FIELD_COMMANDS + NUMBER_FIELD_COMMANDS[::-1]:
         result = run(*command.split())
         assert result.exit_code == code, (command, result.output)
