@@ -6,7 +6,9 @@ prints as one byte-deterministic JSON line with the schema added (sorted keys,
 compact separators, canonical term order, big integers as decimal strings), a
 string as is.  Exit codes: 0 success, 1 refused input (an `InputError`, which
 every domain error derives from, a resource guard, or a usage error such as a
-missing option), 2 any other exception, which is a fault of the program.
+missing option), 2 any other exception, which is a fault of the program, 141
+(128 + SIGPIPE, with nothing on stderr) when stdout is closed before the
+output is written, as `zetaforge verify | head -1` closes it.
 
 `verify` is the acceptance gate: `SUITES` holds one suite per acceptance
 criterion, each over the criterion's full range, and tests/test_acceptance.py
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -114,7 +117,12 @@ def main(argv=None):
                                  separators=(",", ":"))
         if payload is not None:
             print(payload)
+        sys.stdout.flush()  # so that a closed stdout is met here, not at exit
         return
+    except BrokenPipeError:
+        # the flush at exit would meet the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
     except (InputError, ResourceGuardError) as exc:
         code, message = 1, f"refused: {exc}"
     except KeyboardInterrupt:
@@ -132,13 +140,10 @@ def main(argv=None):
 
 
 def _parse_family(text, d):
-    """The family, refusing abelian ones at d >= 2: there make_W gives the
-    O_K-submodule zeta function, not the subring count of O_K^n over Z."""
+    """The family, refusing the Z^n ones, abelian:n and free:c:1, at d >= 2
+    (`families.check_base_extension`)."""
     family = parse_family(text)
-    if family.kind == "abelian" and d > 1:
-        raise UnsupportedFamilyError(
-            f"{family} at d={d}: abelian families are supported only at d=1"
-        )
+    fam.check_base_extension(family, d)
     return family
 
 
@@ -216,6 +221,7 @@ def funceq_cmd(family_id, d):
         raise UnsupportedFamilyError(
             "abelian lattices are outside the functional-equation table"
         )
+    fam.check_base_extension(family, d)
     w = make_W(family, d)
     factor = extract_functional_equation(w)
     if factor is None:

@@ -26,7 +26,7 @@ from .laurent import (
     _check_order,
     _divide_geometric,
 )
-from .families import make_W
+from .families import check_base_extension, make_W
 from .numberfield import (
     MAX_PRIME,
     UnsupportedRamifiedPrimeError,
@@ -210,11 +210,13 @@ def local_factor(family, d, field, p, pairs=None):
 
     `pairs` overrides the computed decomposition type (for primes the index
     test refuses): integers e, f >= 1 with sum of e*f equal to the degree.
-    p is checked to be a prime up to MAX_PRIME either way."""
+    p is checked to be a prime up to MAX_PRIME either way.  The Z^n
+    families are refused at d >= 2 (`families.check_base_extension`)."""
     if field.degree != d:
         raise DegreeMismatchError(
             f"field degree {field.degree} != extension parameter d={d}"
         )
+    check_base_extension(family, d)
     if pairs is None:
         pairs = decomposition_type(field, p)
     else:
@@ -253,10 +255,10 @@ def global_coefficients(family, d, field, limit):
     family but the Z^n ones, abelian:n and free:c:1), a p above the square
     root gets the series (1, 0) whatever its type, and is decomposed only
     where the index test may refuse it (`numberfield._primes_to_decompose`).
+    The Z^n families read every prime, but they are refused at d >= 2
+    (`families.check_base_extension`), and over Q every type is (1,).
     The other primes take their residue degrees fs from
-    `numberfield._sieve_degrees`: `_residue_degrees` where p does not divide
-    the discriminant, the full decomposition type, with the index test, at
-    the few p that divide it.
+    `numberfield._sieve_degrees`, by the route of `decomposition_type`.
     A formal W is refused before any prime is looked at.  Every prime up to
     the limit must admit a decomposition type; a refused ramified prime
     aborts the whole computation with a clear message.
@@ -273,6 +275,7 @@ def global_coefficients(family, d, field, limit):
         raise DegreeMismatchError(
             f"field degree {field.degree} != extension parameter d={d}"
         )
+    check_base_extension(family, d)
     w = make_W(family, d)
     _refuse_formal(w)
     coeffs = [1] * (limit + 1)  # index 0 unused

@@ -132,6 +132,21 @@ def parse_family(text):
     return _MAKERS[kind](*params)
 
 
+def is_abelian(family):
+    """True when the family's lattice is Z^n: abelian:n, or free:c:1, the
+    free nilpotent ring on one generator, which is Z."""
+    return family.kind == "abelian" or family.kind == "free" and family.params[1] == 1
+
+
+def check_base_extension(family, d):
+    """Refuse a Z^n family at d >= 2: there make_W gives the O_K-submodule
+    zeta function, not the subring count of O_K^n over Z."""
+    if d > 1 and is_abelian(family):
+        raise UnsupportedFamilyError(
+            f"{family} at d={d}: abelian families are supported only at d=1"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Building blocks
 

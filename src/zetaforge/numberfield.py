@@ -11,22 +11,22 @@ decomposition type.
 Polynomials over F_p are lists of ints in [0, p), leading coefficient first
 and without leading zeros (the zero polynomial is []).  `_factor_type` reads
 the type from the gcds of f with x^(p^i) - x, one degree i at a time, and
-needs neither the complete factors nor a squarefree split.  For a run of
-primes, `_frobenius_images` steps x^p mod f over Z instead of powering it
-at each p.  At a prime p not dividing disc(f), f mod p is squarefree, every
-e is 1, and the residue degrees are all that `decomposition_type` and a run
-need: `_residue_degrees` reads them off the same gcds with no multiplicities
-and no radical.  At an odd such p, Stickelberger's theorem, (disc f / p) =
+needs neither the complete factors nor a squarefree split.  At a prime p not
+dividing disc(f), f mod p is squarefree, every e is 1, and the residue
+degrees are all that `decomposition_type` and an expansion need:
+`_residue_degrees` reads them off the same gcds with no multiplicities and
+no radical.  At an odd such p, Stickelberger's theorem, (disc f / p) =
 (-1)^(d - r), gives the parity of the number r of factors from one modular
 power; once at most two factors can be left, it mostly settles their
-degrees, so degree 2 needs no x^p, degree 3 no gcd and degree 4 no
-composition.  `_discriminant`, Res(f, f') by a fraction-free (Bareiss)
-determinant, tells those primes apart; it is kept per minimal polynomial
-(`_field_discriminant`).  Only at the primes dividing it can the index test
-refuse, so an expansion that reads no type above a bound decomposes only
-the primes up to it and those (`_primes_to_decompose`).  A single p not
-dividing the discriminant is decomposed once per session
-(`_unramified_degrees`).
+degrees, so degree 2 needs no x^p, degree 3 no gcd (and no x^p when r is
+even) and degree 4 no composition.  `_discriminant`, Res(f, f') by a
+fraction-free (Bareiss) determinant, tells those primes apart; it is kept
+per minimal polynomial (`_field_discriminant`).  Only at the primes dividing
+it can the index test refuse, so an expansion that reads no type above a
+bound decomposes only the primes up to it and those
+(`_primes_to_decompose`).  Every other prime is decomposed once per session
+(`_unramified_degrees`), whether a single-prime request or an expansion
+asks for it.
 
 A repeated factor is refused by the same discriminant, which is 0 exactly
 then.  The factorization types at the primes l < 100 where f mod l is
@@ -40,7 +40,6 @@ construction.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
 
 from .laurent import EulerForm, InputError, Record, ResourceGuardError
 from .primes import is_prime, primes_upto
@@ -49,9 +48,6 @@ MAX_PRIME = 10**6
 
 # The primes l whose factorization patterns mod l may certify irreducibility.
 _CERTIFICATE_PRIMES = primes_upto(100)
-# `_frobenius_images` steps x^n mod f over Z while its coefficients stay
-# below this many bits.
-_STEP_BITS = 4096
 
 
 class UnsupportedRamifiedPrimeError(InputError):
@@ -210,22 +206,23 @@ def _factor_type(f, p):
     return sorted(pairs), radical
 
 
-def _residue_degrees(f, p, xp, disc):
+def _residue_degrees(f, p, disc):
     """The sorted degrees of the irreducible factors of a monic f over F_p,
     given disc = disc(f) over Z, which p must not divide (so f is
-    squarefree), and xp = x^p mod f or None (see `_frobenius_images`).
+    squarefree).
 
     At an odd p, Stickelberger's theorem gives the parity of the number r of
     factors: (disc / p) = (-1)^(d - r), one `pow` for the Legendre symbol.
     With the factors of degree < i divided out of f, let D (`size`) be the
-    degree of what is left; every factor left has degree >= i.  When D < 3i, what is
-    left has one or two factors, and the parity picks which: one gives [D],
-    two with D <= 2i + 1 give [i, D - i].  Only else does the step run: it
-    first asks whether x^(p^i) = x mod f, when every factor left has degree
-    i; at D = 3, i = 1 the answer leaves one or two factors, and the parity
-    decides again; else g = gcd(f, x^(p^i) - x), the product of the factors
-    of degree i, is divided out.  So degree 2 needs no x^p, degree 3 no gcd,
-    and degree 4 at most one gcd and no composition.  At p = 2 no parity is
+    degree of what is left; every factor left has degree >= i.  When D < 3i,
+    what is left has one or two factors, and an odd number gives [D].  When
+    D <= 2i + 1, an even number is two factors (at i = 1 and D = 3, three
+    would be odd), [i, D - i].  Only else does the step run: it first asks
+    whether x^(p^i) = x mod f, when every factor left has degree i; at D = 3,
+    i = 1, where r is odd by then, a no leaves one factor; else g = gcd(f,
+    x^(p^i) - x), the product of the factors of degree i, is divided out.
+    So degree 2 needs no x^p, degree 3 no gcd and no x^p at even r, and
+    degree 4 at most one gcd and no composition.  At p = 2 no parity is
     read: at D = 2i after the first test, what is left is irreducible (a
     factor of degree i would leave a cofactor of degree i and pass it), and
     once D < 2i it is irreducible too.
@@ -239,13 +236,14 @@ def _residue_degrees(f, p, xp, disc):
         size = len(f) - 1
         if size < 2 * i:
             return tuple(degrees + [size])
-        if parity is not None and size < 3 * i:
-            if (parity - len(degrees)) % 2:
+        if parity is not None:
+            odd = (parity - len(degrees)) % 2  # of the number of factors left
+            if odd and size < 3 * i:
                 return tuple(degrees + [size])
-            if size <= 2 * i + 1:
+            if not odd and size <= 2 * i + 1:
                 return tuple(degrees + [i, size - i])
         if i == 1:
-            xq = xp = _x_power(p, f, p) if xp is None else xp
+            xq = xp = _x_power(p, f, p)
         else:
             xp = _rem(xp, f, p)
             xq = _compose(_rem(xq, f, p), xp, f, p)
@@ -253,44 +251,13 @@ def _residue_degrees(f, p, xp, disc):
             return tuple(degrees + [i] * (size // i))
         if size == 2 * i:
             return tuple(degrees + [size])
-        if parity is not None and i == 1 and size == 3:
-            return (3,) if parity else (1, 2)
+        if parity and i == 1 and size == 3:
+            return (3,)
         g = _gcd(f, _minus_x(xq, p), p)
         if len(g) > 1:
             degrees += [i] * ((len(g) - 1) // i)
             f = _quo(f, g, p)
         i += 1
-
-
-def _frobenius_images(f, primes):
-    """x^p mod f over F_p, as `_residue_degrees` takes it, for each of the
-    increasing `primes`; f is monic over Z, leading coefficient first.
-
-    x^n mod f is stepped over Z from one prime to the next and reduced mod
-    each p, so a prime costs a few shifts where `_x_power` squares log p
-    times.  Over Z the coefficients grow by about log2 of the largest root's
-    absolute value per step; once they pass _STEP_BITS, each remaining prime
-    is powered on its own.  Below degree 2, `_residue_degrees` needs no x^p.
-    """
-    d = len(f) - 1
-    if d < 2:
-        yield from (None for _ in primes)
-        return
-    tail = [-c for c in reversed(f[1:])]  # x^d = sum of tail[i] x^i mod f
-    g, n = [1] + [0] * (d - 1), 0  # x^n mod f, constant term first
-    stepping = True
-    for p in primes:
-        stepping = stepping and max(map(abs, g)).bit_length() <= _STEP_BITS
-        if not stepping:
-            yield _x_power(p, _reduce(f, p), p)
-            continue
-        for _ in range(p - n):
-            c = g.pop()
-            g.insert(0, 0)
-            if c:
-                g = [a + c * t for a, t in zip(g, tail)]
-        n = p
-        yield _reduce(g[::-1], p)
 
 
 # ---------------------------------------------------------------------------
@@ -378,36 +345,37 @@ def _primes_to_decompose(field, primes, bound):
 
 def _sieve_degrees(field, primes):
     """Yield the sorted residue degrees of each of the increasing `primes`,
-    one prime at a time.
+    one prime at a time, by the route of `decomposition_type`.
 
     At a p dividing the discriminant the full type runs, with the index
     test, and a refusal raises UnsupportedRamifiedPrimeError when that prime
-    is reached; degree 1 gives (1,); every other p reads its degrees off
-    `_residue_degrees`, with x^p mod f from `_frobenius_images`, stepped over
-    those p alone, from degree 3 on (below it, the parity of the number of
-    factors needs no x^p at odd p).
+    is reached; every other p reads `_unramified_degrees`, so a prime that
+    an expansion and a single-prime request share is decomposed once.
+    Degree 1 gives (1,) without the cache: Z^n over Q reads every prime up
+    to the limit and would fill it.
     """
     d, disc = field.degree, _field_discriminant(field.minpoly)
     if not disc:
         raise AssertionError("a certified minimal polynomial has a nonzero discriminant")
-    poly = list(reversed(field.minpoly))
-    images = _frobenius_images(poly, [p for p in primes if disc % p]) if d >= 3 else repeat(None)
     for p in primes:
         if not disc % p:
             yield tuple(sorted(f for _, f in _decomposition_type(field, p)))
         elif d == 1:
             yield (1,)
         else:
-            yield _residue_degrees(_reduce(poly, p), p, next(images), disc)
+            yield _unramified_degrees(field.minpoly, p)
 
 
 @lru_cache(maxsize=1024)
 def _unramified_degrees(minpoly, p):
     """`_residue_degrees` of a minimal polynomial (constant term first) at a
     prime p not dividing its discriminant, kept for the session per
-    (minpoly, p), for at most 1024 pairs."""
+    (minpoly, p), for at most 1024 pairs.  `decomposition_type` reads it,
+    and so does every expansion (`_sieve_degrees`); above degree 1 an
+    expansion meets it only at the primes up to the square root of its
+    limit, at most 168 of them."""
     disc = _field_discriminant(minpoly)
-    return _residue_degrees(_reduce(list(reversed(minpoly)), p), p, None, disc)
+    return _residue_degrees(_reduce(list(reversed(minpoly)), p), p, disc)
 
 
 def _factor_over_q(coeffs):
@@ -495,10 +463,11 @@ def decomposition_type(field, p):
     (`_residue_degrees`, where the parity of the number of factors often
     decides without x^p); the discriminant is computed once per minimal
     polynomial, and the degrees once per (minpoly, p) in a session, in
-    `_unramified_degrees` (an `lru_cache` of at most 1024 pairs; each call
-    returns a fresh list).  At a p dividing the discriminant the full type
-    runs, with the index test, on every call, and primes it fails raise
-    UnsupportedRamifiedPrimeError ("unsupported ramified prime").
+    `_unramified_degrees`, which the expansions share (an `lru_cache` of at
+    most 1024 pairs; each call returns a fresh list).  At a p dividing the
+    discriminant the full type runs, with the index test, on every call,
+    and primes it fails raise UnsupportedRamifiedPrimeError ("unsupported
+    ramified prime").
     """
     _check_prime(p)
     if field.degree == 1:

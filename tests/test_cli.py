@@ -146,6 +146,22 @@ def test_runtime_path_imports_no_sympy():
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # the read end is closed before the child writes, as `| head -1` closes
+    # it: unbuffered, the print meets the closed pipe, buffered, the flush
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "zetaforge.cli", "abscissa", "--family", "q5"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
 def test_euler_inert_prime():
     result = run("euler", "--family", "heisenberg:1", "--d", "2",
                  "--minpoly", "1,0,1", "--p", "3")
@@ -332,19 +348,36 @@ def test_oracle_refuses_oversized_lattice_before_building_it(monkeypatch, tmp_pa
         assert result.output == "refused: sublattice enumeration capped at rank 6\n"
 
 
-@pytest.mark.parametrize("command", [
-    ["families", "--family", "abelian:2", "--d", "2"],
-    ["euler", "--family", "abelian:2", "--d", "2", "--minpoly", "1,0,1", "--p", "5"],
-    ["dirichlet", "--family", "abelian:2", "--d", "2", "--minpoly", "1,0,1", "--n", "4"],
-    ["abscissa", "--family", "abelian:3", "--d", "2"],
-], ids=lambda command: command[0])
-def test_abelian_beyond_d1_is_refused(command):
+_AT_D2 = {
+    "families": [],
+    "euler": ["--minpoly", "1,0,1", "--p", "5"],
+    "dirichlet": ["--minpoly", "1,0,1", "--n", "4"],
+    "abscissa": [],
+    "funceq": [],
+}
+
+
+@pytest.mark.parametrize("command, family", [
+    *(pytest.param(command, family, id=command) for command, family in (
+        ("families", "abelian:2"), ("euler", "abelian:2"), ("dirichlet", "abelian:2"),
+        ("abscissa", "abelian:3"))),
+    *(pytest.param(command, family, id=f"{command}-{family}")
+      for family in ("free:2:1", "free:3:1") for command in _AT_D2),
+])
+def test_abelian_beyond_d1_is_refused(command, family):
     # Z^4 = O_K^2 for K = Q(i) has 15 subgroups of index 2, but the abelian
-    # W at d = 2 counts O_K-submodules and would print b_2 = 3
-    result = run(*command)
+    # W at d = 2 counts O_K-submodules and would print b_2 = 3; free:c:1,
+    # the free nilpotent ring on one generator, is Z
+    result = run(command, "--family", family, "--d", "2", *_AT_D2[command])
     assert result.exit_code == 1
-    assert "refused: abelian:" in result.output
-    assert "supported only at d=1" in result.output
+    assert result.output == f"refused: {family} at d=2: abelian families are supported only at d=1\n"
+
+
+def test_free_on_one_generator_at_d1_is_abelian_1():
+    base = ["--d", "1", "--minpoly", "0,1", "--p", "5"]
+    free = run("euler", "--family", "free:2:1", *base)
+    assert free.exit_code == 0
+    assert free.output == run("euler", "--family", "abelian:1", *base).output
 
 
 def test_internal_value_error_is_not_a_refusal(monkeypatch):

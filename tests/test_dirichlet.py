@@ -14,9 +14,11 @@ from zetaforge import (
     LocalFactor,
     NumberField,
     ShapeAbscissa,
+    UnsupportedFamilyError,
     abelian,
     abscissa_from_shape,
     bk,
+    free,
     global_coefficients,
     heisenberg,
     lmn,
@@ -39,14 +41,31 @@ DEDEKIND = EulerForm(LaurentPoly({(0, 0): 1}), [(0, 1)])
 
 def test_local_factor_override_shapes():
     # abelian(2) has W = 1/((1 - Y)(1 - X Y)); each prime above p = 3 gives
-    # (1 - t^f)(1 - 3^f t^f), whatever type Q(i) itself has at 3
-    inert = local_factor(abelian(2), 2, GAUSS, 3, pairs=[(1, 2)])
+    # (1 - t^f)(1 - 3^f t^f), whatever type a field itself has at 3
+    w = make_W(abelian(2), 2)
+    inert = LocalFactor.from_euler(w, 3, [(1, 2)])
     assert inert.denominator == ((1, 2), (9, 2))
-    split = local_factor(abelian(2), 2, GAUSS, 3, pairs=[(1, 1), (1, 1)])
+    split = LocalFactor.from_euler(w, 3, [(1, 1), (1, 1)])
     assert split.denominator == ((1, 1), (1, 1), (3, 1), (3, 1))
-    ramified = local_factor(abelian(2), 2, GAUSS, 3, pairs=[(2, 1)])
+    ramified = LocalFactor.from_euler(w, 3, [(2, 1)])
     assert ramified.denominator == ((1, 1), (3, 1))
     assert inert.numerator == split.numerator == ramified.numerator == ((0, 1),)
+
+
+@pytest.mark.parametrize("family", [free(2, 1), free(3, 1), abelian(2)], ids=str)
+def test_z_n_beyond_d1_is_refused(family):
+    message = f"{family} at d=2: abelian families are supported only at d=1"
+    for call in (
+        lambda: local_factor(family, 2, GAUSS, 5),
+        lambda: local_factor(family, 2, GAUSS, 2, pairs=[(2, 1)]),
+        lambda: global_coefficients(family, 2, GAUSS, 10),
+    ):
+        with pytest.raises(UnsupportedFamilyError) as caught:
+            call()
+        assert str(caught.value) == message
+    rank = 1 if family.kind == "free" else family.params[0]
+    q = rationals()
+    assert global_coefficients(family, 1, q, 50) == global_coefficients(abelian(rank), 1, q, 50)
 
 
 def test_local_factor_from_euler():
@@ -305,21 +324,19 @@ def test_odd_primes_below_degree_5_need_no_composition(monkeypatch, clear_field_
     assert composed
 
 
-def test_quadratic_fields_take_no_frobenius_images(monkeypatch):
+def test_quadratic_fields_take_no_frobenius_images(monkeypatch, clear_field_caches):
     monkeypatch.setattr(dirichlet, "make_W", lambda family, d: DEDEKIND)
     want = global_coefficients(heisenberg(1), 2, GAUSS, 2000)
-    decomposed = []
-    original = numberfield._residue_degrees
+    clear_field_caches()  # so that every prime is decomposed again below
+    decomposed = _counting(monkeypatch, "_residue_degrees")
+    original = numberfield._x_power
 
-    def counting_residue_degrees(f, p, xp, disc):
-        decomposed.append(p)
-        return original(f, p, xp, disc)
+    def x_power_at_2(n, f, p):
+        if p % 2:
+            raise AssertionError(f"x^{n} mod f at p = {p}: the parity decides degree 2")
+        return original(n, f, p)
 
-    def refuse(f, primes):
-        raise AssertionError("x^p mod f is not needed below degree 3")
-
-    monkeypatch.setattr(numberfield, "_residue_degrees", counting_residue_degrees)
-    monkeypatch.setattr(numberfield, "_frobenius_images", refuse)
+    monkeypatch.setattr(numberfield, "_x_power", x_power_at_2)
     assert global_coefficients(heisenberg(1), 2, GAUSS, 2000) == want
     assert decomposed == primes_upto(2000)[1:]  # every prime but 2, which ramifies
 
@@ -771,7 +788,7 @@ def test_shape_verified_on_every_cli_family():
             try:
                 family = cli._parse_family(text, d)
             except InputError:
-                assert text.startswith("abelian:") and d > 1
+                assert families.is_abelian(families.parse_family(text)) and d > 1
                 continue
             w = make_W(family, d)
             if w.is_formal:
@@ -780,7 +797,7 @@ def test_shape_verified_on_every_cli_family():
             assert shape.shape_verified == (family.kind != "bk"), (text, d)
             assert families.abscissa(family, d) == shape.value, (text, d)
             pairs += 1
-    assert pairs == 6 + 304  # abelian only at d = 1; formal lmn left out
+    assert pairs == 6 + 289  # Z^n only at d = 1; formal lmn left out
 
 
 def test_abscissa_builds_the_descent_sum_once(monkeypatch):

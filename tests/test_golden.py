@@ -13,9 +13,10 @@ recorded from the implementation that factored f mod p completely and
 specialised a bivariate product of W(X^f, Y^f).  The cases cover split,
 inert and ramified primes (e = 2, 3, 4 and e = f = 2), primes the index test
 refuses (with and without a `--type` override), a formal form, and `bk`.
-The two abelian cases at d = 4 pin the refusal of abelian families at
-d >= 2 (exit 1).  Three larger `dirichlet` runs (bk at d = 4 up to 2000,
-heisenberg:5 at d = 3, lmn:2:3 at d = 2) were recorded from the
+The two abelian cases at d = 4 and the two `free:2:1` runs at d = 3 and 4
+pin the refusal of the Z^n families at d >= 2 (exit 1): the free nilpotent
+ring on one generator is Z.  Three larger `dirichlet` runs (bk at d = 4 up
+to 2000, heisenberg:5 at d = 3, lmn:2:3 at d = 2) were recorded from the
 implementation that specialised every local factor in full before expanding
 it, so cutting the factors at the expanded order must not move a digit.  All
 of these pins were recorded from implementations that specialised W prime by
@@ -28,19 +29,25 @@ order) against the residue degrees read at every other prime.  The three
 quintic x^5 - x - 1, type [2, 3]) were recorded from the implementation
 that ran the full decomposition type at every prime: at the first two the
 parity of the number of factors now decides, and the third runs the
-general loop, one gcd, before it does.  The two `free:2:1` runs (W =
-1/(1 - Y), the Dedekind zeta function, whose b_p counts the primes of
-degree 1 above p) were recorded from the implementation that decomposed
-every prime up to the limit for every family: they pin the residue degrees
-at every prime, where the other `dirichlet` runs, whose W has no t^1 term,
-read no type above the square root of the limit.
+general loop, one gcd, before it does.
+
+`EVERY_PRIME` keeps what the `free:2:1` runs printed before they were
+refused, with W = 1/(1 - Y), the Dedekind zeta function, whose b_p counts
+the primes of degree 1 above p, patched into the library.  They were
+recorded from the implementation that decomposed every prime up to the
+limit for every family: they pin the residue degrees at every prime, where
+the `dirichlet` runs above, whose W has no t^1 term, read no type above the
+square root of the limit.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from cli_runner import run
+from zetaforge import NumberField, dirichlet, global_coefficients, heisenberg
+from zetaforge.laurent import EulerForm
 
 DIGESTS = {
     ("heisenberg:1", 1): "abcc8c9d6100f2cb223f8e8dfa7c0042fd1a22ae2dea7202d476e13d9d58b844",
@@ -168,8 +175,8 @@ COMMANDS = [
     ("dirichlet --family lmn:2:3 --d 2 --minpoly 1,0,1 --n 1000", 0, "6116c3115092b0a32b82fb43d6a3142b430615137c7368eb77996d93822589ed"),
     ("dirichlet --family heisenberg:2 --d 2 --minpoly 5,0,1 --n 1000", 0, "16ad893735f3b7d24cec6981ae61251995bb24a89301d33f800fb8894be24a57"),
     ("dirichlet --family heisenberg:1 --d 5 --minpoly -1,-1,0,0,0,1 --n 500", 0, "56c3021a2300c1050f7c73aa9bfe32952812e479b3a05638c7a22a2ccb1012a3"),
-    ("dirichlet --family free:2:1 --d 3 --minpoly -2,0,0,1 --n 2000", 0, "66d2a7b42033865beab3dba1ea548e5352fd6e1194f25ed0225086a0ef0294bb"),
-    ("dirichlet --family free:2:1 --d 4 --minpoly 1,1,1,1,1 --n 1000", 0, "c30748a0af470586d423a55a2716ba71b93d641c6412c9531b4c1a7c5a8d0555"),
+    ("dirichlet --family free:2:1 --d 3 --minpoly -2,0,0,1 --n 2000", 1, "e2ddba575a9bc76bd38192d2c93effe5d312b085b4a5a787c4ac42144cf3ca11"),
+    ("dirichlet --family free:2:1 --d 4 --minpoly 1,1,1,1,1 --n 1000", 1, "5fd9848849755190ed262d482b20ea9ad739d8124e77c2a553a556cb66719714"),
     ("abscissa --family heisenberg:3 --d 2", 0, "9e51535e59acac4b63a68d78d45b35071fdd71850b322cb59a99ac917664db49"),
     ("abscissa --family lmn:2:3 --d 2", 0, "d1cde62623d870f7396c1a3c44e4e09742f7b316122aad34fc3775f211411ed7"),
     ("abscissa --family q5 --d 2", 0, "b3e84ebd0560aecd9d38386c36332fdbe681e24aef034442df9b8e302bfd198b"),
@@ -191,6 +198,22 @@ def test_command_output_digest(command, code, digest):
     result = run(*command.split())
     assert result.exit_code == code, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+EVERY_PRIME = [
+    ((-2, 0, 0, 1), 2000, "66d2a7b42033865beab3dba1ea548e5352fd6e1194f25ed0225086a0ef0294bb"),
+    ((1, 1, 1, 1, 1), 1000, "c30748a0af470586d423a55a2716ba71b93d641c6412c9531b4c1a7c5a8d0555"),
+]
+
+
+@pytest.mark.parametrize("minpoly, limit, digest", EVERY_PRIME, ids=["cbrt2", "zeta5"])
+def test_dedekind_expansion_digest(monkeypatch, minpoly, limit, digest):
+    monkeypatch.setattr(dirichlet, "make_W", lambda family, d: EulerForm.from_denominator([(0, 1)]))
+    field = NumberField(minpoly)
+    coeffs = global_coefficients(heisenberg(1), field.degree, field, limit)
+    payload = {"coefficients": [str(c) for c in coeffs], "schema": "zetaforge/1"}
+    output = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(output.encode()).hexdigest() == digest
 
 
 NUMBER_FIELD_COMMANDS = [c for c in COMMANDS if c[0].split()[0] in ("decompose", "euler", "dirichlet")]

@@ -231,26 +231,6 @@ def test_x_power_matches_repeated_multiplication_by_x():
                 power = numberfield._rem(power + [0], f, p)
 
 
-@pytest.mark.parametrize("step_bits", [numberfield._STEP_BITS, 40])
-def test_frobenius_images_match_powering(monkeypatch, step_bits):
-    # 40 bits forces the switch to powering part-way through the primes
-    monkeypatch.setattr(numberfield, "_STEP_BITS", step_bits)
-    rng = random.Random(11)
-    primes = primes_upto(600)
-    for trial in range(24):
-        size = 10**6 if trial % 3 == 0 else 9
-        coeffs = [rng.randint(-size, size) for _ in range(rng.randint(1, 6))]
-        f = [1] + coeffs
-        images = list(numberfield._frobenius_images(f, primes))
-        assert len(images) == len(primes)
-        for p, xp in zip(primes, images):
-            fp = numberfield._reduce(f, p)
-            if len(f) < 3:
-                assert xp is None
-                continue
-            assert xp == numberfield._x_power(p, fp, p), (f, p)
-
-
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(
     st.lists(st.integers(-20, 20), min_size=1, max_size=7),
@@ -263,7 +243,30 @@ def test_residue_degrees_match_the_factor_type(tail, p):
     assume(disc % p)
     fp = numberfield._reduce(f, p)
     want = tuple(sorted(deg for _, deg in numberfield._factor_type(fp, p)[0]))
-    assert numberfield._residue_degrees(fp, p, numberfield._x_power(p, fp, p), disc) == want
+    assert numberfield._residue_degrees(fp, p, disc) == want
+
+
+def test_cubic_residue_degrees_power_x_only_at_odd_parity(monkeypatch):
+    # over x^3 - 2 (disc -108, so p > 3) an even number r of factors mod p
+    # is two, (1, 2): (disc / p) = (-1)^(3 - r) says so with no x^p
+    f, disc = [1, 0, 0, -2], -108
+    powered, original = [], numberfield._x_power
+
+    def recording_x_power(n, g, p):
+        powered.append(p)
+        return original(n, g, p)
+
+    monkeypatch.setattr(numberfield, "_x_power", recording_x_power)
+    seen = set()
+    for p in primes_upto(199)[2:]:
+        fp = numberfield._reduce(f, p)
+        want = tuple(sorted(deg for _, deg in numberfield._factor_type(fp, p)[0]))
+        del powered[:]  # `_factor_type` powers x itself
+        assert numberfield._residue_degrees(fp, p, disc) == want, p
+        r_is_odd = pow(disc % p, (p - 1) // 2, p) == 1
+        assert powered == ([p] if r_is_odd else []), p
+        seen.add(want)
+    assert seen == {(1, 1, 1), (1, 2), (3,)}
 
 
 def test_residue_degrees_of_products_of_known_factors():
@@ -282,7 +285,7 @@ def test_residue_degrees_of_products_of_known_factors():
                 factors.append(g)
                 f = numberfield._reduce(numberfield._mul(f, g), p)
             disc = numberfield._discriminant(f[::-1])
-            assert numberfield._residue_degrees(f, p, None, disc) == tuple(degrees), (f, p)
+            assert numberfield._residue_degrees(f, p, disc) == tuple(degrees), (f, p)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
