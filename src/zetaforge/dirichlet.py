@@ -17,6 +17,7 @@ exact all the way (integers in every case we generate, enforced loudly).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 
 from .laurent import (
@@ -249,12 +250,19 @@ def global_coefficients(family, d, field, limit):
     residue degrees fs and the same kmax, so it is built and cut once per
     key (fs, kmax), and each prime evaluates it at X = p (see
     `_local_series`).  That memo lives for this call only, since the series
-    depend on the family.  b_{p^k} then multiplies b_n for the n with
-    p^k || n, one stride of p^k at a time.
+    depend on the family.
+    The coefficients are built on their support: b_1 = 1 and every other b_n
+    starts at 0.  The primes are read in increasing order, and for each
+    nonzero b_{p^k} every n = m p^k up to the limit, with m prime to p and
+    b_m nonzero, is written once, as b_m b_{p^k}.  So n is written when its
+    largest prime p is read, from the cofactor m, whose primes are all below
+    p and which is therefore already final.  An n never written stays 0.
     For a W with no t^1 term at any prime (`_linear_t_vanishes`: every
     family but the Z^n ones, abelian:n and free:c:1), a p above the square
-    root gets the series (1, 0) whatever its type, and is decomposed only
-    where the index test may refuse it (`numberfield._primes_to_decompose`).
+    root has b_p = 0 whatever its type, so no multiple of it is written; it
+    is read only where the index test may refuse it
+    (`numberfield._primes_to_decompose`), and b_n is nonzero only where
+    p | n implies p^2 | n.
     The Z^n families read every prime, but they are refused at d >= 2
     (`families.check_base_extension`), and over Q every type is (1,).
     The other primes take their residue degrees fs from
@@ -278,32 +286,35 @@ def global_coefficients(family, d, field, limit):
     check_base_extension(family, d)
     w = make_W(family, d)
     _refuse_formal(w)
-    coeffs = [1] * (limit + 1)  # index 0 unused
-    primes = decomposed = primes_upto(limit)
+    coeffs = [0] * (limit + 1)  # index 0 unused
+    coeffs[1] = 1
+    decomposed = primes_upto(limit)
     if _linear_t_vanishes(w):
-        decomposed = _primes_to_decompose(field, primes, isqrt(limit))
-    degrees, decomposed = _sieve_degrees(field, decomposed), set(decomposed)
+        decomposed = _primes_to_decompose(field, decomposed, isqrt(limit))
+    degrees = _sieve_degrees(field, decomposed)
     by_type = {}
-    for p in primes:
+    for p in decomposed:
         kmax = 0
         q = p
         while q <= limit:
             kmax += 1
             q *= p
         try:
-            fs = next(degrees) if p in decomposed else None
+            fs = next(degrees)
         except UnsupportedRamifiedPrimeError as exc:
             raise GlobalExpansionError(
                 f"cannot expand to {limit}: prime {p} refused ({exc})"
             ) from exc
-        # a p left out has p^2 > limit: only t^1 is read, and it is 0
-        series = (1, 0) if fs is None else _local_series(w, p, fs, kmax, by_type)
         pk = 1
-        for value in series[1:]:
+        for value in _local_series(w, p, fs, kmax, by_type)[1:]:
             pk *= p
-            for n in range(pk, limit + 1, pk):
-                if n % (pk * p):
-                    coeffs[n] *= value
+            if value:
+                # n = m p^k is written once, at its largest prime, from b_m:
+                # an m prime to p is final if its primes are below p, else 0
+                top = limit // pk
+                for m in compress(range(1, top + 1), coeffs[1 : top + 1]):
+                    if m % p:
+                        coeffs[m * pk] = coeffs[m] * value
     return coeffs[1:]
 
 

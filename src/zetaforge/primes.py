@@ -7,6 +7,7 @@ sieve and trial division are exact and cheap.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
 
 
@@ -19,7 +20,7 @@ def primes_upto(n):
     for i in range(2, isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(n + 1), sieve))
 
 
 def is_prime(n):

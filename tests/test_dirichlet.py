@@ -1,7 +1,7 @@
 """Local factors at rational primes and exact global Dirichlet coefficients."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -486,6 +486,60 @@ def test_a_refusable_prime_above_the_root_is_still_decomposed():
     assert got == _index_refusal(100, 13)
     coeffs = global_coefficients(heisenberg(1), 2, field, 12)
     assert coeffs == per_prime_coefficients(make_W(heisenberg(1), 2), field, 12)
+
+
+@pytest.mark.parametrize(
+    "coeffs, limit", [((1, 1, 1, 1, 1), 1000), ((169, 0, 1), 12)], ids=["zeta5", "13i"]
+)
+def test_only_the_decomposed_primes_are_read(monkeypatch, coeffs, limit):
+    # one local series per prime whose type is read, and none past them
+    field = NumberField(coeffs)
+    seen, original = [], dirichlet._local_series
+
+    def counting_local_series(w, p, *args):
+        seen.append(p)
+        return original(w, p, *args)
+
+    monkeypatch.setattr(dirichlet, "_local_series", counting_local_series)
+    global_coefficients(heisenberg(1), field.degree, field, limit)
+    decomposed = numberfield._primes_to_decompose(field, primes_upto(limit), isqrt(limit))
+    assert seen == decomposed
+
+
+def _powerful(n):
+    return all(n % (p * p) == 0 for p in primes_upto(n) if n % p == 0)
+
+
+@pytest.mark.parametrize("d", sorted(POOL_FIELDS))
+@pytest.mark.parametrize("family_id", POOL_FAMILIES)
+def test_coefficients_live_on_the_powerful_numbers(family_id, d):
+    # no local factor of these W has a t^1 term, so b_p = 0 at every p and
+    # the multiplicative b_n vanishes unless p | n implies p^2 | n
+    field = NumberField(POOL_FIELDS[d])
+    family = families.parse_family(family_id)
+    w = make_W(family, d)
+    assert dirichlet._linear_t_vanishes(w)
+    limit = 3000 if d == 1 else 1000
+    coeffs = global_coefficients(family, d, field, limit)
+    assert [n for n, b in enumerate(coeffs, 1) if b and not _powerful(n)] == []
+    assert coeffs == per_prime_coefficients(w, field, limit)
+
+
+def test_dense_coefficients_match_the_per_prime_reference():
+    # Z^3 over Q reads every prime, and no b_n vanishes
+    coeffs = global_coefficients(abelian(3), 1, rationals(), 3000)
+    assert all(coeffs)
+    assert coeffs == per_prime_coefficients(make_W(abelian(3), 1), rationals(), 3000)
+
+
+def test_a_cofactor_divisible_by_p_is_not_extended(monkeypatch):
+    # the local factor 1 + p t + t^2 has b_{p^3} = 0, though b_p b_{p^2} is
+    # not: m p^3 must not be written from the cofactor m p of b_{p^2}
+    w = EulerForm(LaurentPoly({(0, 0): 1, (1, 1): 1, (0, 2): 1}), [])
+    monkeypatch.setattr(dirichlet, "make_W", lambda family, d: w)
+    coeffs = global_coefficients(heisenberg(1), 1, rationals(), 1000)
+    assert coeffs[8 - 1] == coeffs[3 * 27 - 1] == 0
+    assert coeffs == per_prime_coefficients(w, rationals(), 1000)
 
 
 # W with every clause of `_linear_t_vanishes` but one.  Over Q(i) the

@@ -24,7 +24,12 @@ prime, before the global expansion built one series per decomposition type.
 The `dirichlet` runs over Q(sqrt -5) and x^5 - x - 1 were recorded from the
 implementation that ran the full decomposition type at every prime; they
 pin the primes dividing the discriminant (2, 5 and 19, 151 in a maximal
-order) against the residue degrees read at every other prime.  The three
+order) against the residue degrees read at every other prime.  The
+`abelian:3` run over Q to 3000 (every b_n nonzero) and the `heisenberg:2`
+run over Q(i) to 100000 (b_n nonzero only where p | n implies p^2 | n) were
+recorded from the implementation that multiplied b_{p^k} into every
+multiple of p^k, one stride at a time, for every prime up to the limit,
+before the coefficients were built on their support.  The three
 `decompose` runs at p = 7 (Q(zeta_5), inert; Q(cbrt 2), inert; and the
 quintic x^5 - x - 1, type [2, 3]) were recorded from the implementation
 that ran the full decomposition type at every prime: at the first two the
@@ -175,6 +180,8 @@ COMMANDS = [
     ("dirichlet --family lmn:2:3 --d 2 --minpoly 1,0,1 --n 1000", 0, "6116c3115092b0a32b82fb43d6a3142b430615137c7368eb77996d93822589ed"),
     ("dirichlet --family heisenberg:2 --d 2 --minpoly 5,0,1 --n 1000", 0, "16ad893735f3b7d24cec6981ae61251995bb24a89301d33f800fb8894be24a57"),
     ("dirichlet --family heisenberg:1 --d 5 --minpoly -1,-1,0,0,0,1 --n 500", 0, "56c3021a2300c1050f7c73aa9bfe32952812e479b3a05638c7a22a2ccb1012a3"),
+    ("dirichlet --family abelian:3 --d 1 --minpoly 0,1 --n 3000", 0, "2f5a59bfc1f7d7fb1cce9a8570dd6dd9f06037ddaab8eb67cbc5963114015de4"),
+    ("dirichlet --family heisenberg:2 --d 2 --minpoly 1,0,1 --n 100000", 0, "333a00192bb6649da582a1614c948d9ab5a62d5e32110fb45db1851352140a65"),
     ("dirichlet --family free:2:1 --d 3 --minpoly -2,0,0,1 --n 2000", 1, "e2ddba575a9bc76bd38192d2c93effe5d312b085b4a5a787c4ac42144cf3ca11"),
     ("dirichlet --family free:2:1 --d 4 --minpoly 1,1,1,1,1 --n 1000", 1, "5fd9848849755190ed262d482b20ea9ad739d8124e77c2a553a556cb66719714"),
     ("abscissa --family heisenberg:3 --d 2", 0, "9e51535e59acac4b63a68d78d45b35071fdd71850b322cb59a99ac917664db49"),
